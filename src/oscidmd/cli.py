@@ -309,8 +309,7 @@ def _analyze_mrdmd_core(
     rule = cfg.rule or DEFAULT_BIN_RULE
     result = decompose(snap.data[:, :n_cols], mrdmd_plan, rule)
     reports = classify(list(result.all_modes), cfg.eps_crit)
-    series = unembed(result.total_reconstruction)
-    return reports, series, result, mrdmd_plan, depth
+    return reports, result.series, result, mrdmd_plan, depth
 
 
 def run_dmd(cfg: RunConfig) -> int:
@@ -369,8 +368,7 @@ def run_mrdmd(cfg: RunConfig) -> int:
     _write_reconstruction(out / "reconstruction.csv", record, channel, series)
     if cfg.emit_levels:
         t0, dt = record.t0, record.dt
-        for l, layer in enumerate(result.per_level_reconstruction, start=1):
-            level_series = unembed(layer)
+        for l, level_series in enumerate(result.per_level_series, start=1):
             rows = [[_fmt(t0 + k * dt), _fmt(float(v))] for k, v in enumerate(level_series)]
             _write_rows(out / f"level_{l}.csv", ["t", "reconstructed"], rows)
     if cfg.emit_report:

@@ -104,9 +104,6 @@ class SignalRecord:
     def channel_mask(self, name: str) -> np.ndarray:
         return self.missing_mask[self.names.index(name)]
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.length)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignalRecord):
             return NotImplemented

@@ -162,14 +162,6 @@ def classify(
     return annotated
 
 
-def dominant(reports: list[ModeReport]) -> ModeReport | None:
-    """The rank-1 mode of a classified report list, if any."""
-    for r in reports:
-        if r.dominant_rank == 1:
-            return r
-    return None
-
-
 @dataclass(frozen=True)
 class ModeCluster:
     """All instances of one physical mode at one level.

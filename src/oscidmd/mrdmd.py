@@ -7,6 +7,16 @@ full-resolution reconstruction is subtracted from the bin and the residual
 is halved and recursed until the termination level, which is the largest L
 keeping more than mu columns per bin.
 
+The implementation is matrix-free. A bin's fit reads only its mu
+subsample columns, and slow modes are analytic in time, so each bin
+gathers those columns from the snapshot matrix and subtracts every
+ancestor's slow modes evaluated there; no residual is formed at full
+resolution. Each bin adds the anti-diagonal sums of its own slow
+reconstruction to a per-level series, so the primary outputs,
+``per_level_series`` and ``series``, cost O(L * (m + n)) memory. The dense
+m x n per-level and total reconstructions are rebuilt from the node fits
+only on request, at O(L * m * n) memory.
+
 Per-level bookkeeping (exact in rational arithmetic), with B = 2^(l-1)
 bins of nominal size S = n / B over a window of duration N = n * dt:
 
@@ -23,14 +33,16 @@ ordering any parallel variant must reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
 from .modes import ModeReport, reports_from_dmd
-from .stacking import SnapshotMatrix
+from .stacking import SnapshotMatrix, antidiagonal_counts, antidiagonal_sums
 
 _MAX_DT_DENOMINATOR = 10**9
 
@@ -38,6 +50,13 @@ _MAX_DT_DENOMINATOR = 10**9
 # coherent content resolvable without the overfit a near-full rank causes on
 # corrupted bins.
 DEFAULT_BIN_RULE = TruncationRule(TRUNC_RATIO, 1e-4)
+
+# BLAS products round the columns of a partial output tile differently from
+# the rest. Evaluating ancestors' slow modes in whole tiles of this many
+# columns keeps each bin's input bit-identical to the dense residual on
+# builds whose column tile divides it; noise-only bins amplify any last-bit
+# difference.
+_TILE = 8
 
 
 class PlanError(ValueError):
@@ -194,6 +213,32 @@ def screen_slow(result: DmdResult, rho: float) -> np.ndarray:
     return np.flatnonzero(mags < rho)
 
 
+def slow_at_offsets(
+    node_dmd: DmdResult,
+    slow_set: np.ndarray | tuple[int, ...],
+    offsets: np.ndarray,
+    dt: float,
+    f_sp: float,
+) -> np.ndarray:
+    """Slow-mode reconstruction at the given column offsets from the bin start.
+
+    Each slow mode is evaluated in continuous time, value(tau) =
+    Re(Phi_k e^(omega_k tau) b_k) with omega_k = f_sp * ln(lambda_k) and
+    tau = dt * offset, bridging the subsampled eigenvalue interval to the
+    full sample rate. An empty slow set yields zeros.
+    """
+    idx = np.asarray(slow_set, dtype=int)
+    offsets = np.asarray(offsets)
+    m = node_dmd.modes.shape[0]
+    if idx.size == 0:
+        return np.zeros((m, offsets.size))
+    lam = node_dmd.eigenvalues[idx]
+    omega = f_sp * np.log(lam)
+    tau = dt * offsets
+    coeff = node_dmd.amplitudes[idx][:, None] * np.exp(omega[:, None] * tau[None, :])
+    return (node_dmd.modes[:, idx] @ coeff).real
+
+
 def slow_reconstruction(
     node_dmd: DmdResult,
     slow_set: np.ndarray | tuple[int, ...],
@@ -203,29 +248,24 @@ def slow_reconstruction(
 ) -> np.ndarray:
     """Full-resolution reconstruction of the slow modes over a bin.
 
-    Each slow mode is evaluated in continuous time, value(tau) =
-    Re(Phi_k e^(omega_k tau) b_k) with omega_k = f_sp * ln(lambda_k) and
-    tau the offset from the bin start, bridging the subsampled eigenvalue
-    interval to the full sample rate. An empty slow set yields zeros.
+    The columns of ``slow_at_offsets`` at every offset of the span; only
+    the span's width matters.
     """
     start, stop = span
     width = stop - start
     if width < 1:
         raise ValueError("span must cover at least one column")
-    idx = np.asarray(slow_set, dtype=int)
-    m = node_dmd.modes.shape[0]
-    if idx.size == 0:
-        return np.zeros((m, width))
-    lam = node_dmd.eigenvalues[idx]
-    omega = f_sp * np.log(lam)
-    tau = dt * np.arange(width)
-    coeff = node_dmd.amplitudes[idx][:, None] * np.exp(omega[:, None] * tau[None, :])
-    return (node_dmd.modes[:, idx] @ coeff).real
+    return slow_at_offsets(node_dmd, slow_set, np.arange(width), dt, f_sp)
 
 
 @dataclass(frozen=True)
 class MrdmdNode:
-    """One (level, bin) analysis unit of the recursion."""
+    """One (level, bin) analysis unit of the recursion.
+
+    ``f_sp`` is the bin's subsample rate, ``dt`` the full-resolution
+    column interval and ``rows`` the snapshot height; with the fit they
+    make the slow reconstruction analytic at any column of the bin.
+    """
 
     level: int
     bin_index: int
@@ -233,23 +273,87 @@ class MrdmdNode:
     subsample_indices: np.ndarray
     dmd: DmdResult | None
     slow_set: tuple[int, ...]
-    slow_reconstruction: np.ndarray
-    children: tuple["MrdmdNode", ...]
+    f_sp: float
+    dt: float
+    rows: int
+    children: tuple["MrdmdNode", ...] = ()
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
+    def slow_at(self, cols: np.ndarray) -> np.ndarray:
+        """Slow reconstruction at absolute snapshot columns inside the bin.
+
+        The requested columns are evaluated in one product padded to whole
+        ``_TILE``-column tiles, followed by the bin's own last, partial
+        tile, so each column takes the same BLAS kernel path as in the
+        full-width product and comes out bit for bit the same.
+        """
+        offsets = np.asarray(cols) - self.col_span[0]
+        if self.dmd is None:
+            return np.zeros((self.rows, offsets.size))
+        width = self.col_span[1] - self.col_span[0]
+        tail = width - width % _TILE
+        in_tail = offsets >= tail
+        head = offsets[~in_tail]
+        pad = -head.size % _TILE
+        evaluated = np.concatenate([head, np.zeros(pad, dtype=int), np.arange(tail, width)])
+        values = slow_at_offsets(self.dmd, self.slow_set, evaluated, self.dt, self.f_sp)
+        where = np.empty(offsets.size, dtype=int)
+        where[~in_tail] = np.arange(head.size)
+        where[in_tail] = head.size + pad + offsets[in_tail] - tail
+        return values[:, where]
+
+    @property
+    def slow_reconstruction(self) -> np.ndarray:
+        """The bin's slow reconstruction at full resolution (rows x width)."""
+        return self.slow_at(np.arange(*self.col_span))
+
 
 @dataclass(frozen=True)
 class MrdmdResult:
-    """Full decomposition: node tree, per-level and total reconstructions."""
+    """Full decomposition: node tree, modes, per-level and total series.
+
+    ``per_level_series[l - 1]`` is level l's slow reconstruction collapsed
+    by anti-diagonal averaging (``stacking.unembed``) and ``series`` the
+    sum over levels, each of length rows + n - 1. The dense rows x n
+    views ``per_level_reconstruction`` and ``total_reconstruction`` are
+    rebuilt from the node fits on first access and cached read-only.
+    """
 
     plan: MrdmdPlan
     root: MrdmdNode
-    per_level_reconstruction: tuple[np.ndarray, ...]
-    total_reconstruction: np.ndarray
     all_modes: tuple[ModeReport, ...]
+    per_level_series: tuple[np.ndarray, ...]
+    series: np.ndarray
+
+    def _nodes(self) -> Iterator[MrdmdNode]:
+        """Every node, level by level and left to right within a level."""
+        level = [self.root]
+        while level:
+            yield from level
+            level = [child for node in level for child in node.children]
+
+    def _dense(self, levels: range) -> np.ndarray:
+        out = np.zeros((self.root.rows, self.plan.n))
+        for node in self._nodes():
+            if node.level in levels:
+                start, stop = node.col_span
+                out[:, start:stop] += node.slow_reconstruction
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def per_level_reconstruction(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            self._dense(range(l, l + 1)) for l in range(1, self.plan.termination_level + 1)
+        )
+
+    @cached_property
+    def total_reconstruction(self) -> np.ndarray:
+        # level by level, so each entry sums as zeros + layer 1 + layer 2 + ...
+        return self._dense(range(1, self.plan.termination_level + 1))
 
 
 def decompose(
@@ -259,11 +363,14 @@ def decompose(
 ) -> MrdmdResult:
     """Run the multi-resolution recursion over a snapshot matrix.
 
-    Depth-first per bin: subsample, decompose, screen slow modes,
-    reconstruct them at full resolution, subtract, then split the residual
-    in half and recurse. When a bin has no signal energy left (fully
-    explained upstream) it contributes zeros and an empty mode list and
-    the recursion continues. Bins of odd width split with the larger half
+    Depth-first per bin: gather the bin's mu subsample columns, subtract
+    every ancestor's slow modes evaluated at those columns (root first),
+    decompose, screen slow modes, then recurse into both halves. The
+    residual is never formed at full resolution: each bin adds the
+    anti-diagonal sums of its own slow reconstruction to its level's
+    series. When a bin has no signal energy left (fully explained
+    upstream) it contributes zeros and an empty mode list and the
+    recursion continues. Bins of odd width split with the larger half
     first.
     """
     data = snap.data if isinstance(snap, SnapshotMatrix) else np.asarray(snap, dtype=float)
@@ -280,25 +387,31 @@ def decompose(
     dt = mrdmd_plan.dt
     mu = mrdmd_plan.mu
     level_count = mrdmd_plan.termination_level
-    per_level = [np.zeros((m, n)) for _ in range(level_count)]
+    level_sums = np.zeros((level_count, m + n - 1))
     reports: list[ModeReport] = []
 
-    def recurse(block: np.ndarray, start: int, level: int, bin_index: int) -> MrdmdNode:
-        width = block.shape[1]
-        rel = subsample((0, width), mu)
+    def recurse(
+        start: int, width: int, level: int, bin_index: int, ancestors: tuple[MrdmdNode, ...]
+    ) -> MrdmdNode:
+        cols = subsample((start, start + width), mu)
         f_sp = mu / (width * dt)
-        xsub = block[:, rel]
+        xsub = data[:, cols]
+        for ancestor in ancestors:
+            xsub -= ancestor.slow_at(cols)
         try:
             fit = dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / f_sp)
         except ZeroSignalError:
             fit = None
-        if fit is None:
-            slow: tuple[int, ...] = ()
-            recon = np.zeros((m, width))
-        else:
+        slow: tuple[int, ...] = ()
+        if fit is not None:
             slow_idx = screen_slow(fit, mrdmd_plan.rho)
             slow = tuple(int(k) for k in slow_idx)
-            recon = slow_reconstruction(fit, slow_idx, (0, width), dt, f_sp)
+            if slow:
+                # not bound to a name: the m x width block must not outlive this
+                # bin while its descendants recurse
+                level_sums[level - 1, start : start + m + width - 1] += antidiagonal_sums(
+                    slow_reconstruction(fit, slow_idx, (start, start + width), dt, f_sp)
+                )
             reports.extend(
                 reports_from_dmd(
                     fit,
@@ -309,35 +422,41 @@ def decompose(
                     slow_set=set(slow),
                 )
             )
-        per_level[level - 1][:, start : start + width] = recon
-        children: tuple[MrdmdNode, ...] = ()
-        if level < level_count:
-            residual = block - recon
-            half = (width + 1) // 2
-            children = (
-                recurse(residual[:, :half], start, level + 1, 2 * bin_index),
-                recurse(residual[:, half:], start + half, level + 1, 2 * bin_index + 1),
-            )
-        return MrdmdNode(
+        node = MrdmdNode(
             level=level,
             bin_index=bin_index,
             col_span=(start, start + width),
-            subsample_indices=rel + start,
+            subsample_indices=cols,
             dmd=fit,
             slow_set=slow,
-            slow_reconstruction=per_level[level - 1][:, start : start + width],
-            children=children,
+            f_sp=f_sp,
+            dt=dt,
+            rows=m,
+        )
+        if level == level_count:
+            return node
+        # a bin without slow modes subtracts nothing from its descendants
+        lineage = ancestors + (node,) if slow else ancestors
+        half = (width + 1) // 2
+        return replace(
+            node,
+            children=(
+                recurse(start, half, level + 1, 2 * bin_index, lineage),
+                recurse(start + half, width - half, level + 1, 2 * bin_index + 1, lineage),
+            ),
         )
 
-    root = recurse(np.array(data, dtype=float, copy=True), 0, 1, 0)
-    total = np.zeros((m, n))
-    for layer in per_level:
-        total += layer
+    root = recurse(0, n, 1, 0, ())
+    counts = antidiagonal_counts(m, n)
+    per_level_series = tuple(sums / counts for sums in level_sums)
+    series = level_sums.sum(axis=0) / counts
+    for s in (*per_level_series, series):
+        s.setflags(write=False)
     ordered = tuple(sorted(reports, key=lambda r: (r.level, r.bin_index)))
     return MrdmdResult(
         plan=mrdmd_plan,
         root=root,
-        per_level_reconstruction=tuple(per_level),
-        total_reconstruction=total,
         all_modes=ordered,
+        per_level_series=per_level_series,
+        series=series,
     )

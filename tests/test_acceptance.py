@@ -272,6 +272,11 @@ class TestC6PropertySuites:
             for layer in res.per_level_reconstruction:
                 total += layer
             ok &= np.array_equal(total, res.total_reconstruction)
+            pairs = [(res.series, res.total_reconstruction),
+                     *zip(res.per_level_series, res.per_level_reconstruction)]
+            for series, dense in pairs:
+                want = od.unembed(dense)
+                ok &= np.max(np.abs(series - want)) <= 1e-12 * np.max(np.abs(want))
 
             placed = np.zeros_like(total)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -341,6 +342,19 @@ class TestDecompose:
                 walk(node.children[1], residual[:, half:])
 
         walk(res.root, data)
+
+    def test_peak_memory_a_few_hankel_sizes(self, lfo_gapped_embedded):
+        """The recursion never holds per-level layers or residual copies."""
+        data = lfo_gapped_embedded.data[:, :4000]
+        plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
+        assert data.shape == (1000, 4000) and plan.termination_level == 8
+        tracemalloc.start()
+        try:
+            od.decompose(data, plan, DEFAULT_BIN_RULE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * data.size * 8
 
     def test_reports_sorted_by_level_and_bin(self, lfo_gapped_mrdmd):
         res, _ = lfo_gapped_mrdmd

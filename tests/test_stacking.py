@@ -115,3 +115,16 @@ def test_unembed_rejects_empty():
 def test_snapshot_matrix_immutable(lfo_clean_embedded):
     with pytest.raises(ValueError):
         lfo_clean_embedded.data[0, 0] = 1.0
+
+
+def test_embedding_is_read_only_view_of_record():
+    rec = record_from(np.arange(30.0))
+    snap = od.delay_embed(rec, "x", 6)
+    assert np.shares_memory(snap.data, rec.data)
+    assert not snap.data.flags.writeable
+    # a caller's writeable array is still copied, so later writes do not leak in
+    raw = np.ones((2, 3))
+    held = od.SnapshotMatrix(raw, dt=1.0, t0=0.0, stack_depth=2, source_channel="x")
+    raw[0, 0] = 5.0
+    assert held.data[0, 0] == 1.0
+    assert not held.data.flags.writeable
