@@ -29,6 +29,7 @@ from .dmd import (
     dmd,
     eig_modes,
     reconstruct,
+    reconstruct_series,
     reconstruct_window,
     reduced_operator,
     svd_truncated,
@@ -84,6 +85,7 @@ __all__ = [
     "dmd",
     "eig_modes",
     "reconstruct",
+    "reconstruct_series",
     "reconstruct_window",
     "reduced_operator",
     "svd_truncated",

@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dmd import DEFAULT_RULE, DecompositionError, DmdResult, TruncationRule, dmd, reconstruct_window
+from .dmd import DEFAULT_RULE, DecompositionError, DmdResult, TruncationRule, dmd, reconstruct_series
 from .ingest import FILL_ZERO, IngestConfig, SignalRecord, inject_gap, load_csv, write_csv
 from .modes import (
     DEFAULT_EPS_CRIT,
@@ -37,7 +37,11 @@ from .modes import (
 )
 from .mrdmd import DEFAULT_BIN_RULE, MrdmdPlan, MrdmdResult, decompose, plan
 from .siggen import PROFILES, generate_profile
-from .stacking import default_stack_depth, delay_embed, shifted_pair, unembed
+from .stacking import default_stack_depth, delay_embed, shifted_pair
+
+# Unused here, but bench/spans.py wraps these names on this module by getattr.
+from .dmd import reconstruct_window  # noqa: F401
+from .stacking import unembed  # noqa: F401
 
 
 def _fmt(x: float) -> str:
@@ -292,7 +296,7 @@ def _analyze_dmd_core(
         reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=x1.shape[1]),
         cfg.eps_crit,
     )
-    series = unembed(reconstruct_window(result, snap.data.shape[1]).real)
+    series = reconstruct_series(result, snap.data.shape[1])
     return reports, series, result, depth
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import oscidmd as od
-from oscidmd.cli import cli
+from oscidmd.cli import RunConfig, _analyze_dmd_core, cli
 from oscidmd.ingest import IngestConfig
 
 
@@ -49,6 +50,18 @@ def mrdmd_lfo_run(runner, tmp_path_factory):
 
 
 class TestAnalyzeDmd:
+    def test_peak_memory_below_three_hankel_sizes(self, lfo_gapped):
+        rec, _ = lfo_gapped
+        cfg = RunConfig(channel="u_dc", stack_depth=1000)
+        m, n = 1000, rec.length - 1000 + 1
+        tracemalloc.start()
+        try:
+            _analyze_dmd_core(cfg, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * n * 8
+
     def test_lfo_profile_dominant_pair(self, runner, tmp_path):
         out = tmp_path / "dmd"
         result = runner.invoke(

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oscidmd as od
-from oscidmd.dmd import DecompositionError, TruncationRule, ZeroSignalError
+from oscidmd.dmd import (
+    _SERIES_COLUMNS,
+    DecompositionError,
+    TruncationRule,
+    ZeroSignalError,
+    _powers,
+    reconstruct_series,
+)
 
 
 def planted_pair(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
@@ -336,3 +349,122 @@ class TestProperties:
                 res = np.linalg.norm(result.modes @ result.amplitudes - x1[:, 0])
                 assert res <= prev + 1e-12
                 prev = res
+
+
+def direct_fit(x1, x2, rule=od.DEFAULT_RULE):
+    """The uncompressed composition: SVD of X1 itself, then operator, eig, amplitudes."""
+    svd = od.svd_truncated(x1, rule)
+    a_tilde = od.reduced_operator(svd.u, svd.sigma, svd.v, x2)
+    w, lam, phi = od.eig_modes(a_tilde, svd.u)
+    return svd, a_tilde, lam, phi, od.amplitudes(phi, x1[:, 0])
+
+
+def random_hankel_pair(seed=5, length=400, depth=30):
+    series = np.random.default_rng(seed).normal(size=length)
+    hankel = np.lib.stride_tricks.sliding_window_view(series, length - depth + 1)
+    return hankel[:, :-1], hankel[:, 1:]
+
+
+class TestHankelCompression:
+    @pytest.mark.parametrize("source", ["lfo_clean_embedded", "lfo_gapped_embedded", "random"])
+    def test_matches_direct_fit(self, source, request):
+        if source == "random":
+            x1, x2 = random_hankel_pair()
+        else:
+            x1, x2 = od.shifted_pair(request.getfixturevalue(source))
+        assert x1.shape[1] > x1.shape[0] + 1  # wide, so the compressed path runs
+        result = od.dmd(x1, x2, od.DEFAULT_RULE)
+        svd, _, lam, phi, b = direct_fit(x1, x2)
+
+        assert result.rank == svd.rank
+        s = svd.singular_values
+        assert np.max(np.abs(result.singular_values - s)) <= 1e-12 * s[0]
+        got, want = np.sort_complex(result.eigenvalues), np.sort_complex(lam)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+        dominant = np.max(np.abs(b) * np.linalg.norm(phi, axis=0))
+        score = np.abs(result.amplitudes[0]) * np.linalg.norm(result.modes[:, 0])
+        assert score == pytest.approx(dominant, rel=1e-8)
+
+    def test_non_shift_wide_pair_is_the_direct_fit_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x1, x2 = rng.normal(size=(6, 40)), rng.normal(size=(6, 40))
+        result = od.dmd(x1, x2, TruncationRule.fixed(6))
+        svd, a_tilde, lam, phi, b = direct_fit(x1, x2, TruncationRule.fixed(6))
+        order = [int(np.flatnonzero(lam == v)[0]) for v in result.eigenvalues]
+        assert sorted(order) == list(range(6))
+        assert np.array_equal(result.singular_values, svd.singular_values)
+        assert np.array_equal(result.a_tilde, a_tilde)
+        assert np.array_equal(result.eigenvalues, lam[order])
+        assert np.array_equal(result.modes, phi[:, order])
+        assert np.array_equal(result.amplitudes, b[order])
+
+    def test_hankel_fit_lists_positive_imaginary_member_first(self, lfo_gapped_dmd):
+        result, _ = lfo_gapped_dmd
+        lam = result.eigenvalues
+        assert np.sum(lam.imag != 0) >= 100
+        k = 0
+        while k < lam.size:
+            if lam[k].imag != 0:
+                assert lam[k].imag > 0
+                assert lam[k + 1] == np.conj(lam[k])
+                k += 2
+            else:
+                k += 1
+
+    def test_dmd_imports_no_scipy(self):
+        code = (
+            "import sys, numpy as np, oscidmd as od\n"
+            "x = np.sin(0.3 * np.arange(80.0)) + 0.5 * np.cos(2.1 * np.arange(80.0))\n"
+            "h = np.lib.stride_tricks.sliding_window_view(x, 71)\n"
+            "r = od.dmd(h[:, :-1], h[:, 1:])\n"
+            "od.reconstruct_window(r, 71)\n"
+            "sys.exit('scipy' in sys.modules)\n"
+        )
+        src = str(Path(od.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+
+
+class TestReconstructSeries:
+    @staticmethod
+    def assert_matches_window(result, n):
+        want = od.unembed(od.reconstruct_window(result, n).real)
+        got = reconstruct_series(result, n)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_window_on_lfo(self, lfo_gapped_embedded, lfo_gapped_dmd):
+        result, _ = lfo_gapped_dmd
+        self.assert_matches_window(result, lfo_gapped_embedded.data.shape[1])
+
+    def test_growing_mode_over_a_partial_last_tile(self):
+        modes = [od.ModeSpec(7.0, 2.0, 1.0), od.ModeSpec(3.0, -1.0, 0.5)]
+        (x1, x2), rec = planted_pair(modes, fs=500.0, duration=3.0, depth=50)
+        n = x1.shape[1] + 1
+        assert n > _SERIES_COLUMNS and n % _SERIES_COLUMNS != 0
+        result = od.dmd(x1, x2, TruncationRule.fixed(4), dt=rec.dt)
+        assert np.max(np.abs(result.eigenvalues)) > 1.0
+        self.assert_matches_window(result, n)
+
+    def test_zero_eigenvalue(self, lfo_clean_dmd):
+        result, _ = lfo_clean_dmd
+        lam = result.eigenvalues.copy()
+        lam[0] = 0.0
+        zeroed = dataclasses.replace(result, eigenvalues=lam)
+        for n in (1, 2, _SERIES_COLUMNS + 3):
+            self.assert_matches_window(zeroed, n)
+        window = od.reconstruct_window(zeroed, 3)
+        np.testing.assert_allclose(
+            window[:, 1], zeroed.modes[:, 1:] @ (zeroed.amplitudes[1:] * lam[1:]), rtol=1e-12
+        )
+
+    def test_powers_match_integer_powers(self):
+        lam = np.array([0.0, 1.0, -0.5, 0.9 + 0.3j, 1.02 - 0.1j, 1e-3j])
+        j = np.arange(60)
+        want = np.array([[complex(v) ** int(k) for k in j] for v in lam])
+        np.testing.assert_allclose(_powers(lam, j), want, rtol=1e-12, atol=1e-300)
+
+    def test_needs_a_column(self, lfo_clean_dmd):
+        with pytest.raises(ValueError):
+            reconstruct_series(lfo_clean_dmd[0], 0)
