@@ -49,6 +49,10 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+# Rows formatted and written at a time by _write_series.
+_CHUNK_ROWS = 4096
+
+
 def _num(x) -> float | None:
     x = float(x)
     return x if np.isfinite(x) else None
@@ -186,14 +190,32 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _write_reconstruction(path: Path, record: SignalRecord, channel: str, series: np.ndarray) -> None:
+def _time_cells(record: SignalRecord, count: int) -> list[str]:
+    """Formatted sample times t0 + k * dt for k < count, shared by every series file."""
+    t0, dt = record.t0, record.dt
+    return [_fmt(t0 + k * dt) for k in range(count)]
+
+
+def _write_series(path: Path, header: list[str], times: list[str], *columns: np.ndarray) -> None:
+    """Write a time column and numeric columns of the same length.
+
+    Rows are formatted and written ``_CHUNK_ROWS`` at a time, so no
+    whole-file string is ever held.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for r0 in range(0, len(times), _CHUNK_ROWS):
+            rows = slice(r0, r0 + _CHUNK_ROWS)
+            cells = [[_fmt(v) for v in col[rows].tolist()] for col in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(times[rows], *cells)))
+
+
+def _write_reconstruction(
+    path: Path, record: SignalRecord, channel: str, series: np.ndarray, times: list[str]
+) -> None:
     raw = record.channel(channel)
     cover = min(series.size, raw.size)
-    rows = [
-        [_fmt(record.t0 + k * record.dt), _fmt(float(raw[k])), _fmt(float(series[k]))]
-        for k in range(cover)
-    ]
-    _write_rows(path, ["t", "measured", "reconstructed"], rows)
+    _write_series(path, ["t", "measured", "reconstructed"], times[:cover], raw[:cover], series[:cover])
 
 
 def _write_plan_csv(path: Path, mrdmd_plan: MrdmdPlan) -> None:
@@ -329,7 +351,8 @@ def run_dmd(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if cfg.emit_eigenvalues:
         _write_rows(out / "eigenvalues.csv", _MODE_HEADER, [_mode_cells(r) for r in reports])
-    _write_reconstruction(out / "reconstruction.csv", record, channel, series)
+    times = _time_cells(record, min(series.size, record.length))
+    _write_reconstruction(out / "reconstruction.csv", record, channel, series, times)
     if cfg.emit_report:
         payload = {
             "tool": {"name": "oscidmd", "version": __version__},
@@ -369,12 +392,11 @@ def run_mrdmd(cfg: RunConfig) -> int:
             for r in reports
         ]
         _write_rows(out / "modes.csv", ["level", "bin", "slow", *_MODE_HEADER], rows)
-    _write_reconstruction(out / "reconstruction.csv", record, channel, series)
+    times = _time_cells(record, series.size)
+    _write_reconstruction(out / "reconstruction.csv", record, channel, series, times)
     if cfg.emit_levels:
-        t0, dt = record.t0, record.dt
         for l, level_series in enumerate(result.per_level_series, start=1):
-            rows = [[_fmt(t0 + k * dt), _fmt(float(v))] for k, v in enumerate(level_series)]
-            _write_rows(out / f"level_{l}.csv", ["t", "reconstructed"], rows)
+            _write_series(out / f"level_{l}.csv", ["t", "reconstructed"], times, level_series)
     if cfg.emit_report:
         payload = {
             "tool": {"name": "oscidmd", "version": __version__},

@@ -25,6 +25,9 @@ DEFAULT_EPS_CRIT = 0.5
 
 _CONJ_MATCH_RTOL = 1e-9
 
+# Powers held at once by _envelopes (512 kB).
+_ENVELOPE_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ModeReport:
@@ -69,9 +72,22 @@ def integral_contribution(
     """
     if horizon_steps < 1:
         raise ValueError("horizon must be at least one step")
-    mag = abs(lam_k)
-    envelope = float(np.sum(mag ** np.arange(horizon_steps)))
+    envelope = float(_envelopes(np.array([abs(lam_k)]), horizon_steps)[0])
     return float(np.linalg.norm(phi_k)) * abs(b_k) * envelope
+
+
+def _envelopes(mags: np.ndarray, horizon_steps: int) -> np.ndarray:
+    """sum_{j=0..horizon-1} |lambda|^j for each magnitude, one row per mode.
+
+    Rows are summed in blocks of at most ``_ENVELOPE_CELLS`` powers, so a
+    long single-window horizon never holds a modes x horizon array.
+    """
+    exponents = np.arange(horizon_steps)
+    step = max(1, _ENVELOPE_CELLS // horizon_steps)
+    out = np.empty(mags.size)
+    for i in range(0, mags.size, step):
+        out[i : i + step] = np.sum(mags[i : i + step, None] ** exponents, axis=1)
+    return out
 
 
 def reports_from_dmd(
@@ -88,7 +104,11 @@ def reports_from_dmd(
     frequency and ``pair=True``. Fully decayed modes (lambda = 0) carry no
     dynamics and are omitted.
     """
-    lams = result.eigenvalues
+    if horizon_steps < 1:
+        raise ValueError("horizon must be at least one step")
+    lams = [complex(lam) for lam in result.eigenvalues]
+    # Python abs, as integral_contribution takes it: np.abs can differ in the last bit
+    envelopes = _envelopes(np.array([abs(lam) for lam in lams]), horizon_steps)
     reports: list[ModeReport] = []
     consumed: set[int] = set()
     for k, lam in enumerate(lams):
@@ -104,7 +124,7 @@ def reports_from_dmd(
                     break
         if partner is not None:
             consumed.add(partner)
-        omega = to_continuous(complex(lam), f_sp)
+        omega = to_continuous(lam, f_sp)
         in_slow = False
         if slow_set is not None:
             in_slow = k in slow_set or (partner is not None and partner in slow_set)
@@ -112,14 +132,14 @@ def reports_from_dmd(
             ModeReport(
                 level=level,
                 bin_index=bin_index,
-                eigenvalue=complex(lam),
+                eigenvalue=lam,
                 omega=omega,
                 frequency_hz=abs(omega.imag) / (2.0 * np.pi),
                 growth_rate=omega.real,
                 amplitude_mag=float(abs(result.amplitudes[k])),
-                integral_contribution=integral_contribution(
-                    result.modes[:, k], complex(lam), complex(result.amplitudes[k]), horizon_steps
-                ),
+                integral_contribution=float(np.linalg.norm(result.modes[:, k]))
+                * abs(complex(result.amplitudes[k]))
+                * float(envelopes[k]),
                 pair=partner is not None,
                 slow=in_slow if slow_set is not None else None,
             )
@@ -147,19 +167,20 @@ def classify(
             return DAMPING_CRITICAL
         return DAMPING_DECAYING
 
-    annotated = [replace(r, damping_class=damping(r), dominant_rank=None) for r in reports]
-    rankable = [i for i, r in enumerate(annotated) if r.slow is not False and r.frequency_hz > 0]
+    rankable = [i for i, r in enumerate(reports) if r.slow is not False and r.frequency_hz > 0]
     rankable.sort(
         key=lambda i: (
-            -annotated[i].integral_contribution,
-            annotated[i].frequency_hz,
-            annotated[i].level,
-            annotated[i].bin_index,
+            -reports[i].integral_contribution,
+            reports[i].frequency_hz,
+            reports[i].level,
+            reports[i].bin_index,
         )
     )
-    for rank, i in enumerate(rankable, start=1):
-        annotated[i] = replace(annotated[i], dominant_rank=rank)
-    return annotated
+    ranks = {i: rank for rank, i in enumerate(rankable, start=1)}
+    return [
+        replace(r, damping_class=damping(r), dominant_rank=ranks.get(i))
+        for i, r in enumerate(reports)
+    ]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,15 @@ The implementation is matrix-free. A bin's fit reads only its mu
 subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts every
 ancestor's slow modes evaluated there; no residual is formed at full
-resolution. Each bin adds the anti-diagonal sums of its own slow
-reconstruction to a per-level series, so the primary outputs,
-``per_level_series`` and ``series``, cost O(L * (m + n)) memory. The dense
-m x n per-level and total reconstructions are rebuilt from the node fits
-only on request, at O(L * m * n) memory.
+resolution. Each bin's slow modes are factored once (``SlowModes``: the
+mode shapes, amplitudes and continuous eigenvalues) and passed down the
+recursion to its descendants. A bin's contribution to its level's series
+is the anti-diagonal sums of its slow reconstruction, which is a sum of
+convolutions of each mode shape with its geometric sequence b_k z_k^j; it
+is taken by FFT, so no bin's m x width reconstruction is formed. The
+primary outputs, ``per_level_series`` and ``series``, cost O(L * (m + n))
+memory. The dense m x n per-level and total reconstructions are rebuilt
+from the node fits only on request, at O(L * m * n) memory.
 
 Per-level bookkeeping (exact in rational arithmetic), with B = 2^(l-1)
 bins of nominal size S = n / B over a window of duration N = n * dt:
@@ -42,7 +46,7 @@ import numpy as np
 
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
 from .modes import ModeReport, reports_from_dmd
-from .stacking import SnapshotMatrix, antidiagonal_counts, antidiagonal_sums
+from .stacking import SnapshotMatrix, antidiagonal_counts
 
 _MAX_DT_DENOMINATOR = 10**9
 
@@ -189,7 +193,8 @@ def subsample(span: tuple[int, int], mu: int) -> np.ndarray:
     """mu evenly spaced column indices inside [start, stop).
 
     Index i maps to start + round(i * len / mu) (exact half-to-even
-    rounding); the first subsample is the span start.
+    rounding, in integer arithmetic); the first subsample is the span
+    start.
     """
     start, stop = span
     length = stop - start
@@ -197,7 +202,10 @@ def subsample(span: tuple[int, int], mu: int) -> np.ndarray:
         raise ValueError(f"span of {length} columns is shorter than mu={mu}")
     if mu < 1:
         raise ValueError("mu must be positive")
-    return np.array([start + round(Fraction(i * length, mu)) for i in range(mu)], dtype=int)
+    quotient, remainder = np.divmod(np.arange(mu) * length, mu)
+    # round half to even: up past the half, and at exactly half when the quotient is odd
+    up = (2 * remainder > mu) | ((2 * remainder == mu) & (quotient % 2 == 1))
+    return start + quotient + up
 
 
 def screen_slow(result: DmdResult, rho: float) -> np.ndarray:
@@ -213,30 +221,118 @@ def screen_slow(result: DmdResult, rho: float) -> np.ndarray:
     return np.flatnonzero(mags < rho)
 
 
-def slow_at_offsets(
-    node_dmd: DmdResult,
-    slow_set: np.ndarray | tuple[int, ...],
-    offsets: np.ndarray,
-    dt: float,
-    f_sp: float,
-) -> np.ndarray:
-    """Slow-mode reconstruction at the given column offsets from the bin start.
+def _fast_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy.fft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Each slow mode is evaluated in continuous time, value(tau) =
-    Re(Phi_k e^(omega_k tau) b_k) with omega_k = f_sp * ln(lambda_k) and
-    tau = dt * offset, bridging the subsampled eigenvalue interval to the
-    full sample rate. An empty slow set yields zeros.
+
+@dataclass(frozen=True)
+class SlowModes:
+    """A bin's slow modes in factored form, analytic at any of its columns.
+
+    The column at offset j from the bin start is
+    Re(sum_k modes[:, k] * amplitudes[k] * exp(omega[k] * dt * j)), with
+    omega_k = f_sp * ln(lambda_k) bridging the subsampled eigenvalue
+    interval to the full sample rate. ``modes`` is rows x r_slow; an empty
+    slow set evaluates to zeros.
     """
-    idx = np.asarray(slow_set, dtype=int)
-    offsets = np.asarray(offsets)
-    m = node_dmd.modes.shape[0]
-    if idx.size == 0:
-        return np.zeros((m, offsets.size))
-    lam = node_dmd.eigenvalues[idx]
-    omega = f_sp * np.log(lam)
-    tau = dt * offsets
-    coeff = node_dmd.amplitudes[idx][:, None] * np.exp(omega[:, None] * tau[None, :])
-    return (node_dmd.modes[:, idx] @ coeff).real
+
+    col_span: tuple[int, int]
+    modes: np.ndarray
+    amplitudes: np.ndarray
+    omega: np.ndarray
+    dt: float
+
+    @classmethod
+    def of(
+        cls,
+        node_dmd: DmdResult,
+        slow_set: np.ndarray | tuple[int, ...],
+        col_span: tuple[int, int],
+        dt: float,
+        f_sp: float,
+    ) -> "SlowModes":
+        idx = np.asarray(slow_set, dtype=int)
+        return cls(
+            col_span=col_span,
+            modes=node_dmd.modes[:, idx],
+            amplitudes=node_dmd.amplitudes[idx],
+            omega=f_sp * np.log(node_dmd.eigenvalues[idx]),
+            dt=dt,
+        )
+
+    @property
+    def width(self) -> int:
+        return self.col_span[1] - self.col_span[0]
+
+    def at_offsets(self, offsets: np.ndarray) -> np.ndarray:
+        """The slow reconstruction at column offsets from the bin start."""
+        offsets = np.asarray(offsets)
+        if self.omega.size == 0:
+            return np.zeros((self.modes.shape[0], offsets.size))
+        tau = self.dt * offsets
+        coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
+        return (self.modes @ coeff).real
+
+    def at(self, cols: np.ndarray) -> np.ndarray:
+        """The slow reconstruction at absolute snapshot columns inside the bin.
+
+        Columns in whole ``_TILE``-column tiles of the bin are evaluated in
+        one product padded to whole tiles, followed by the bin's own last,
+        partial tile when a requested column lies in it, so each column
+        takes the same BLAS kernel path as in the full-width product and
+        comes out bit for bit the same.
+        """
+        offsets = np.asarray(cols) - self.col_span[0]
+        width = self.width
+        tail = width - width % _TILE
+        in_tail = offsets >= tail
+        head = offsets[~in_tail]
+        pad = -head.size % _TILE
+        if not in_tail.any():
+            return self.at_offsets(np.concatenate([head, np.zeros(pad, dtype=int)]))[:, : head.size]
+        values = self.at_offsets(
+            np.concatenate([head, np.zeros(pad, dtype=int), np.arange(tail, width)])
+        )
+        where = np.empty(offsets.size, dtype=int)
+        where[~in_tail] = np.arange(head.size)
+        where[in_tail] = head.size + pad + offsets[in_tail] - tail
+        return values[:, where]
+
+    def antidiagonal_sums(self) -> np.ndarray:
+        """Anti-diagonal sums of the slow reconstruction over the whole bin.
+
+        Equal, up to rounding, to ``stacking.antidiagonal_sums`` of the
+        rows x width reconstruction, which is never formed: the sums are
+        Re(sum_k modes[:, k] (*) (amplitudes[k] * z_k^j)), one convolution
+        of each mode shape with its geometric sequence (z_k =
+        exp(omega_k * dt)), taken by FFT. The cost is
+        O(r_slow * (rows + width) * log) instead of O(rows * width * r_slow).
+        """
+        rows = self.modes.shape[0]
+        length = rows + self.width - 1
+        if self.omega.size == 0:
+            return np.zeros(length)
+        size = _fast_length(length)
+        tau = self.dt * np.arange(self.width)
+        sequences = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
+        spectrum = np.einsum(
+            "fk,kf->f",
+            np.fft.fft(self.modes, size, axis=0),
+            np.fft.fft(sequences, size, axis=1),
+        )
+        return np.fft.ifft(spectrum)[:length].real
 
 
 def slow_reconstruction(
@@ -248,14 +344,14 @@ def slow_reconstruction(
 ) -> np.ndarray:
     """Full-resolution reconstruction of the slow modes over a bin.
 
-    The columns of ``slow_at_offsets`` at every offset of the span; only
-    the span's width matters.
+    ``SlowModes.at_offsets`` at every offset of the span; only the span's
+    width matters.
     """
     start, stop = span
     width = stop - start
     if width < 1:
         raise ValueError("span must cover at least one column")
-    return slow_at_offsets(node_dmd, slow_set, np.arange(width), dt, f_sp)
+    return SlowModes.of(node_dmd, slow_set, span, dt, f_sp).at_offsets(np.arange(width))
 
 
 @dataclass(frozen=True)
@@ -285,25 +381,11 @@ class MrdmdNode:
     def slow_at(self, cols: np.ndarray) -> np.ndarray:
         """Slow reconstruction at absolute snapshot columns inside the bin.
 
-        The requested columns are evaluated in one product padded to whole
-        ``_TILE``-column tiles, followed by the bin's own last, partial
-        tile, so each column takes the same BLAS kernel path as in the
-        full-width product and comes out bit for bit the same.
+        Bit for bit the columns of the full-width product (``SlowModes.at``).
         """
-        offsets = np.asarray(cols) - self.col_span[0]
         if self.dmd is None:
-            return np.zeros((self.rows, offsets.size))
-        width = self.col_span[1] - self.col_span[0]
-        tail = width - width % _TILE
-        in_tail = offsets >= tail
-        head = offsets[~in_tail]
-        pad = -head.size % _TILE
-        evaluated = np.concatenate([head, np.zeros(pad, dtype=int), np.arange(tail, width)])
-        values = slow_at_offsets(self.dmd, self.slow_set, evaluated, self.dt, self.f_sp)
-        where = np.empty(offsets.size, dtype=int)
-        where[~in_tail] = np.arange(head.size)
-        where[in_tail] = head.size + pad + offsets[in_tail] - tail
-        return values[:, where]
+            return np.zeros((self.rows, np.asarray(cols).size))
+        return SlowModes.of(self.dmd, self.slow_set, self.col_span, self.dt, self.f_sp).at(cols)
 
     @property
     def slow_reconstruction(self) -> np.ndarray:
@@ -367,11 +449,13 @@ def decompose(
     every ancestor's slow modes evaluated at those columns (root first),
     decompose, screen slow modes, then recurse into both halves. The
     residual is never formed at full resolution: each bin adds the
-    anti-diagonal sums of its own slow reconstruction to its level's
-    series. When a bin has no signal energy left (fully explained
-    upstream) it contributes zeros and an empty mode list and the
-    recursion continues. Bins of odd width split with the larger half
-    first.
+    anti-diagonal sums of its own slow reconstruction, convolved by FFT
+    from its factored slow modes, to its level's series. The factors stay
+    in the lineage passed to its descendants, not on the node, and are
+    dropped when the recursion leaves the bin. When a bin has no signal
+    energy left (fully explained upstream) it contributes zeros and an
+    empty mode list and the recursion continues. Bins of odd width split
+    with the larger half first.
     """
     data = snap.data if isinstance(snap, SnapshotMatrix) else np.asarray(snap, dtype=float)
     if data.ndim != 2:
@@ -391,27 +475,28 @@ def decompose(
     reports: list[ModeReport] = []
 
     def recurse(
-        start: int, width: int, level: int, bin_index: int, ancestors: tuple[MrdmdNode, ...]
+        start: int, width: int, level: int, bin_index: int, ancestors: tuple[SlowModes, ...]
     ) -> MrdmdNode:
-        cols = subsample((start, start + width), mu)
+        span = (start, start + width)
+        cols = subsample(span, mu)
         f_sp = mu / (width * dt)
         xsub = data[:, cols]
         for ancestor in ancestors:
-            xsub -= ancestor.slow_at(cols)
+            xsub -= ancestor.at(cols)
         try:
             fit = dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / f_sp)
         except ZeroSignalError:
             fit = None
         slow: tuple[int, ...] = ()
+        lineage = ancestors
         if fit is not None:
             slow_idx = screen_slow(fit, mrdmd_plan.rho)
             slow = tuple(int(k) for k in slow_idx)
             if slow:
-                # not bound to a name: the m x width block must not outlive this
-                # bin while its descendants recurse
-                level_sums[level - 1, start : start + m + width - 1] += antidiagonal_sums(
-                    slow_reconstruction(fit, slow_idx, (start, start + width), dt, f_sp)
-                )
+                own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
+                level_sums[level - 1, start : start + m + width - 1] += own.antidiagonal_sums()
+                # a bin without slow modes subtracts nothing from its descendants
+                lineage = ancestors + (own,)
             reports.extend(
                 reports_from_dmd(
                     fit,
@@ -425,7 +510,7 @@ def decompose(
         node = MrdmdNode(
             level=level,
             bin_index=bin_index,
-            col_span=(start, start + width),
+            col_span=span,
             subsample_indices=cols,
             dmd=fit,
             slow_set=slow,
@@ -435,8 +520,6 @@ def decompose(
         )
         if level == level_count:
             return node
-        # a bin without slow modes subtracts nothing from its descendants
-        lineage = ancestors + (node,) if slow else ancestors
         half = (width + 1) // 2
         return replace(
             node,

@@ -13,7 +13,19 @@ import pytest
 from click.testing import CliRunner
 
 import oscidmd as od
-from oscidmd.cli import RunConfig, _analyze_dmd_core, cli
+from oscidmd.cli import (
+    _CHUNK_ROWS,
+    RunConfig,
+    _analyze_dmd_core,
+    _analyze_mrdmd_core,
+    _fmt,
+    _load_record,
+    _time_cells,
+    _write_series,
+    cli,
+    run_dmd,
+    run_mrdmd,
+)
 from oscidmd.ingest import IngestConfig
 
 
@@ -197,6 +209,67 @@ class TestAnalyzeMrdmd:
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"]["kind"] == "PlanError"
         assert "mu=5000" in err["error"]["message"]
+
+
+def per_cell_csv(header: list[str], rows: int, t0: float, dt: float, *columns) -> str:
+    """A series file formatted cell by cell with ``_fmt``."""
+    lines = [",".join(header) + "\n"]
+    for k in range(rows):
+        cells = [_fmt(t0 + k * dt), *(_fmt(float(col[k])) for col in columns)]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+class TestSeriesFiles:
+    """Shared time cells and chunked writes give the per-cell bytes."""
+
+    def test_mrdmd_series_files_equal_per_cell_format(self, tmp_path):
+        cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, gap_start=1000,
+                        gap_length=250, mu=16, out_dir=tmp_path)
+        assert run_mrdmd(cfg) == 0
+        record, _ = _load_record(cfg)
+        _, series, result, _, _ = _analyze_mrdmd_core(cfg, record)
+        assert series.size > _CHUNK_ROWS
+        raw = record.channel(record.names[0])
+        t0, dt = record.t0, record.dt
+        assert (tmp_path / "reconstruction.csv").read_text() == per_cell_csv(
+            ["t", "measured", "reconstructed"], series.size, t0, dt, raw, series
+        )
+        for l, level_series in enumerate(result.per_level_series, start=1):
+            assert (tmp_path / f"level_{l}.csv").read_text() == per_cell_csv(
+                ["t", "reconstructed"], level_series.size, t0, dt, level_series
+            )
+
+    def test_dmd_reconstruction_equals_per_cell_format(self, tmp_path):
+        cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, out_dir=tmp_path)
+        assert run_dmd(cfg) == 0
+        record, _ = _load_record(cfg)
+        _, series, _, _ = _analyze_dmd_core(cfg, record)
+        raw = record.channel(record.names[0])
+        cover = min(series.size, raw.size)
+        assert (tmp_path / "reconstruction.csv").read_text() == per_cell_csv(
+            ["t", "measured", "reconstructed"], cover, record.t0, record.dt, raw, series
+        )
+
+    def test_long_series_written_in_bounded_memory(self, tmp_path):
+        rows = 50 * _CHUNK_ROWS + 17
+        record = od.SignalRecord(
+            names=("x",), data=np.zeros((1, rows)), dt=1e-4, t0=0.5,
+            missing_mask=np.zeros((1, rows), dtype=bool),
+        )
+        values = np.random.default_rng(3).normal(size=rows)
+        times = _time_cells(record, rows)
+        path = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            _write_series(path, ["t", "v"], times, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert text == per_cell_csv(["t", "v"], rows, 0.5, 1e-4, values)
+        # the file is about 10 MB; one chunk's cells and text take about 1 MB
+        assert len(text) > 8 * peak
 
 
 class TestCompare:

@@ -202,6 +202,26 @@ class TestReportsFromDmd:
             assert r.slow == expected
 
 
+    def test_ic_equals_integral_contribution_bit_for_bit(self, lfo_gapped_mrdmd, lfo_gapped_dmd):
+        """The per-bin envelope array gives every report the scalar formula's IC."""
+        res, _ = lfo_gapped_mrdmd
+        fits = [(node.dmd, res.plan.mu) for node in res._nodes() if node.dmd is not None]
+        fits.append((lfo_gapped_dmd[0], 4000))
+        checked = 0
+        for fit, horizon in fits:
+            first = {}
+            for k, lam in enumerate(fit.eigenvalues):
+                first.setdefault(complex(lam), k)
+            for r in od.reports_from_dmd(fit, f_sp=100.0, horizon_steps=horizon):
+                k = first[r.eigenvalue]
+                want = od.integral_contribution(
+                    fit.modes[:, k], complex(fit.eigenvalues[k]), complex(fit.amplitudes[k]), horizon
+                )
+                assert r.integral_contribution == want
+                checked += 1
+        assert checked > 1000
+
+
 class TestClusters:
     def test_cluster_merges_same_mode_across_bins(self, lfo_gapped_mrdmd):
         _, reports = lfo_gapped_mrdmd

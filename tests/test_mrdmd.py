@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,16 @@ from hypothesis import strategies as st
 import oscidmd as od
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.dmd import TruncationRule
-from oscidmd.mrdmd import PlanError, screen_slow, slow_reconstruction, subsample
+from oscidmd.mrdmd import (
+    _TILE,
+    PlanError,
+    SlowModes,
+    _fast_length,
+    screen_slow,
+    slow_reconstruction,
+    subsample,
+)
+from oscidmd.stacking import antidiagonal_sums
 
 
 class TestPlan:
@@ -124,6 +134,20 @@ class TestSubsample:
         for i, v in enumerate(idx):
             assert v == start + round(Fraction(i * length, mu))
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        start=st.integers(min_value=0, max_value=10**6),
+        half=st.integers(min_value=1, max_value=64),
+        odd=st.integers(min_value=1, max_value=200),
+    )
+    def test_exact_half_ties_round_to_even(self, start, half, odd):
+        # mu = 2h and length = h * (2q + 1): every odd i lands on exactly .5
+        mu, length = 2 * half, half * (2 * odd + 1)
+        idx = subsample((start, start + length), mu)
+        want = [start + round(Fraction(i * length, mu)) for i in range(mu)]
+        assert [int(v) for v in idx] == want
+        assert Fraction(length, mu).denominator == 2
+
 
 def fake_result(eigenvalues):
     lam = np.asarray(eigenvalues, dtype=complex)
@@ -213,6 +237,101 @@ class TestSlowReconstruction:
         a = slow_reconstruction(res, [0, 1], (0, 12), 0.05, 10.0)
         b = slow_reconstruction(res, [0, 1], (100, 112), 0.05, 10.0)
         assert np.array_equal(a, b)
+
+
+def random_fit(rows, eigenvalues, seed):
+    """A fit with random complex mode shapes and amplitudes."""
+    rng = np.random.default_rng(seed)
+    r = len(eigenvalues)
+    return replace(
+        fake_result(eigenvalues),
+        modes=rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r)),
+        amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r),
+    )
+
+
+EIGENVALUE_CASES = {
+    "decaying": [0.9 * cmath.exp(0.3j), 0.9 * cmath.exp(-0.3j), 0.5],
+    "growing": [1.2 * cmath.exp(0.7j), 1.2 * cmath.exp(-0.7j), 1.05],
+    "dc": [1.0],
+    "mixed": [1.0, 0.97 * cmath.exp(1.1j), 0.97 * cmath.exp(-1.1j), 1.1 * cmath.exp(0.05j), 0.2],
+}
+
+
+class TestSlowModesAntidiagonalSums:
+    @pytest.mark.parametrize("case", sorted(EIGENVALUE_CASES))
+    @pytest.mark.parametrize(
+        "rows,width",
+        [(1, 1), (1, 9), (9, 1), (7, 3), (3, 7), (64, 5), (5, 64), (33, 1000), (1000, 33),
+         (13, 97), (97, 13), (200, 4951), (1000, 2000)],
+    )
+    def test_matches_dense_reconstruction(self, case, rows, width):
+        lam = EIGENVALUE_CASES[case]
+        fit = random_fit(rows, lam, seed=rows * 7919 + width)
+        slow = np.arange(len(lam))
+        dt, f_sp = 1e-3, 1000.0 / 16
+        span = (40, 40 + width)
+        want = antidiagonal_sums(slow_reconstruction(fit, slow, span, dt, f_sp))
+        got = SlowModes.of(fit, slow, span, dt, f_sp).antidiagonal_sums()
+        assert got.shape == (rows + width - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_empty_slow_set_gives_zeros(self):
+        fit = random_fit(6, [0.5, 0.9], seed=1)
+        got = SlowModes.of(fit, (), (0, 11), 0.1, 10.0).antidiagonal_sums()
+        assert got.shape == (16,)
+        assert np.all(got == 0.0)
+
+    def test_fast_length_is_smallest_5_smooth_bound(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for n in range(1, 3000):
+            size = _fast_length(n)
+            assert size >= n and smooth(size)
+            assert not any(smooth(k) for k in range(n, size))
+
+
+class TestSlowAtTiles:
+    def test_whole_tile_columns_skip_the_tail_bit_for_bit(self, lfo_gapped_mrdmd):
+        """Columns that all lie in whole tiles need not evaluate the bin's last tile."""
+        res, _ = lfo_gapped_mrdmd
+        checked = 0
+        for node in res._nodes():
+            if not node.slow_set:
+                continue
+            slow = SlowModes.of(node.dmd, node.slow_set, node.col_span, node.dt, node.f_sp)
+            start, stop = node.col_span
+            tail = (stop - start) - (stop - start) % _TILE
+            for child in node.children:
+                for grandchild in child.children or (child,):
+                    offsets = grandchild.subsample_indices - start
+                    head = offsets[offsets < tail]
+                    pad = -head.size % _TILE
+                    padded = slow.at_offsets(
+                        np.concatenate([head, np.zeros(pad, dtype=int), np.arange(tail, stop - start)])
+                    )[:, : head.size]
+                    assert np.array_equal(slow.at(head + start), padded)
+                    checked += 1
+        assert checked > 100
+
+    def test_any_columns_match_the_full_width_product(self, lfo_gapped_mrdmd):
+        res, _ = lfo_gapped_mrdmd
+        rng = np.random.default_rng(7)
+        for node in res._nodes():
+            if not node.slow_set or node.level > 5:
+                continue
+            full = node.slow_reconstruction
+            start, stop = node.col_span
+            for size in (1, 7, 16, 23):
+                cols = np.sort(rng.choice(np.arange(start, stop), size=size, replace=False))
+                assert np.array_equal(node.slow_at(cols), full[:, cols - start])
+            # the bin's last, partial tile only
+            cols = np.arange(stop - 3, stop)
+            assert np.array_equal(node.slow_at(cols), full[:, cols - start])
 
 
 class TestDecompose:
