@@ -33,11 +33,12 @@ from .modes import (
     classify,
     dominant_cluster,
     reports_from_dmd,
+    retained_oscillatory,
     strongest_oscillatory,
 )
 from .mrdmd import DEFAULT_BIN_RULE, MrdmdPlan, MrdmdResult, decompose, plan
 from .siggen import PROFILES, generate_profile
-from .stacking import default_stack_depth, delay_embed, shifted_pair
+from .stacking import SnapshotMatrix, delay_embed, shifted_pair
 
 # Unused here, but bench/spans.py wraps these names on this module by getattr.
 from .dmd import reconstruct_window  # noqa: F401
@@ -88,8 +89,6 @@ class RunConfig:
     def validate(self) -> None:
         if (self.input_path is None) == (self.profile is None):
             raise ValueError("exactly one of --input and --profile must be given")
-        if self.profile is not None and self.profile not in PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}; available: {sorted(PROFILES)}")
         if self.gap_length < 0:
             raise ValueError("--gap-length must be non-negative")
         if self.gap_length > 0 and self.gap_start is None:
@@ -111,6 +110,18 @@ def _resolve_rule(rank: int | None, energy: float | None, sv_ratio: float | None
     if sv_ratio is not None:
         return TruncationRule.sv_ratio(sv_ratio)
     return None
+
+
+def _run_config(
+    rank=None, energy=None, sv_ratio=None, input_path=None, time_column=None, **fields
+) -> RunConfig:
+    """The one flags-to-config mapping: every other click parameter names a RunConfig field."""
+    return RunConfig(
+        input_path=Path(input_path) if input_path else None,
+        time_column=_time_column_value(time_column),
+        rule=_resolve_rule(rank, energy, sv_ratio),
+        **fields,
+    )
 
 
 def _load_record(cfg: RunConfig) -> tuple[SignalRecord, object | None]:
@@ -152,8 +163,9 @@ def _series_metrics(record: SignalRecord, channel: str, series: np.ndarray) -> d
     }
 
 
-def _mode_cells(r: ModeReport) -> list[str]:
-    return [
+def _mode_cells(r: ModeReport, tagged: bool) -> list[str]:
+    tags = [str(r.level), str(r.bin_index), "1" if r.slow else "0"] if tagged else []
+    return tags + [
         _fmt(r.eigenvalue.real),
         _fmt(r.eigenvalue.imag),
         _fmt(r.omega.real),
@@ -181,6 +193,24 @@ _MODE_HEADER = [
     "dominant_rank",
     "pair",
 ]
+_MODE_TAGS = ["level", "bin", "slow"]
+
+# (LevelParams attribute, plan.csv and report.json column, `analyze plan` format)
+_PLAN_FIELDS = (
+    ("level", "level", "5d"),
+    ("bins", "bins", "5d"),
+    ("bin_size", "bin_size", "9.5g"),
+    ("bin_duration", "bin_duration_s", "15.8g"),
+    ("f_sp", "f_sp_hz", "8.6g"),
+    ("f_m", "f_m_hz", "7.5g"),
+    ("f_slow_max", "f_slow_max_hz", "13.7g"),
+)
+
+
+def _plan_levels(mrdmd_plan: MrdmdPlan) -> list[dict]:
+    """The plan table, one row per level: counts stay ints, exact fractions become floats."""
+    rows = [{col: getattr(lv, attr) for attr, col, _ in _PLAN_FIELDS} for lv in mrdmd_plan.per_level]
+    return [{col: v if isinstance(v, int) else float(v) for col, v in row.items()} for row in rows]
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -188,6 +218,11 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _write_plan_csv(path: Path, levels: list[dict]) -> None:
+    rows = [[str(v) if isinstance(v, int) else _fmt(v) for v in row.values()] for row in levels]
+    _write_rows(path, [col for _, col, _ in _PLAN_FIELDS], rows)
 
 
 def _time_cells(record: SignalRecord, count: int) -> list[str]:
@@ -210,47 +245,17 @@ def _write_series(path: Path, header: list[str], times: list[str], *columns: np.
             fh.write("".join(",".join(row) + "\n" for row in zip(times[rows], *cells)))
 
 
-def _write_reconstruction(
-    path: Path, record: SignalRecord, channel: str, series: np.ndarray, times: list[str]
-) -> None:
-    raw = record.channel(channel)
-    cover = min(series.size, raw.size)
-    _write_series(path, ["t", "measured", "reconstructed"], times[:cover], raw[:cover], series[:cover])
+def _dominant(reports: list[ModeReport], eps_crit: float) -> tuple[ModeCluster | None, ModeReport | None]:
+    """The dominant sustained cluster and the dominant mode: its best member, else the strongest."""
+    cluster = dominant_cluster(reports, eps_crit)
+    return cluster, cluster.best if cluster is not None else strongest_oscillatory(reports)
 
 
-def _write_plan_csv(path: Path, mrdmd_plan: MrdmdPlan) -> None:
-    rows = [
-        [
-            str(lv.level),
-            str(lv.bins),
-            _fmt(float(lv.bin_size)),
-            _fmt(float(lv.bin_duration)),
-            _fmt(float(lv.f_sp)),
-            _fmt(float(lv.f_m)),
-            _fmt(float(lv.f_slow_max)),
-        ]
-        for lv in mrdmd_plan.per_level
-    ]
-    _write_rows(
-        path,
-        ["level", "bins", "bin_size", "bin_duration_s", "f_sp_hz", "f_m_hz", "f_slow_max_hz"],
-        rows,
-    )
-
-
-def _dominant_payload(cluster: ModeCluster | None, fallback: ModeReport | None) -> dict | None:
-    if cluster is not None:
-        r = cluster.best
-        sustained = True
-        size = len(cluster.members)
-        agg = _num(cluster.aggregate_ic)
-    elif fallback is not None:
-        r = fallback
-        sustained = False
-        size = 1
-        agg = _num(fallback.integral_contribution)
-    else:
+def _dominant_payload(cluster: ModeCluster | None, r: ModeReport | None) -> dict | None:
+    if r is None:
         return None
+    sustained = cluster is not None
+    aggregate = cluster.aggregate_ic if sustained else r.integral_contribution
     return {
         "level": r.level,
         "bin": r.bin_index,
@@ -259,8 +264,8 @@ def _dominant_payload(cluster: ModeCluster | None, fallback: ModeReport | None) 
         "damping_class": r.damping_class,
         "amplitude_mag": _num(r.amplitude_mag),
         "integral_contribution": _num(r.integral_contribution),
-        "cluster_size": size,
-        "cluster_integral_contribution": agg,
+        "cluster_size": len(cluster.members) if sustained else 1,
+        "cluster_integral_contribution": _num(aggregate),
         "eigenvalue": {"re": _num(r.eigenvalue.real), "im": _num(r.eigenvalue.imag)},
         "omega": {"re": _num(r.omega.real), "im": _num(r.omega.imag)},
         "sustained": sustained,
@@ -268,12 +273,9 @@ def _dominant_payload(cluster: ModeCluster | None, fallback: ModeReport | None) 
 
 
 def _stability_payload(reports: list[ModeReport], cluster: ModeCluster | None, eps_crit: float) -> dict:
-    pool = [r for r in reports if r.slow is not False and r.frequency_hz > 0]
-    counts = {
-        "growing_modes": sum(r.damping_class == "growing" for r in pool),
-        "critical_modes": sum(r.damping_class == "critical" for r in pool),
-        "decaying_modes": sum(r.damping_class == "decaying" for r in pool),
-    }
+    pool = [r for r in reports if retained_oscillatory(r)]
+    classes = ("growing", "critical", "decaying")
+    counts = {f"{c}_modes": sum(r.damping_class == c for r in pool) for c in classes}
     if cluster is not None:
         verdict = "sustained-oscillation"
     elif pool:
@@ -283,10 +285,11 @@ def _stability_payload(reports: list[ModeReport], cluster: ModeCluster | None, e
     return {"verdict": verdict, "eps_crit": eps_crit, **counts}
 
 
+def _gap_payload(cfg: RunConfig) -> dict | None:
+    return {"start_index": cfg.gap_start, "length": cfg.gap_length} if cfg.gap_length > 0 else None
+
+
 def _source_payload(cfg: RunConfig, record: SignalRecord, channel: str) -> dict:
-    gap = None
-    if cfg.gap_length > 0:
-        gap = {"start_index": cfg.gap_start, "length": cfg.gap_length}
     return {
         "kind": "profile" if cfg.profile else "file",
         "name": cfg.profile or str(cfg.input_path),
@@ -295,7 +298,7 @@ def _source_payload(cfg: RunConfig, record: SignalRecord, channel: str) -> dict:
         "length": record.length,
         "dt": record.dt,
         "t0": record.t0,
-        "gap": gap,
+        "gap": _gap_payload(cfg),
     }
 
 
@@ -305,63 +308,37 @@ def _write_report(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _analyze_dmd_core(
-    cfg: RunConfig, record: SignalRecord
-) -> tuple[list[ModeReport], np.ndarray, DmdResult, int]:
+def _write_run(
+    cfg: RunConfig, record: SignalRecord, depth: int, rule: TruncationRule, reports: list[ModeReport],
+    series: np.ndarray, report: dict, tagged: bool = False, levels: tuple[np.ndarray, ...] = (),
+) -> Path:
+    """Write the artifacts every analysis shares plus its extras; returns the output directory.
+
+    ``report`` adds report.json keys; its ``truncation`` joins the rule's kind and value.
+    ``tagged`` names the mode table modes.csv and leads each row with level, bin and slow flag.
+    Each of ``levels`` becomes a level_<l>.csv series.
+    """
     channel = cfg.channel or record.names[0]
-    depth = cfg.stack_depth or default_stack_depth(record.length)
-    snap = delay_embed(record, channel, depth)
-    x1, x2 = shifted_pair(snap)
-    rule = cfg.rule or DEFAULT_RULE
-    result = dmd(x1, x2, rule, dt=record.dt)
-    reports = classify(
-        reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=x1.shape[1]),
-        cfg.eps_crit,
-    )
-    series = reconstruct_series(result, snap.data.shape[1])
-    return reports, series, result, depth
-
-
-def _analyze_mrdmd_core(
-    cfg: RunConfig, record: SignalRecord
-) -> tuple[list[ModeReport], np.ndarray, MrdmdResult, MrdmdPlan, int]:
-    channel = cfg.channel or record.names[0]
-    depth = cfg.stack_depth or default_stack_depth(record.length)
-    snap = delay_embed(record, channel, depth)
-    if snap.data.shape[1] < 3:
-        raise ValueError("record too short for the multi-resolution recursion")
-    n_cols = snap.data.shape[1] - 1  # last column reserved for the shifted pair
-    mrdmd_plan = plan(n_cols, record.dt, mu=cfg.mu, g=cfg.g, termination_level=cfg.termination_level)
-    rule = cfg.rule or DEFAULT_BIN_RULE
-    result = decompose(snap.data[:, :n_cols], mrdmd_plan, rule)
-    reports = classify(list(result.all_modes), cfg.eps_crit)
-    return reports, result.series, result, mrdmd_plan, depth
-
-
-def run_dmd(cfg: RunConfig) -> int:
-    """Single-window analysis; writes eigenvalues.csv, reconstruction.csv, report.json."""
-    cfg.validate()
-    record, _ = _load_record(cfg)
-    channel = cfg.channel or record.names[0]
-    reports, series, result, depth = _analyze_dmd_core(cfg, record)
-    cluster = dominant_cluster(reports, cfg.eps_crit)
-    rule = cfg.rule or DEFAULT_RULE
-
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.emit_eigenvalues:
-        _write_rows(out / "eigenvalues.csv", _MODE_HEADER, [_mode_cells(r) for r in reports])
+        header = _MODE_TAGS + _MODE_HEADER if tagged else _MODE_HEADER
+        rows = [_mode_cells(r, tagged) for r in reports]
+        _write_rows(out / ("modes.csv" if tagged else "eigenvalues.csv"), header, rows)
     times = _time_cells(record, min(series.size, record.length))
-    _write_reconstruction(out / "reconstruction.csv", record, channel, series, times)
+    measured, fitted = record.channel(channel)[: len(times)], series[: len(times)]
+    _write_series(out / "reconstruction.csv", ["t", "measured", "reconstructed"], times, measured, fitted)
+    for l, level_series in enumerate(levels, start=1):
+        _write_series(out / f"level_{l}.csv", ["t", "reconstructed"], times, level_series)
     if cfg.emit_report:
+        cluster, best = _dominant(reports, cfg.eps_crit)
         payload = {
+            **report,
             "tool": {"name": "oscidmd", "version": __version__},
-            "analysis": "dmd",
             "source": _source_payload(cfg, record, channel),
             "stacking": {"depth": depth, "rows": depth, "columns": record.length - depth + 1},
-            "truncation": {"kind": rule.kind, "value": rule.value, "rank": result.rank,
-                           "rank_clamped": result.rank_clamped},
-            "dominant_mode": _dominant_payload(cluster, strongest_oscillatory(reports)),
+            "truncation": {"kind": rule.kind, "value": rule.value, **report.get("truncation", {})},
+            "dominant_mode": _dominant_payload(cluster, best),
             "stability": _stability_payload(reports, cluster, cfg.eps_crit),
             "reconstruction": _series_metrics(record, channel, series),
             "modes": {
@@ -370,6 +347,48 @@ def run_dmd(cfg: RunConfig) -> int:
             },
         }
         _write_report(out / "report.json", payload)
+    return out
+
+
+def _embed(cfg: RunConfig, record: SignalRecord) -> SnapshotMatrix:
+    """Delay-embed the configured channel (default: the first) at the configured depth."""
+    return delay_embed(record, cfg.channel or record.names[0], cfg.stack_depth)
+
+
+def _analyze_dmd_core(
+    cfg: RunConfig, record: SignalRecord
+) -> tuple[list[ModeReport], np.ndarray, DmdResult, int]:
+    snap = _embed(cfg, record)
+    x1, x2 = shifted_pair(snap)
+    result = dmd(x1, x2, cfg.rule or DEFAULT_RULE, dt=record.dt)
+    reports = classify(
+        reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=x1.shape[1]),
+        cfg.eps_crit,
+    )
+    series = reconstruct_series(result, snap.data.shape[1])
+    return reports, series, result, snap.stack_depth
+
+
+def _analyze_mrdmd_core(
+    cfg: RunConfig, record: SignalRecord
+) -> tuple[list[ModeReport], np.ndarray, MrdmdResult, MrdmdPlan, int]:
+    snap = _embed(cfg, record)
+    if snap.data.shape[1] < 3:
+        raise ValueError("record too short for the multi-resolution recursion")
+    n_cols = snap.data.shape[1] - 1  # last column reserved for the shifted pair
+    mrdmd_plan = plan(n_cols, record.dt, mu=cfg.mu, g=cfg.g, termination_level=cfg.termination_level)
+    result = decompose(snap.data[:, :n_cols], mrdmd_plan, cfg.rule or DEFAULT_BIN_RULE)
+    reports = classify(list(result.all_modes), cfg.eps_crit)
+    return reports, result.series, result, mrdmd_plan, snap.stack_depth
+
+
+def run_dmd(cfg: RunConfig) -> int:
+    """Single-window analysis; writes eigenvalues.csv, reconstruction.csv, report.json."""
+    cfg.validate()
+    record, _ = _load_record(cfg)
+    reports, series, result, depth = _analyze_dmd_core(cfg, record)
+    report = {"analysis": "dmd", "truncation": {"rank": result.rank, "rank_clamped": result.rank_clamped}}
+    _write_run(cfg, record, depth, cfg.rule or DEFAULT_RULE, reports, series, report)
     return 0
 
 
@@ -377,62 +396,25 @@ def run_mrdmd(cfg: RunConfig) -> int:
     """Multi-resolution analysis; adds plan.csv, modes.csv and per-level series."""
     cfg.validate()
     record, _ = _load_record(cfg)
-    channel = cfg.channel or record.names[0]
     reports, series, result, mrdmd_plan, depth = _analyze_mrdmd_core(cfg, record)
-    cluster = dominant_cluster(reports, cfg.eps_crit)
+    levels = _plan_levels(mrdmd_plan)
+    report = {
+        "analysis": "mrdmd",
+        "plan": {
+            "mu": mrdmd_plan.mu,
+            "g": str(mrdmd_plan.g),
+            "termination_level": mrdmd_plan.termination_level,
+            "rho": mrdmd_plan.rho,
+            "n": mrdmd_plan.n,
+            "window_duration_s": float(mrdmd_plan.window_duration),
+            "levels": levels,
+        },
+    }
+    level_series = result.per_level_series if cfg.emit_levels else ()
     rule = cfg.rule or DEFAULT_BIN_RULE
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_run(cfg, record, depth, rule, reports, series, report, tagged=True, levels=level_series)
     if cfg.emit_plan:
-        _write_plan_csv(out / "plan.csv", mrdmd_plan)
-    if cfg.emit_eigenvalues:
-        rows = [
-            [str(r.level), str(r.bin_index), "1" if r.slow else "0", *_mode_cells(r)]
-            for r in reports
-        ]
-        _write_rows(out / "modes.csv", ["level", "bin", "slow", *_MODE_HEADER], rows)
-    times = _time_cells(record, series.size)
-    _write_reconstruction(out / "reconstruction.csv", record, channel, series, times)
-    if cfg.emit_levels:
-        for l, level_series in enumerate(result.per_level_series, start=1):
-            _write_series(out / f"level_{l}.csv", ["t", "reconstructed"], times, level_series)
-    if cfg.emit_report:
-        payload = {
-            "tool": {"name": "oscidmd", "version": __version__},
-            "analysis": "mrdmd",
-            "source": _source_payload(cfg, record, channel),
-            "stacking": {"depth": depth, "rows": depth, "columns": record.length - depth + 1},
-            "truncation": {"kind": rule.kind, "value": rule.value},
-            "plan": {
-                "mu": mrdmd_plan.mu,
-                "g": str(mrdmd_plan.g),
-                "termination_level": mrdmd_plan.termination_level,
-                "rho": mrdmd_plan.rho,
-                "n": mrdmd_plan.n,
-                "window_duration_s": float(mrdmd_plan.window_duration),
-                "levels": [
-                    {
-                        "level": lv.level,
-                        "bins": lv.bins,
-                        "bin_size": float(lv.bin_size),
-                        "bin_duration_s": float(lv.bin_duration),
-                        "f_sp_hz": float(lv.f_sp),
-                        "f_m_hz": float(lv.f_m),
-                        "f_slow_max_hz": float(lv.f_slow_max),
-                    }
-                    for lv in mrdmd_plan.per_level
-                ],
-            },
-            "dominant_mode": _dominant_payload(cluster, strongest_oscillatory(reports)),
-            "stability": _stability_payload(reports, cluster, cfg.eps_crit),
-            "reconstruction": _series_metrics(record, channel, series),
-            "modes": {
-                "reported": len(reports),
-                "ranked": sum(r.dominant_rank is not None for r in reports),
-            },
-        }
-        _write_report(out / "report.json", payload)
+        _write_plan_csv(out / "plan.csv", levels)
     return 0
 
 
@@ -444,8 +426,7 @@ def _method_payload(
     eps_crit: float,
     truth,
 ) -> dict:
-    cluster = dominant_cluster(reports, eps_crit)
-    best = cluster.best if cluster is not None else strongest_oscillatory(reports)
+    cluster, best = _dominant(reports, eps_crit)
     metrics = _series_metrics(record, channel, series)
     payload = {
         "identified": best is not None,
@@ -472,22 +453,18 @@ def run_compare(cfg: RunConfig) -> int:
     channel = cfg.channel or record.names[0]
     truth = profile.dominant_truth()
 
-    # a method that cannot decompose the data at all (e.g. a gap wiped the
-    # whole window) is reported as failed-to-identify, not a CLI error
-    try:
-        dmd_reports, dmd_series, _, _ = _analyze_dmd_core(cfg, record)
-    except DecompositionError:
-        dmd_reports, dmd_series = [], np.zeros(0)
-    try:
-        mr_reports, mr_series, _, _, _ = _analyze_mrdmd_core(cfg, record)
-    except DecompositionError:
-        mr_reports, mr_series = [], np.zeros(0)
-
-    dmd_payload = _method_payload(dmd_reports, dmd_series, record, channel, cfg.eps_crit, truth)
-    mr_payload = _method_payload(mr_reports, mr_series, record, channel, cfg.eps_crit, truth)
+    methods = {}
+    for name, core in (("dmd", _analyze_dmd_core), ("mrdmd", _analyze_mrdmd_core)):
+        # a method that cannot decompose the data at all (e.g. a gap wiped the
+        # whole window) is reported as failed-to-identify, not a CLI error
+        try:
+            reports, series, *_ = core(cfg, record)
+        except DecompositionError:
+            reports, series = [], np.zeros(0)
+        methods[name] = _method_payload(reports, series, record, channel, cfg.eps_crit, truth)
     ratio = None
-    if dmd_payload["rmse"] is not None and mr_payload["rmse"] not in (None, 0.0):
-        ratio = _num(dmd_payload["rmse"] / mr_payload["rmse"])
+    if methods["dmd"]["rmse"] is not None and methods["mrdmd"]["rmse"] not in (None, 0.0):
+        ratio = _num(methods["dmd"]["rmse"] / methods["mrdmd"]["rmse"])
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -495,31 +472,31 @@ def run_compare(cfg: RunConfig) -> int:
         "profile": cfg.profile,
         "seed": cfg.seed,
         "channel": channel,
-        "gap": {"start_index": cfg.gap_start, "length": cfg.gap_length} if cfg.gap_length else None,
+        "gap": _gap_payload(cfg),
         "truth": {
             "frequency_hz": _num(truth.frequency_hz) if truth else None,
             "growth_rate_per_s": _num(truth.growth_rate) if truth else None,
         },
-        "dmd": dmd_payload,
-        "mrdmd": mr_payload,
+        **methods,
         "rmse_ratio_dmd_over_mrdmd": ratio,
     }
     _write_report(out / "compare.json", payload)
     return 0
 
 
-def _echo_error(exc: BaseException) -> None:
-    line = json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}})
-    click.echo(line, err=True)
-
-
-def _run_guarded(func, cfg: RunConfig) -> None:
+def _guarded(call) -> None:
+    """Exit with call()'s code; a ValueError exits 1 after one JSON error line on stderr."""
     try:
-        code = func(cfg)
+        code = call()
     except ValueError as exc:
-        _echo_error(exc)
+        click.echo(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}}), err=True)
         sys.exit(1)
     sys.exit(code)
+
+
+def _run_guarded(func, params: dict) -> None:
+    """Build the RunConfig from a command's click parameters and run ``func`` on it, guarded."""
+    _guarded(lambda: func(_run_config(**params)))
 
 
 # INI keys mirror the CLI flags; these flags bind to differently named params
@@ -548,12 +525,7 @@ def _config_default_map(path: str | None) -> dict:
         sections[section] = entries
     return {
         "generate": sections.get("generate", {}),
-        "analyze": {
-            "dmd": sections.get("dmd", {}),
-            "mrdmd": sections.get("mrdmd", {}),
-            "compare": sections.get("compare", {}),
-            "plan": sections.get("plan", {}),
-        },
+        "analyze": {name: sections.get(name, {}) for name in analyze.commands},
     }
 
 
@@ -572,45 +544,62 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
     ctx.default_map = _config_default_map(config_path)
 
 
-def _source_options(func):
-    opts = [
-        click.option("--input", "input_path", type=click.Path(dir_okay=False), default=None,
-                     help="CSV file to analyze."),
-        click.option("--profile", type=str, default=None,
-                     help=f"Synthetic profile instead of a file ({', '.join(sorted(PROFILES))})."),
-        click.option("--seed", type=int, default=0, show_default=True, help="Generator seed."),
-        click.option("--noise-std", type=float, default=None, help="Override profile noise level."),
-        click.option("--channel", type=str, default=None, help="Channel name (default: first)."),
-        click.option("--dt", type=float, default=None, help="Sample interval of the CSV in seconds."),
-        click.option("--time-column", type=str, default=None,
-                     help="Header name or 0-based index of the time column."),
-        click.option("--no-header", "has_header", flag_value=False, default=True,
-                     help="Treat the first CSV row as data."),
-        click.option("--fill", "fill_policy", type=click.Choice(["zero", "hold"]), default="zero",
-                     show_default=True, help="Missing-sample fill policy."),
-        click.option("--gap-start", type=click.IntRange(min=0), default=None,
-                     help="First sample index of an injected gap."),
-        click.option("--gap-length", type=click.IntRange(min=0), default=0, show_default=True,
-                     help="Injected gap length in samples."),
-        click.option("--stack", "stack_depth", type=click.IntRange(min=1), default=None,
-                     help="Delay-embedding depth (default: length/5)."),
-        click.option("--rank", type=click.IntRange(min=1), default=None,
-                     help="Fixed truncation rank."),
-        click.option("--energy", type=float, default=None,
-                     help="Energy-fraction truncation in (0, 1]."),
-        click.option("--sv-ratio", type=float, default=None,
-                     help="Singular-value ratio truncation in (0, 1)."),
-        click.option("--eps-crit", type=float, default=DEFAULT_EPS_CRIT, show_default=True,
-                     help="Growth-rate band (1/s) classed as critically damped."),
-        click.option("--out", "out_dir", type=click.Path(file_okay=False), default="oscidmd-out",
-                     show_default=True, help="Output directory."),
-        click.option("--report/--no-report", "emit_report", default=True, show_default=True),
-        click.option("--eigenvalues/--no-eigenvalues", "emit_eigenvalues", default=True,
-                     show_default=True),
-    ]
-    for opt in reversed(opts):
-        func = opt(func)
-    return func
+def _options(*opts):
+    """One decorator applying click options in the order listed."""
+    def apply(func):
+        for opt in reversed(opts):
+            func = opt(func)
+        return func
+    return apply
+
+
+_source_options = _options(
+    click.option("--input", "input_path", type=click.Path(dir_okay=False), default=None,
+                 help="CSV file to analyze."),
+    click.option("--profile", type=str, default=None,
+                 help=f"Synthetic profile instead of a file ({', '.join(sorted(PROFILES))})."),
+    click.option("--seed", type=int, default=0, show_default=True, help="Generator seed."),
+    click.option("--noise-std", type=float, default=None, help="Override profile noise level."),
+    click.option("--channel", type=str, default=None, help="Channel name (default: first)."),
+    click.option("--dt", type=float, default=None, help="Sample interval of the CSV in seconds."),
+    click.option("--time-column", type=str, default=None,
+                 help="Header name or 0-based index of the time column."),
+    click.option("--no-header", "has_header", flag_value=False, default=True,
+                 help="Treat the first CSV row as data."),
+    click.option("--fill", "fill_policy", type=click.Choice(["zero", "hold"]), default="zero",
+                 show_default=True, help="Missing-sample fill policy."),
+    click.option("--gap-start", type=click.IntRange(min=0), default=None,
+                 help="First sample index of an injected gap."),
+    click.option("--gap-length", type=click.IntRange(min=0), default=0, show_default=True,
+                 help="Injected gap length in samples."),
+    click.option("--stack", "stack_depth", type=click.IntRange(min=1), default=None,
+                 help="Delay-embedding depth (default: length/5)."),
+    click.option("--rank", type=click.IntRange(min=1), default=None,
+                 help="Fixed truncation rank."),
+    click.option("--energy", type=float, default=None,
+                 help="Energy-fraction truncation in (0, 1]."),
+    click.option("--sv-ratio", type=float, default=None,
+                 help="Singular-value ratio truncation in (0, 1)."),
+    click.option("--eps-crit", type=float, default=DEFAULT_EPS_CRIT, show_default=True,
+                 help="Growth-rate band (1/s) classed as critically damped."),
+    click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
+                 default="oscidmd-out", show_default=True, help="Output directory."),
+)
+
+_emit_options = _options(
+    click.option("--report/--no-report", "emit_report", default=True, show_default=True),
+    click.option("--eigenvalues/--no-eigenvalues", "emit_eigenvalues", default=True,
+                 show_default=True),
+)
+
+_plan_options = _options(
+    click.option("--mu", type=click.IntRange(min=2), default=16, show_default=True,
+                 help="Subsample count per time bin."),
+    click.option("--g", type=str, default="4", show_default=True,
+                 help="Slow-mode screening divisor (rational, > 1)."),
+    click.option("--termination-level", type=click.IntRange(min=1), default=None,
+                 help="Override the deepest recursion level."),
+)
 
 
 def _time_column_value(raw: str | None) -> str | int | None:
@@ -626,127 +615,58 @@ def analyze() -> None:
 
 @analyze.command("dmd")
 @_source_options
+@_emit_options
 def analyze_dmd(**kw) -> None:
     """Single-window decomposition of the whole record."""
-    cfg = RunConfig(
-        input_path=Path(kw["input_path"]) if kw["input_path"] else None,
-        profile=kw["profile"],
-        seed=kw["seed"],
-        noise_std=kw["noise_std"],
-        channel=kw["channel"],
-        dt=kw["dt"],
-        time_column=_time_column_value(kw["time_column"]),
-        has_header=kw["has_header"],
-        fill_policy=kw["fill_policy"],
-        gap_start=kw["gap_start"],
-        gap_length=kw["gap_length"],
-        stack_depth=kw["stack_depth"],
-        rule=_resolve_rule(kw["rank"], kw["energy"], kw["sv_ratio"]),
-        eps_crit=kw["eps_crit"],
-        out_dir=Path(kw["out_dir"]),
-        emit_report=kw["emit_report"],
-        emit_eigenvalues=kw["emit_eigenvalues"],
-    )
-    _run_guarded(run_dmd, cfg)
+    _run_guarded(run_dmd, kw)
 
 
 @analyze.command("mrdmd")
 @_source_options
-@click.option("--mu", type=click.IntRange(min=2), default=16, show_default=True,
-              help="Subsample count per time bin.")
-@click.option("--g", type=str, default="4", show_default=True,
-              help="Slow-mode screening divisor (rational, > 1).")
-@click.option("--termination-level", type=click.IntRange(min=1), default=None,
-              help="Override the deepest recursion level.")
+@_emit_options
+@_plan_options
 @click.option("--levels/--no-levels", "emit_levels", default=True, show_default=True,
               help="Emit per-level reconstruction CSVs.")
 @click.option("--plan/--no-plan", "emit_plan", default=True, show_default=True,
               help="Emit the plan table CSV.")
 def analyze_mrdmd(**kw) -> None:
     """Multi-resolution decomposition over dyadic time bins."""
-    cfg = RunConfig(
-        input_path=Path(kw["input_path"]) if kw["input_path"] else None,
-        profile=kw["profile"],
-        seed=kw["seed"],
-        noise_std=kw["noise_std"],
-        channel=kw["channel"],
-        dt=kw["dt"],
-        time_column=_time_column_value(kw["time_column"]),
-        has_header=kw["has_header"],
-        fill_policy=kw["fill_policy"],
-        gap_start=kw["gap_start"],
-        gap_length=kw["gap_length"],
-        stack_depth=kw["stack_depth"],
-        rule=_resolve_rule(kw["rank"], kw["energy"], kw["sv_ratio"]),
-        mu=kw["mu"],
-        g=kw["g"],
-        termination_level=kw["termination_level"],
-        eps_crit=kw["eps_crit"],
-        out_dir=Path(kw["out_dir"]),
-        emit_report=kw["emit_report"],
-        emit_eigenvalues=kw["emit_eigenvalues"],
-        emit_levels=kw["emit_levels"],
-        emit_plan=kw["emit_plan"],
-    )
-    _run_guarded(run_mrdmd, cfg)
+    _run_guarded(run_mrdmd, kw)
 
 
 @analyze.command("compare")
 @_source_options
-@click.option("--mu", type=click.IntRange(min=2), default=16, show_default=True)
-@click.option("--g", type=str, default="4", show_default=True)
-@click.option("--termination-level", type=click.IntRange(min=1), default=None)
+@_plan_options
 def analyze_compare(**kw) -> None:
     """Run DMD and MR-DMD on the same generated dataset and compare errors."""
-    cfg = RunConfig(
-        input_path=Path(kw["input_path"]) if kw["input_path"] else None,
-        profile=kw["profile"],
-        seed=kw["seed"],
-        noise_std=kw["noise_std"],
-        channel=kw["channel"],
-        gap_start=kw["gap_start"],
-        gap_length=kw["gap_length"],
-        stack_depth=kw["stack_depth"],
-        rule=_resolve_rule(kw["rank"], kw["energy"], kw["sv_ratio"]),
-        mu=kw["mu"],
-        g=kw["g"],
-        termination_level=kw["termination_level"],
-        eps_crit=kw["eps_crit"],
-        out_dir=Path(kw["out_dir"]),
-    )
-    _run_guarded(run_compare, cfg)
+    _run_guarded(run_compare, kw)
 
 
 @analyze.command("plan")
 @click.option("--n", type=click.IntRange(min=2), required=True, help="Snapshot column count.")
 @click.option("--dt", type=float, required=True, help="Sample interval in seconds.")
-@click.option("--mu", type=click.IntRange(min=2), default=16, show_default=True)
-@click.option("--g", type=str, default="4", show_default=True)
-@click.option("--termination-level", type=click.IntRange(min=1), default=None)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
+@_plan_options
+@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Also write plan.csv into this directory.")
 def analyze_plan(n, dt, mu, g, termination_level, out_dir) -> None:
     """Print (and optionally write) the per-level parameter table."""
-    try:
+
+    def show() -> int:
         mrdmd_plan = plan(n, dt, mu=mu, g=g, termination_level=termination_level)
-    except ValueError as exc:
-        _echo_error(exc)
-        sys.exit(1)
-    click.echo(
-        f"levels={mrdmd_plan.termination_level} rho={mrdmd_plan.rho:.12g} "
-        f"window={float(mrdmd_plan.window_duration):.12g} s"
-    )
-    click.echo("level  bins  bin_size  bin_duration_s  f_sp_hz  f_m_hz  f_slow_max_hz")
-    for lv in mrdmd_plan.per_level:
+        levels = _plan_levels(mrdmd_plan)
         click.echo(
-            f"{lv.level:5d} {lv.bins:5d} {float(lv.bin_size):9.5g} {float(lv.bin_duration):15.8g} "
-            f"{float(lv.f_sp):8.6g} {float(lv.f_m):7.5g} {float(lv.f_slow_max):13.7g}"
+            f"levels={mrdmd_plan.termination_level} rho={mrdmd_plan.rho:.12g} "
+            f"window={float(mrdmd_plan.window_duration):.12g} s"
         )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_plan_csv(out / "plan.csv", mrdmd_plan)
-    sys.exit(0)
+        click.echo("  ".join(col for _, col, _ in _PLAN_FIELDS))
+        for row in levels:
+            click.echo(" ".join(format(row[col], spec) for _, col, spec in _PLAN_FIELDS))
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            _write_plan_csv(out_dir / "plan.csv", levels)
+        return 0
+
+    _guarded(show)
 
 
 @cli.command("generate")
@@ -758,20 +678,17 @@ def analyze_plan(n, dt, mu, g, termination_level, out_dir) -> None:
 @click.option("--gap-length", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True,
               help="Destination CSV path.")
-def generate_cmd(profile, seed, noise_std, gap_start, gap_length, output) -> None:
+def generate_cmd(output, **kw) -> None:
     """Write a synthetic dataset as an ingest-compatible CSV."""
-    try:
-        record, _ = generate_profile(profile, seed=seed, noise_std=noise_std)
-        if gap_length > 0:
-            if gap_start is None:
-                raise ValueError("--gap-start is required when --gap-length is positive")
-            record = inject_gap(record, gap_start, gap_length)
+
+    def write(cfg: RunConfig) -> int:
+        cfg.validate()
+        record, _ = _load_record(cfg)
         Path(output).parent.mkdir(parents=True, exist_ok=True)
         write_csv(record, output)
-    except ValueError as exc:
-        _echo_error(exc)
-        sys.exit(1)
-    sys.exit(0)
+        return 0
+
+    _run_guarded(write, kw)
 
 
 def main() -> None:

@@ -147,6 +147,11 @@ def reports_from_dmd(
     return reports
 
 
+def retained_oscillatory(r: ModeReport) -> bool:
+    """Whether a mode can be ranked: retained by its bin's slow screen and oscillatory."""
+    return r.slow is not False and r.frequency_hz > 0
+
+
 def classify(
     reports: list[ModeReport], eps_crit: float = DEFAULT_EPS_CRIT
 ) -> list[ModeReport]:
@@ -167,7 +172,7 @@ def classify(
             return DAMPING_CRITICAL
         return DAMPING_DECAYING
 
-    rankable = [i for i, r in enumerate(reports) if r.slow is not False and r.frequency_hz > 0]
+    rankable = [i for i, r in enumerate(reports) if retained_oscillatory(r)]
     rankable.sort(
         key=lambda i: (
             -reports[i].integral_contribution,
@@ -219,11 +224,7 @@ def cluster_sustained(
     than max(0.5 Hz, 1%) merge. Clusters come back sorted by descending
     aggregate contribution, ties by (frequency, level) ascending.
     """
-    candidates = [
-        r
-        for r in reports
-        if r.slow is not False and r.frequency_hz > 0 and abs(r.growth_rate) <= eps_crit
-    ]
+    candidates = [r for r in reports if retained_oscillatory(r) and abs(r.growth_rate) <= eps_crit]
     clusters: list[ModeCluster] = []
     for level in sorted({r.level for r in candidates}):
         group: list[ModeReport] = []
@@ -262,7 +263,7 @@ def strongest_oscillatory(reports: list[ModeReport]) -> ModeReport | None:
     Fallback estimate when no sustained mode exists, e.g. when a gap has
     corrupted the damping of everything a single-window fit found.
     """
-    pool = [r for r in reports if r.slow is not False and r.frequency_hz > 0]
+    pool = [r for r in reports if retained_oscillatory(r)]
     if not pool:
         return None
     return max(pool, key=lambda r: (r.integral_contribution, -r.frequency_hz))

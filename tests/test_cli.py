@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 from importlib import resources
@@ -397,3 +398,39 @@ class TestConfigAndEnv:
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text())
         assert report["plan"]["mu"] == 8
+
+
+class TestFlagsToConfig:
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd", "compare"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rank", "3", "--energy", "0.9"], "at most one of"),
+            (["--energy", "1.5"], "energy fraction"),
+            (["--sv-ratio", "0"], "singular-value ratio"),
+        ],
+    )
+    def test_truncation_flag_error_is_one_json_line(self, runner, tmp_path, command, flags, message):
+        result = runner.invoke(
+            cli, ["analyze", command, "--profile", "lfo_udc", *flags, "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "ValueError"
+        assert message in err["error"]["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--no-report", "--report", "--no-eigenvalues", "--eigenvalues"])
+    def test_compare_takes_no_emit_flags(self, runner, tmp_path, flag):
+        result = runner.invoke(
+            cli, ["analyze", "compare", "--profile", "lfo_udc", flag, "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd", "compare"])
+    def test_every_flag_names_a_config_field(self, command):
+        params = {p.name for p in cli.commands["analyze"].commands[command].params}
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert params - {"rank", "energy", "sv_ratio"} <= fields
