@@ -499,34 +499,48 @@ def _run_guarded(func, params: dict) -> None:
     _guarded(lambda: func(_run_config(**params)))
 
 
-# INI keys mirror the CLI flags; these flags bind to differently named params
-_FLAG_PARAM_ALIASES = {
-    "out": "out_dir",
-    "stack": "stack_depth",
-    "input": "input_path",
-    "fill": "fill_policy",
-}
+def _ini_keys(command: click.Command) -> dict[str, tuple[str, bool | None]]:
+    """INI key ('-' read as '_') -> (parameter name, value a true switch key sets, else None).
+
+    Keys are the command's long flags and parameter names. A switch key is
+    true when its flag is given: ``no-levels = true`` means ``--no-levels``.
+    """
+    keys: dict[str, tuple[str, bool | None]] = {}
+    for param in command.params:
+        keys[param.name] = (param.name, None)
+        flag = isinstance(param, click.Option) and param.is_bool_flag
+        for opts, primary in ((param.opts, True), (param.secondary_opts, False)):
+            value = (param.flag_value if primary else not param.flag_value) if flag else None
+            for opt in opts:
+                if opt.startswith("--"):
+                    keys[opt[2:].replace("-", "_")] = (param.name, value)
+    return keys
 
 
 def _config_default_map(path: str | None) -> dict:
-    """Translate an INI config file into click's default map."""
+    """Translate an INI config file into click's default map; unknown sections and keys exit 2."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise click.UsageError(f"config file not found: {path}")
+    commands = {"generate": generate_cmd, **analyze.commands}
     sections = {}
     for section in parser.sections():
-        entries = {}
+        if section not in commands:
+            raise click.UsageError(f"unknown section [{section}] in {path}; known: {', '.join(commands)}")
+        keys, entries = _ini_keys(commands[section]), {}
         for key, value in parser.items(section):
-            name = key.replace("-", "_")
-            entries[_FLAG_PARAM_ALIASES.get(name, name)] = value
+            name, when_true = keys.get(key.replace("-", "_"), (None, None))
+            if name is None:
+                raise click.UsageError(f"unknown key {key!r} in [{section}] of {path}")
+            if when_true is not None:
+                if value.lower() not in parser.BOOLEAN_STATES:
+                    raise click.UsageError(f"key {key!r} in [{section}] of {path} takes true or false")
+                value = when_true if parser.BOOLEAN_STATES[value.lower()] else not when_true
+            entries[name] = value
         sections[section] = entries
-    return {
-        "generate": sections.get("generate", {}),
-        "analyze": {name: sections.get(name, {}) for name in analyze.commands},
-    }
+    return {"generate": sections.pop("generate", {}), "analyze": sections}
 
 
 @click.group(name="oscidmd")

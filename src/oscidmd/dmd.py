@@ -117,8 +117,11 @@ class DmdResult:
     modes holds the projected mode columns Phi = U W (unit-norm W columns),
     eigenvalues the per-step multipliers at dt_effective, amplitudes the
     least-squares fit of the first snapshot. Modes are ordered by
-    descending |b_k| * ||Phi_k||, ties broken by descending |lambda| with
-    the non-negative imaginary member of a conjugate pair first.
+    descending score |b_k| * ||Phi_k||, ties broken by descending |lambda|
+    with the non-negative imaginary member first. Both members of a
+    conjugate pair take the pair's larger score, so a pair is listed as
+    two adjacent modes, the positive-imaginary member first;
+    :func:`oscidmd.modes.reports_from_dmd` reads pairs from this order.
     a_tilde and eigvecs retain the reduced operator and its (reordered)
     eigenvectors for residual diagnostics.
     """
@@ -328,6 +331,7 @@ def dmd(
     operator and modes as the direct fit up to rounding, from an SVD of
     m x (m+1) instead of m x n. The amplitudes are fitted to the original
     first snapshot X1[:, 0]. Every other pair is fitted directly.
+    Both paths order the modes by the one pair rule of :class:`DmdResult`.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -346,13 +350,11 @@ def dmd(
     b = amplitudes(phi, x1[:, 0])
 
     score = np.abs(b) * np.linalg.norm(phi, axis=0)
-    if low is not None:
-        # The members of a conjugate pair (adjacent in eig's output) score
-        # equally up to rounding; ranking both by the larger score keeps the
-        # positive-imaginary member first. Direct fits keep the rounding
-        # order, so MR-DMD outputs stay as they were.
-        pair = np.flatnonzero((eigvals[:-1].imag > 0) & (eigvals[1:] == eigvals[:-1].conj()))
-        score[pair] = score[pair + 1] = np.maximum(score[pair], score[pair + 1])
+    # The members of a conjugate pair (adjacent in eig's output) score
+    # equally up to rounding; ranking both by the larger score keeps them
+    # adjacent, positive-imaginary member first.
+    pair = np.flatnonzero((eigvals[:-1].imag > 0) & (eigvals[1:] == eigvals[:-1].conj()))
+    score[pair] = score[pair + 1] = np.maximum(score[pair], score[pair + 1])
     order = sorted(
         range(svd.rank),
         key=lambda k: (

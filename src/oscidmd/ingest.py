@@ -260,27 +260,21 @@ def write_csv(rec: SignalRecord, path: str | Path, include_time: bool = True) ->
 def inject_gap(rec: SignalRecord, start_index: int, gap_length: int) -> SignalRecord:
     """Return a copy with ``gap_length`` samples masked on every channel.
 
-    The gap region is refilled according to the record's fill policy; all
-    other samples are bit-identical to the input.
+    The data is refilled from the new mask by the record's fill policy, the
+    same rule :func:`load_csv` applies. Unmasked samples are bit-identical
+    to the input; under hold, a masked sample after the gap that held a
+    gap sample now holds the last sample before the gap.
     """
     if gap_length < 0 or start_index < 0 or start_index + gap_length > rec.length:
         raise IngestError(
             f"gap [{start_index}, {start_index + gap_length}) out of range "
             f"for record of length {rec.length}"
         )
-    data = rec.data.copy()
     mask = rec.missing_mask.copy()
-    if gap_length:
-        stop = start_index + gap_length
-        mask[:, start_index:stop] = True
-        if rec.fill_policy == FILL_ZERO:
-            data[:, start_index:stop] = 0.0
-        else:
-            hold = data[:, start_index - 1] if start_index > 0 else np.zeros(data.shape[0])
-            data[:, start_index:stop] = hold[:, None]
+    mask[:, start_index : start_index + gap_length] = True
     return SignalRecord(
         names=rec.names,
-        data=data,
+        data=_fill(rec.data, mask, rec.fill_policy),
         missing_mask=mask,
         dt=rec.dt,
         t0=rec.t0,

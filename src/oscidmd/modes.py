@@ -23,8 +23,6 @@ DAMPING_GROWING = "growing"
 # Growth-rate band (1/s) treated as critically damped.
 DEFAULT_EPS_CRIT = 0.5
 
-_CONJ_MATCH_RTOL = 1e-9
-
 # Powers held at once by _envelopes (512 kB).
 _ENVELOPE_CELLS = 1 << 16
 
@@ -100,34 +98,24 @@ def reports_from_dmd(
 ) -> list[ModeReport]:
     """Collapse a decomposition into mode reports.
 
-    Conjugate pairs on real data become one row with non-negative
-    frequency and ``pair=True``. Fully decayed modes (lambda = 0) carry no
-    dynamics and are omitted.
+    dmd() lists a conjugate pair as adjacent modes, positive-imaginary member
+    first: mode k + 1 is k's partner exactly when Im(lambda_k) > 0 and
+    lambda_(k+1) = conj(lambda_k). A pair is one ``pair=True`` row for mode k,
+    slow when k is in ``slow_set`` (conjugates have bit-identical |ln lambda|,
+    so the screen takes both or neither). Modes with lambda = 0 are omitted.
     """
     if horizon_steps < 1:
         raise ValueError("horizon must be at least one step")
     lams = [complex(lam) for lam in result.eigenvalues]
     # Python abs, as integral_contribution takes it: np.abs can differ in the last bit
     envelopes = _envelopes(np.array([abs(lam) for lam in lams]), horizon_steps)
+    last = len(lams) - 1
+    pair = [k < last and lam.imag > 0 and lams[k + 1] == lam.conjugate() for k, lam in enumerate(lams)]
     reports: list[ModeReport] = []
-    consumed: set[int] = set()
     for k, lam in enumerate(lams):
-        if k in consumed or lam == 0:
+        if lam == 0 or (k > 0 and pair[k - 1]):
             continue
-        partner: int | None = None
-        if lam.imag != 0.0:
-            target = lam.conjugate()
-            tol = _CONJ_MATCH_RTOL * (1.0 + abs(lam))
-            for j in range(k + 1, len(lams)):
-                if j not in consumed and abs(lams[j] - target) <= tol:
-                    partner = j
-                    break
-        if partner is not None:
-            consumed.add(partner)
         omega = to_continuous(lam, f_sp)
-        in_slow = False
-        if slow_set is not None:
-            in_slow = k in slow_set or (partner is not None and partner in slow_set)
         reports.append(
             ModeReport(
                 level=level,
@@ -140,8 +128,8 @@ def reports_from_dmd(
                 integral_contribution=float(np.linalg.norm(result.modes[:, k]))
                 * abs(complex(result.amplitudes[k]))
                 * float(envelopes[k]),
-                pair=partner is not None,
-                slow=in_slow if slow_set is not None else None,
+                pair=pair[k],
+                slow=None if slow_set is None else k in slow_set,
             )
         )
     return reports

@@ -7,14 +7,40 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+import oscidmd as od
+from oscidmd import cli
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def test_every_traced_target_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look themselves up here
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(spans):
     for module_name, attr, _ in spans.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is missing"
+
+
+def test_traced_mrdmd_run_counts_fits_and_mode_rows(spans, tmp_path):
+    data = tmp_path / "lfo.csv"
+    od.write_csv(od.generate_profile("lfo_udc", seed=1)[0], data)
+    out = tmp_path / "out"
+    cfg = cli.RunConfig(input_path=data, time_column="t", stack_depth=100, out_dir=out)
+    recorder = spans.Recorder("lfo_udc")
+    assert recorder.traced_run(cli.run_mrdmd, cfg) == 0
+    counts = recorder.counts
+    assert counts["mrdmd.bins"] == 2 ** counts["mrdmd.levels"] - 1
+    assert counts["dmd.calls"] == counts["mrdmd.bins"] - counts["mrdmd.zero_signal_bins"]
+    rows = (out / "modes.csv").read_text().splitlines()[1:]
+    assert counts["modes.reported"] == len(rows) > 0
+    # every wrapped name is restored once the run ends
+    assert all(getattr(importlib.import_module(m), a).__name__ == a for m, a, _ in spans.TARGETS)

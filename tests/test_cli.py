@@ -166,6 +166,13 @@ class TestAnalyzeMrdmd:
         assert levels == set(range(1, 9))
         assert set(cols["slow"]) <= {"0", "1"}
 
+    def test_pair_rows_carry_the_positive_imaginary_member(self, mrdmd_lfo_run):
+        cols = read_csv_columns(mrdmd_lfo_run / "modes.csv")
+        pairs = [(float(li), float(oi)) for li, oi, p in zip(cols["lambda_im"], cols["omega_im"], cols["pair"])
+                 if p == "1"]
+        assert len(pairs) > 100
+        assert all(li > 0 and oi > 0 for li, oi in pairs)
+
     def test_ac_profile_level5_modes(self, runner, tmp_path):
         out = tmp_path / "ac"
         result = runner.invoke(
@@ -398,6 +405,58 @@ class TestConfigAndEnv:
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text())
         assert report["plan"]["mu"] == 8
+
+    def test_env_var_ends_in_the_parameter_name(self, runner, tmp_path):
+        out = tmp_path / "envdepth"
+        result = runner.invoke(
+            cli, ["analyze", "mrdmd", "--profile", "lfo_udc", "--out", str(out)],
+            env={"OSCIDMD_ANALYZE_MRDMD_STACK_DEPTH": "100"},
+            auto_envvar_prefix="OSCIDMD",
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "report.json").read_text())["stacking"]["depth"] == 100
+
+    def test_readme_keys(self, runner, tmp_path):
+        out = tmp_path / "readme"
+        ini = tmp_path / "oscidmd.ini"
+        ini.write_text(f"[mrdmd]\nmu = 8\ng = 3\nstack = 100\nout = {out}\n")
+        result = runner.invoke(cli, ["--config", str(ini), "analyze", "mrdmd", "--profile", "lfo_udc"])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert (report["plan"]["mu"], report["plan"]["g"], report["stacking"]["depth"]) == (8, "3", 100)
+
+    @pytest.mark.parametrize("key", ["levels = false", "no-levels = true", "emit-levels = false"])
+    def test_flag_named_key_skips_level_files(self, runner, tmp_path, key):
+        out = tmp_path / "nolevels"
+        ini = tmp_path / "oscidmd.ini"
+        ini.write_text(f"[mrdmd]\n{key}\nstack = 100\nout = {out}\n")
+        result = runner.invoke(cli, ["--config", str(ini), "analyze", "mrdmd", "--profile", "lfo_udc"])
+        assert result.exit_code == 0, result.output
+        assert (out / "modes.csv").exists()
+        assert not list(out.glob("level_*.csv"))
+
+    def test_no_header_key_reads_a_headerless_file(self, runner, tmp_path):
+        data = tmp_path / "bare.csv"
+        data.write_text("".join(f"{np.sin(0.2 * k):.17g}\n" for k in range(300)))
+        out = tmp_path / "bare"
+        ini = tmp_path / "oscidmd.ini"
+        ini.write_text(f"[dmd]\nno-header = true\ndt = 0.01\nstack = 20\nout = {out}\n")
+        result = runner.invoke(cli, ["--config", str(ini), "analyze", "dmd", "--input", str(data)])
+        assert result.exit_code == 0, result.output
+        source = json.loads((out / "report.json").read_text())["source"]
+        assert (source["channel"], source["length"]) == ("ch0", 300)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("[mrdmd]\nbogus = 3\n", "'bogus'"), ("[nope]\nmu = 8\n", "[nope]"),
+         ("[mrdmd]\nlevels = maybe\n", "'levels'")],
+    )
+    def test_unknown_key_or_section_exits_2(self, runner, tmp_path, text, named):
+        ini = tmp_path / "oscidmd.ini"
+        ini.write_text(text)
+        result = runner.invoke(cli, ["--config", str(ini), "analyze", "plan", "--n", "10", "--dt", "0.1"])
+        assert result.exit_code == 2
+        assert named in result.stderr
 
 
 class TestFlagsToConfig:

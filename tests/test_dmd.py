@@ -288,6 +288,17 @@ class TestDmdComposition:
             else:
                 k += 1
 
+    def test_direct_fit_lists_positive_imaginary_member_first(self):
+        h = np.lib.stride_tricks.sliding_window_view(np.random.default_rng(5).normal(size=100), 60).T
+        x1, x2 = h[:, :-1], h[:, 1:]
+        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the direct path runs
+        lam = od.dmd(x1, x2).eigenvalues
+        assert np.sum(lam.imag > 0) >= 10
+        for k in np.flatnonzero(lam.imag > 0):
+            assert lam[k + 1] == np.conj(lam[k])
+        for k in np.flatnonzero(lam.imag < 0):
+            assert k > 0 and lam[k - 1] == np.conj(lam[k])
+
 
 class TestProperties:
     def test_shift_invariance_sanity(self):

@@ -231,3 +231,14 @@ class TestInjectGap:
         )
         gapped = od.inject_gap(rec, 2, 2)
         assert list(gapped.data[0]) == [1.0, 2.0, 2.0, 2.0, 5.0]
+
+    @pytest.mark.parametrize("policy", [FILL_HOLD, FILL_ZERO])
+    def test_refill_matches_loading_the_gapped_file(self, tmp_path, policy):
+        write_lines(tmp_path / "before.csv", ["x", "1.0", "2.0", "3.0", "", "5.0"])
+        write_lines(tmp_path / "after.csv", ["x", "1.0", "2.0", "", "", "5.0"])
+        rec = od.load_csv(tmp_path / "before.csv", simple_config(fill_policy=policy))
+        gapped = od.inject_gap(rec, 2, 1)
+        # sample 3 held the value of sample 2, which the gap has now masked
+        assert gapped == od.load_csv(tmp_path / "after.csv", simple_config(fill_policy=policy))
+        if policy == FILL_HOLD:
+            assert list(gapped.data[0]) == [1.0, 2.0, 2.0, 2.0, 5.0]

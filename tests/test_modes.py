@@ -194,6 +194,40 @@ class TestReportsFromDmd:
             # of uneven splits
             assert r.frequency_hz <= by_level[r.level] * 1.05 + 1e-9
 
+    def test_pair_rows_report_the_positive_imaginary_member(self, lfo_gapped_mrdmd):
+        _, reports = lfo_gapped_mrdmd
+        pairs = [r for r in reports if r.pair]
+        assert len(pairs) > 100
+        assert all(r.eigenvalue.imag > 0 and r.omega.imag > 0 for r in pairs)
+
+    def test_pairs_are_read_by_adjacency(self):
+        lam = cmath.exp(complex(-0.1, 0.5))
+        eigenvalues = [lam, lam.conjugate(), 0.5, 0.5, 0.9 * lam, 0.2, 0.9 * lam.conjugate(), 0.0]
+        r = len(eigenvalues)
+        fit = od.DmdResult(
+            modes=np.eye(r, dtype=complex),
+            eigenvalues=np.array(eigenvalues),
+            amplitudes=np.ones(r, dtype=complex),
+            rank=r,
+            dt_effective=0.1,
+            singular_values=np.ones(r),
+            rank_clamped=False,
+            a_tilde=np.eye(r),
+            eigvecs=np.eye(r, dtype=complex),
+        )
+        reports = od.reports_from_dmd(fit, f_sp=10.0, horizon_steps=4, slow_set={0, 1, 4})
+        got = [(r.eigenvalue, r.pair, r.slow) for r in reports]
+        # a repeated real eigenvalue is no pair, and a conjugate that is not
+        # next to its partner leaves both members unpaired
+        assert got == [
+            (lam, True, True),
+            (0.5, False, False),
+            (0.5, False, False),
+            (0.9 * lam, False, True),
+            (0.2, False, False),
+            (0.9 * lam.conjugate(), False, False),
+        ]
+
     def test_slow_flag_matches_screen(self, lfo_gapped_mrdmd):
         result, reports = lfo_gapped_mrdmd
         rho = result.plan.rho

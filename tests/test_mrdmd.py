@@ -206,6 +206,20 @@ class TestScreenSlow:
         want = {k for k, v in enumerate(lam) if v != 0 and abs(cmath.log(v)) < rho}
         assert got == want
 
+    def test_takes_both_members_of_a_pair_or_neither(self, lfo_gapped_mrdmd):
+        result, _ = lfo_gapped_mrdmd
+        slow_pairs = 0
+        for node in result._nodes():
+            if node.dmd is None:
+                continue
+            lam = node.dmd.eigenvalues
+            slow = set(screen_slow(node.dmd, result.plan.rho).tolist())
+            for k in np.flatnonzero(lam.imag > 0):
+                assert lam[k + 1] == np.conj(lam[k])
+                assert (k in slow) == (k + 1 in slow)
+                slow_pairs += k in slow
+        assert slow_pairs > 0
+
 
 class TestSlowReconstruction:
     def test_empty_slow_set_gives_zeros(self):
