@@ -3,7 +3,8 @@
 Given the shifted pair X1, X2 (X2 one step ahead of X1), the method
 computes a truncated SVD X1 = U S V^T, projects the step operator onto the
 U basis as A~ = U^T X2 V S^{-1}, eigendecomposes A~ W = W L, lifts modes as
-Phi = U W, and fits amplitudes b = pinv(Phi) x1. The full m x m operator is
+Phi = U W, and fits amplitudes b = W^{-1} U^T x1, the least-squares fit
+of Phi b to x1 (U has orthonormal columns). The full m x m operator is
 never formed. Reconstruction: x_j = Phi L^{j-1} b.
 
 Hankel compression. When X1 and X2 are a one-step shift of one m x (n+1)
@@ -116,11 +117,11 @@ class DmdResult:
 
     modes holds the projected mode columns Phi = U W (unit-norm W columns),
     eigenvalues the per-step multipliers at dt_effective, amplitudes the
-    least-squares fit of the first snapshot. Modes are ordered by
-    descending score |b_k| * ||Phi_k||, ties broken by descending |lambda|
-    with the non-negative imaginary member first. Both members of a
-    conjugate pair take the pair's larger score, so a pair is listed as
-    two adjacent modes, the positive-imaginary member first;
+    least-squares fit of the first snapshot, solved as W b = U^T x1. Modes
+    are ordered by descending score |b_k| * ||Phi_k||, ties broken by
+    descending |lambda| with the non-negative imaginary member first. Both
+    members of a conjugate pair take the pair's larger score, so a pair is
+    listed as two adjacent modes, the positive-imaginary member first;
     :func:`oscidmd.modes.reports_from_dmd` reads pairs from this order.
     a_tilde and eigvecs retain the reduced operator and its (reordered)
     eigenvectors for residual diagnostics.
@@ -240,14 +241,17 @@ def eig_modes(a_tilde: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w, eigvals, u @ w
 
 
-def amplitudes(phi: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Least-squares mode amplitudes b that minimize ||Phi b - x1||."""
-    phi = np.asarray(phi)
-    x1 = np.asarray(x1)
-    if phi.shape[0] != x1.shape[0]:
+def amplitudes(u: np.ndarray, w: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Mode amplitudes b that minimize ||U W b - x1||, from W b = U^T x1.
+
+    U has orthonormal columns, so ||U W b - x1||^2 = ||W b - U^T x1||^2
+    plus a term free of b, and the m x r least-squares fit on Phi = U W is
+    the r x r solve. W is invertible: eig_modes rejects a numerically
+    singular one.
+    """
+    if u.shape[0] != np.shape(x1)[0]:
         raise ValueError("first snapshot length must match mode rows")
-    b, *_ = np.linalg.lstsq(phi, x1.astype(complex), rcond=None)
-    return b
+    return np.linalg.solve(w, u.T @ x1)
 
 
 def reconstruct(result: DmdResult, j: int) -> np.ndarray:
@@ -330,7 +334,8 @@ def dmd(
     change of basis Q on the right, so this gives the same rank, spectrum,
     operator and modes as the direct fit up to rounding, from an SVD of
     m x (m+1) instead of m x n. The amplitudes are fitted to the original
-    first snapshot X1[:, 0]. Every other pair is fitted directly.
+    first snapshot X1[:, 0], in the reduced space (:func:`amplitudes`).
+    Every other pair is fitted directly.
     Both paths order the modes by the one pair rule of :class:`DmdResult`.
     """
     x1 = np.asarray(x1, dtype=float)
@@ -347,7 +352,7 @@ def dmd(
     svd = svd_truncated(y1, rule)
     a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, y2)
     w, eigvals, phi = eig_modes(a_tilde, svd.u)
-    b = amplitudes(phi, x1[:, 0])
+    b = amplitudes(svd.u, w, x1[:, 0])
 
     score = np.abs(b) * np.linalg.norm(phi, axis=0)
     # The members of a conjugate pair (adjacent in eig's output) score

@@ -10,7 +10,7 @@ analysis horizon and drives the dominant-mode ranking.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,12 @@ def reports_from_dmd(
     envelopes = _envelopes(np.array([abs(lam) for lam in lams]), horizon_steps)
     last = len(lams) - 1
     pair = [k < last and lam.imag > 0 and lams[k + 1] == lam.conjugate() for k, lam in enumerate(lams)]
+    kept = [k for k, lam in enumerate(lams) if lam != 0 and not (k > 0 and pair[k - 1])]
+    # rows of one contiguous copy give ||Phi_k|| bit for bit as np.linalg.norm does
+    cols = np.ascontiguousarray(result.modes.T[kept])
     reports: list[ModeReport] = []
-    for k, lam in enumerate(lams):
-        if lam == 0 or (k > 0 and pair[k - 1]):
-            continue
+    for k, col in zip(kept, cols):
+        lam = lams[k]
         omega = to_continuous(lam, f_sp)
         reports.append(
             ModeReport(
@@ -125,7 +127,7 @@ def reports_from_dmd(
                 frequency_hz=abs(omega.imag) / (2.0 * np.pi),
                 growth_rate=omega.real,
                 amplitude_mag=float(abs(result.amplitudes[k])),
-                integral_contribution=float(np.linalg.norm(result.modes[:, k]))
+                integral_contribution=float(np.sqrt(col.real.dot(col.real) + col.imag.dot(col.imag)))
                 * abs(complex(result.amplitudes[k]))
                 * float(envelopes[k]),
                 pair=pair[k],
@@ -171,7 +173,8 @@ def classify(
     )
     ranks = {i: rank for rank, i in enumerate(rankable, start=1)}
     return [
-        replace(r, damping_class=damping(r), dominant_rank=ranks.get(i))
+        ModeReport(r.level, r.bin_index, r.eigenvalue, r.omega, r.frequency_hz, r.growth_rate,
+                   r.amplitude_mag, r.integral_contribution, r.pair, r.slow, damping(r), ranks.get(i))
         for i, r in enumerate(reports)
     ]
 

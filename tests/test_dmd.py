@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscidmd as od
 from oscidmd.dmd import (
@@ -179,15 +181,44 @@ class TestEigModes:
 class TestAmplitudes:
     def test_exact_representation(self):
         rng = np.random.default_rng(8)
-        phi = np.linalg.qr(rng.normal(size=(10, 3)))[0].astype(complex)
+        u = np.linalg.qr(rng.normal(size=(10, 3)))[0]
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = od.amplitudes(phi, phi @ c)
+        b = od.amplitudes(u, np.eye(3, dtype=complex), u @ c)
         np.testing.assert_allclose(b, c, atol=1e-10)
 
     def test_orthogonal_x1_gives_zero(self):
-        phi = np.eye(4)[:, :2].astype(complex)
-        b = od.amplitudes(phi, np.array([0.0, 0.0, 0.0, 1.0]))
+        u = np.eye(4)[:, :2]
+        b = od.amplitudes(u, np.eye(2, dtype=complex), np.array([0.0, 0.0, 0.0, 1.0]))
         np.testing.assert_allclose(b, 0.0, atol=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 12),
+        extra=st.integers(0, 40),
+        outside=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    )
+    def test_reduced_solve_is_the_least_squares_fit_on_phi(self, seed, rank, extra, outside):
+        """W b = U^T x1 minimizes ||U W b - x1||, also with x1 off span(U)."""
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(rank + 1 + extra, rank + 1)))[0]
+        u, off_span = q[:, :rank], q[:, rank]
+        noise = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+        w = np.eye(rank) + 0.2 * noise / np.sqrt(rank)
+        w /= np.linalg.norm(w, axis=0)
+        assert np.linalg.cond(w) < 1e3
+        x1 = u @ rng.normal(size=rank) + outside * off_span
+        want, *_ = np.linalg.lstsq(u @ w, x1.astype(complex), rcond=None)
+        got = od.amplitudes(u, w, x1)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_wide_hankel_fit_is_the_least_squares_fit(self, lfo_gapped_dmd, lfo_gapped_embedded):
+        result, _ = lfo_gapped_dmd
+        x1, _ = od.shifted_pair(lfo_gapped_embedded)
+        assert x1.shape[1] > x1.shape[0] + 1 and result.rank > 300
+        want, *_ = np.linalg.lstsq(result.modes, x1[:, 0].astype(complex), rcond=None)
+        b = result.amplitudes
+        assert np.max(np.abs(b - want)) <= 1e-10 * np.max(np.abs(b))
 
     def test_planted_two_mode_amplitudes(self):
         modes = [od.ModeSpec(5.0, 0.0, 2.0), od.ModeSpec(17.0, 0.0, 0.5)]
@@ -367,7 +398,7 @@ def direct_fit(x1, x2, rule=od.DEFAULT_RULE):
     svd = od.svd_truncated(x1, rule)
     a_tilde = od.reduced_operator(svd.u, svd.sigma, svd.v, x2)
     w, lam, phi = od.eig_modes(a_tilde, svd.u)
-    return svd, a_tilde, lam, phi, od.amplitudes(phi, x1[:, 0])
+    return svd, a_tilde, lam, phi, od.amplitudes(svd.u, w, x1[:, 0])
 
 
 def random_hankel_pair(seed=5, length=400, depth=30):

@@ -489,6 +489,29 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 5 * data.size * 8
 
+    def test_every_bin_fit_is_the_least_squares_fit(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
+        """Each bin's reduced-space amplitudes fit its residual first column like lstsq on Phi."""
+        res, _ = lfo_gapped_mrdmd
+        data = lfo_gapped_embedded.data[:, :4000]
+        fits = 0
+
+        def walk(node, ancestors):
+            nonlocal fits
+            cols = node.subsample_indices
+            x1 = data[:, cols[:1]].copy()
+            for ancestor in ancestors:
+                x1 -= ancestor.slow_at(cols[:1])
+            if node.dmd is not None:
+                b = node.dmd.amplitudes
+                want, *_ = np.linalg.lstsq(node.dmd.modes, x1[:, 0].astype(complex), rcond=None)
+                assert np.max(np.abs(b - want)) <= 1e-10 * np.max(np.abs(b))
+                fits += 1
+            for child in node.children:
+                walk(child, ancestors + (node,))
+
+        walk(res.root, ())
+        assert fits == 2**res.plan.termination_level - 1
+
     def test_reports_sorted_by_level_and_bin(self, lfo_gapped_mrdmd):
         res, _ = lfo_gapped_mrdmd
         keys = [(r.level, r.bin_index) for r in res.all_modes]
