@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,23 +164,6 @@ def _series_metrics(record: SignalRecord, channel: str, series: np.ndarray) -> d
     }
 
 
-def _mode_cells(r: ModeReport, tagged: bool) -> list[str]:
-    tags = [str(r.level), str(r.bin_index), "1" if r.slow else "0"] if tagged else []
-    return tags + [
-        _fmt(r.eigenvalue.real),
-        _fmt(r.eigenvalue.imag),
-        _fmt(r.omega.real),
-        _fmt(r.omega.imag),
-        _fmt(r.frequency_hz),
-        _fmt(r.growth_rate),
-        r.damping_class or "",
-        _fmt(r.amplitude_mag),
-        _fmt(r.integral_contribution),
-        "" if r.dominant_rank is None else str(r.dominant_rank),
-        "1" if r.pair else "0",
-    ]
-
-
 _MODE_HEADER = [
     "lambda_re",
     "lambda_im",
@@ -194,6 +178,34 @@ _MODE_HEADER = [
     "pair",
 ]
 _MODE_TAGS = ["level", "bin", "slow"]
+
+# One row of the mode table: the _MODE_HEADER columns, each number as _fmt writes it.
+_MODE_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%s,%.16e,%.16e,%s,%s\n"
+
+
+def _mode_lines(reports: list[ModeReport], tagged: bool) -> Iterator[str]:
+    """The mode table's rows, formatted one at a time as they are written.
+
+    ``tagged`` leads each row with level, bin and slow flag (_MODE_TAGS).
+    """
+    row = "%s,%s,%s," + _MODE_ROW if tagged else _MODE_ROW
+    for r in reports:
+        tags = (r.level, r.bin_index, "1" if r.slow else "0") if tagged else ()
+        yield row % (
+            *tags,
+            r.eigenvalue.real,
+            r.eigenvalue.imag,
+            r.omega.real,
+            r.omega.imag,
+            r.frequency_hz,
+            r.growth_rate,
+            r.damping_class or "",
+            r.amplitude_mag,
+            r.integral_contribution,
+            "" if r.dominant_rank is None else r.dominant_rank,
+            "1" if r.pair else "0",
+        )
+
 
 # (LevelParams attribute, plan.csv and report.json column, `analyze plan` format)
 _PLAN_FIELDS = (
@@ -213,16 +225,16 @@ def _plan_levels(mrdmd_plan: MrdmdPlan) -> list[dict]:
     return [{col: v if isinstance(v, int) else float(v) for col, v in row.items()} for row in rows]
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_lines(path: Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write a header row and then each of ``lines`` (newline-terminated) as it comes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(lines)
 
 
 def _write_plan_csv(path: Path, levels: list[dict]) -> None:
-    rows = [[str(v) if isinstance(v, int) else _fmt(v) for v in row.values()] for row in levels]
-    _write_rows(path, [col for _, col, _ in _PLAN_FIELDS], rows)
+    cells = ([str(v) if isinstance(v, int) else _fmt(v) for v in row.values()] for row in levels)
+    _write_lines(path, [col for _, col, _ in _PLAN_FIELDS], (",".join(row) + "\n" for row in cells))
 
 
 def _time_cells(record: SignalRecord, count: int) -> list[str]:
@@ -323,8 +335,8 @@ def _write_run(
     out.mkdir(parents=True, exist_ok=True)
     if cfg.emit_eigenvalues:
         header = _MODE_TAGS + _MODE_HEADER if tagged else _MODE_HEADER
-        rows = [_mode_cells(r, tagged) for r in reports]
-        _write_rows(out / ("modes.csv" if tagged else "eigenvalues.csv"), header, rows)
+        path = out / ("modes.csv" if tagged else "eigenvalues.csv")
+        _write_lines(path, header, _mode_lines(reports, tagged))
     times = _time_cells(record, min(series.size, record.length))
     measured, fitted = record.channel(channel)[: len(times)], series[: len(times)]
     _write_series(out / "reconstruction.csv", ["t", "measured", "reconstructed"], times, measured, fitted)

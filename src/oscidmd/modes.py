@@ -27,7 +27,7 @@ DEFAULT_EPS_CRIT = 0.5
 _ENVELOPE_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeReport:
     """One identified mode, conjugate pairs collapsed to a single row.
 

@@ -244,7 +244,6 @@ class TestC6PropertySuites:
                 amplitudes=np.ones(count, dtype=complex),
                 rank=count, dt_effective=1.0,
                 singular_values=np.ones(count), rank_clamped=False,
-                a_tilde=np.zeros((count, count)), eigvecs=np.eye(count, dtype=complex),
             )
             got = set(screen_slow(fake, rho))
             want = {k for k, v in enumerate(lam) if v != 0 and abs(cmath.log(v)) < rho}

@@ -22,12 +22,14 @@ from oscidmd.cli import (
     _fmt,
     _load_record,
     _time_cells,
+    _write_run,
     _write_series,
     cli,
     run_dmd,
     run_mrdmd,
 )
 from oscidmd.ingest import IngestConfig
+from oscidmd.modes import ModeReport
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +280,92 @@ class TestSeriesFiles:
         assert text == per_cell_csv(["t", "v"], rows, 0.5, 1e-4, values)
         # the file is about 10 MB; one chunk's cells and text take about 1 MB
         assert len(text) > 8 * peak
+
+
+def per_cell_mode_table(reports, tagged: bool) -> str:
+    """A mode table formatted cell by cell with ``_fmt``."""
+    header = ["lambda_re", "lambda_im", "omega_re", "omega_im", "frequency_hz", "growth_rate_per_s",
+              "damping_class", "amplitude_mag", "integral_contribution", "dominant_rank", "pair"]
+    lines = [",".join((["level", "bin", "slow"] if tagged else []) + header) + "\n"]
+    for r in reports:
+        tags = [str(r.level), str(r.bin_index), "1" if r.slow else "0"] if tagged else []
+        cells = [_fmt(r.eigenvalue.real), _fmt(r.eigenvalue.imag), _fmt(r.omega.real), _fmt(r.omega.imag),
+                 _fmt(r.frequency_hz), _fmt(r.growth_rate), r.damping_class or "", _fmt(r.amplitude_mag),
+                 _fmt(r.integral_contribution), "" if r.dominant_rank is None else str(r.dominant_rank),
+                 "1" if r.pair else "0"]
+        lines.append(",".join(tags + cells) + "\n")
+    return "".join(lines)
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    """Equal texts, naming the first differing line (a full diff of a large file takes minutes)."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((k for k, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
+    assert first is None, f"line {first}: {got_lines[first]!r} != {want_lines[first]!r}"
+    assert len(got_lines) == len(want_lines)
+
+
+def tiny_record(length: int = 8) -> od.SignalRecord:
+    return od.SignalRecord(names=("x",), data=np.zeros((1, length)), dt=1e-3, t0=0.0,
+                           missing_mask=np.zeros((1, length), dtype=bool))
+
+
+def write_mode_table(tmp_path: Path, reports, tagged: bool) -> Path:
+    """Only the mode table of _write_run, for a tiny record."""
+    cfg = RunConfig(out_dir=tmp_path, emit_report=False)
+    _write_run(cfg, tiny_record(), 2, od.DEFAULT_RULE, reports, np.zeros(8), {}, tagged=tagged)
+    return tmp_path / ("modes.csv" if tagged else "eigenvalues.csv")
+
+
+class TestModeTables:
+    """Mode rows, each formatted by one %-format as it is written, give the per-cell bytes."""
+
+    def test_mode_tables_equal_per_cell_format(self, tmp_path):
+        cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, gap_start=1000,
+                        gap_length=250, mu=16, out_dir=tmp_path / "mrdmd")
+        assert run_mrdmd(cfg) == 0
+        record, _ = _load_record(cfg)
+        reports = _analyze_mrdmd_core(cfg, record)[0]
+        assert len(reports) > 100
+        want = per_cell_mode_table(reports, tagged=True)
+        assert_same_lines((cfg.out_dir / "modes.csv").read_text(), want)
+        cfg = dataclasses.replace(cfg, out_dir=tmp_path / "dmd")
+        assert run_dmd(cfg) == 0
+        reports = _analyze_dmd_core(cfg, record)[0]
+        want = per_cell_mode_table(reports, tagged=False)
+        assert_same_lines((cfg.out_dir / "eigenvalues.csv").read_text(), want)
+
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_edge_values_equal_per_cell_format(self, tmp_path, tagged):
+        inf, nan = float("inf"), float("nan")
+        reports = [
+            ModeReport(0, 0, complex(-0.0, 0.0), complex(-inf, 0.0), 0.0, -inf, 0.0, 0.0, False),
+            ModeReport(3, 7, complex(1e-300, -5e-324), complex(nan, inf), nan, nan, inf, nan, True,
+                       slow=True, damping_class="growing", dominant_rank=12),
+            ModeReport(9, 255, 1 + 0j, 0j, 0.0, 0.0, 1.7976931348623157e308, 2.5, False,
+                       slow=False, damping_class="critical", dominant_rank=1),
+        ]
+        path = write_mode_table(tmp_path, reports, tagged)
+        assert path.read_text() == per_cell_mode_table(reports, tagged)
+
+    def test_mode_rows_written_in_bounded_memory(self, tmp_path):
+        rng = np.random.default_rng(4)
+        reports = [
+            ModeReport(int(k % 9), int(k), complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
+                       float(rng.random()), float(rng.normal()), float(rng.random()), float(rng.random()),
+                       bool(k % 2), slow=bool(k % 3), damping_class="decaying", dominant_rank=int(k))
+            for k in range(40_000)
+        ]
+        tracemalloc.start()
+        try:
+            path = write_mode_table(tmp_path, reports, tagged=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert_same_lines(text, per_cell_mode_table(reports, tagged=True))
+        # the file is about 9 MB; the writer holds one row and the file buffer
+        assert len(text) > 100 * peak
 
 
 class TestCompare:

@@ -6,11 +6,12 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
@@ -19,7 +20,9 @@ from oscidmd.dmd import (
     DecompositionError,
     TruncationRule,
     ZeroSignalError,
+    _hankel_factor,
     _powers,
+    _residuals_within_tol,
     reconstruct_series,
 )
 
@@ -169,6 +172,50 @@ class TestEigModes:
         res = np.linalg.norm(a @ w - w * lam[None, :], axis=0)
         assert np.all(res <= 1e-8 * np.linalg.norm(a, 2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 12),
+        shape=st.sampled_from(["dense", "diagonal", "one-column", "tiny"]),
+        place=st.sampled_from(["below", "slack", "at-column-norm", "at-norm", "above"]),
+    )
+    # computed, this column norm exceeds the computed ||A~||_2 by rounding
+    @example(seed=0, size=5, shape="one-column", place="at-column-norm")
+    def test_residual_rule_is_the_two_norm_rule(self, seed, size, shape, place):
+        """The column-norm shortcut decides as 1e-8 * ||A~||_2 does, also inside its slack."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(size, size)) * 10.0 ** rng.uniform(-6, 6)
+        if shape == "diagonal":  # largest column norm equals ||A~||_2
+            a = np.diag(np.diag(a))
+        elif shape == "one-column":
+            a[:, 1:] = 0.0
+        elif shape == "tiny":
+            a *= 1e-300
+        two_norm, col_max = np.linalg.norm(a, 2), np.linalg.norm(a, axis=0).max()
+        edge = {
+            "below": 1e-8 * (1 - 1e-6) * col_max * rng.uniform(0.0, 1.0),
+            "slack": 1e-8 * rng.uniform((1 - 1e-6) * col_max, two_norm),
+            "at-column-norm": 1e-8 * col_max,
+            "at-norm": 1e-8 * two_norm * (1 + rng.choice([-1, 0, 1]) * 1e-15),
+            "above": 1e-8 * two_norm * rng.uniform(1.0, 2.0),
+        }[place]
+        residuals = rng.uniform(0.0, 1.0, size=size) * edge
+        residuals[rng.integers(size)] = edge
+        want = not np.any(residuals > 1e-8 * two_norm)
+        assert _residuals_within_tol(a, residuals) == want
+
+    def test_typical_operator_skips_the_two_norm(self, monkeypatch):
+        """An operator whose residuals sit far below the bound is accepted without an SVD."""
+        a = np.random.default_rng(7).normal(size=(40, 40))
+        norm = np.linalg.norm
+
+        def no_two_norm(x, ord=None, **kw):
+            assert ord != 2, "eig_modes took ||A~||_2"
+            return norm(x, ord, **kw)
+
+        monkeypatch.setattr(np.linalg, "norm", no_two_norm)
+        od.eig_modes(a, np.eye(40))
+
     def test_defective_operator_rejected(self):
         with pytest.raises(DecompositionError, match="r-1"):
             od.eig_modes(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
@@ -293,13 +340,17 @@ class TestDmdComposition:
         with pytest.raises(DecompositionError, match="empty"):
             od.dmd(np.empty((3, 0)), np.empty((3, 0)), od.DEFAULT_RULE, dt=1.0)
 
-    def test_retained_operator_satisfies_eigen_residual(self, lfo_clean_dmd):
+    def test_retained_operator_satisfies_eigen_residual(self, lfo_clean_dmd, lfo_clean_embedded):
+        """The eigenpairs of the fit's reduced operator, from eig_modes, meet 1e-8 * ||A~||_2."""
         result, _ = lfo_clean_dmd
-        res = np.linalg.norm(
-            result.a_tilde @ result.eigvecs - result.eigvecs * result.eigenvalues[None, :],
-            axis=0,
-        )
-        assert np.all(res <= 1e-8 * np.linalg.norm(result.a_tilde, 2))
+        x1, x2 = od.shifted_pair(lfo_clean_embedded)
+        low = _hankel_factor(x1, x2)
+        svd = od.svd_truncated(low[:-1], od.DEFAULT_RULE)
+        a_tilde = od.reduced_operator(svd.u, svd.sigma, svd.v, low[1:])
+        w, lam, _ = od.eig_modes(a_tilde, svd.u)
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(result.eigenvalues))
+        res = np.linalg.norm(a_tilde @ w - w * lam[None, :], axis=0)
+        assert np.all(res <= 1e-8 * np.linalg.norm(a_tilde, 2))
         assert 1 <= result.rank <= min(result.modes.shape[0], 4000)
 
     def test_mode_ordering_is_by_amplitude_score(self, lfo_clean_dmd):
@@ -401,6 +452,18 @@ def direct_fit(x1, x2, rule=od.DEFAULT_RULE):
     return svd, a_tilde, lam, phi, od.amplitudes(svd.u, w, x1[:, 0])
 
 
+def assert_direct_fit_bit_for_bit(x1, x2, rank=6):
+    """dmd() of the pair is direct_fit, mode for mode in dmd's order."""
+    result = od.dmd(x1, x2, TruncationRule.fixed(rank))
+    svd, _, lam, phi, b = direct_fit(x1, x2, TruncationRule.fixed(rank))
+    order = [int(np.flatnonzero(lam == v)[0]) for v in result.eigenvalues]
+    assert sorted(order) == list(range(rank))
+    assert np.array_equal(result.singular_values, svd.singular_values)
+    assert np.array_equal(result.eigenvalues, lam[order])
+    assert np.array_equal(result.modes, phi[:, order])
+    assert np.array_equal(result.amplitudes, b[order])
+
+
 def random_hankel_pair(seed=5, length=400, depth=30):
     series = np.random.default_rng(seed).normal(size=length)
     hankel = np.lib.stride_tricks.sliding_window_view(series, length - depth + 1)
@@ -430,15 +493,44 @@ class TestHankelCompression:
     def test_non_shift_wide_pair_is_the_direct_fit_bit_for_bit(self):
         rng = np.random.default_rng(8)
         x1, x2 = rng.normal(size=(6, 40)), rng.normal(size=(6, 40))
-        result = od.dmd(x1, x2, TruncationRule.fixed(6))
-        svd, a_tilde, lam, phi, b = direct_fit(x1, x2, TruncationRule.fixed(6))
-        order = [int(np.flatnonzero(lam == v)[0]) for v in result.eigenvalues]
-        assert sorted(order) == list(range(6))
-        assert np.array_equal(result.singular_values, svd.singular_values)
-        assert np.array_equal(result.a_tilde, a_tilde)
-        assert np.array_equal(result.eigenvalues, lam[order])
-        assert np.array_equal(result.modes, phi[:, order])
-        assert np.array_equal(result.amplitudes, b[order])
+        assert_direct_fit_bit_for_bit(x1, x2)
+
+    @pytest.mark.parametrize("kind", ["rows of no one series", "x2 off the shift"])
+    def test_wide_pair_that_is_not_one_series_is_the_direct_fit_bit_for_bit(self, kind):
+        """Only the Hankel pair of one series is compressed; anything else is fitted directly."""
+        rng = np.random.default_rng(9)
+        if kind == "rows of no one series":  # X2[:-1] equals X1[1:]
+            rows = rng.normal(size=(7, 40))
+            x1, x2 = rows[:-1], rows[1:]
+        else:  # X1 is a Hankel view, X2 differs from its shift in one entry
+            x1, x2 = random_hankel_pair(seed=9, length=46, depth=6)
+            x2 = x2.copy()
+            x2[2, 5] += 1.0
+        assert _hankel_factor(x1, x2) is None
+        assert_direct_fit_bit_for_bit(x1, x2)
+
+    def test_factor_of_the_view_is_the_factor_of_the_stacked_rows(self):
+        x1, x2 = random_hankel_pair()
+        want = np.linalg.qr(np.vstack([x1, x2[-1:]]).T, mode="r").T
+        assert np.array_equal(_hankel_factor(x1, x2), want)
+
+    def test_hankel_fit_holds_one_copy_of_the_rows(self, lfo_gapped_embedded):
+        """numpy's tracked peak: one working copy of the m + 1 rows plus the triangular factor.
+
+        The QR copies its input once, and np.linalg.qr builds the (m+1) x (m+1)
+        factor while that copy is alive. A second copy of the rows, such as
+        stacking them before the QR, exceeds the bound.
+        """
+        x1, x2 = od.shifted_pair(lfo_gapped_embedded)
+        m, n = x1.shape
+        rows_bytes, factor_bytes = (m + 1) * n * 8, (m + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            od.dmd(x1, x2, od.DEFAULT_RULE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * rows_bytes + factor_bytes
 
     def test_hankel_fit_lists_positive_imaginary_member_first(self, lfo_gapped_dmd):
         result, _ = lfo_gapped_dmd

@@ -113,6 +113,11 @@ class TestIntegralContribution:
 
 
 class TestClassify:
+    def test_reports_keep_no_instance_dict(self, ac_mrdmd):
+        """Reports are slotted: a long MR-DMD run holds thousands, twice (all_modes and classified)."""
+        *_, reports = ac_mrdmd
+        assert not any(hasattr(r, "__dict__") for r in reports)
+
     def test_damping_classes(self):
         reports = [
             make_report(freq=3.0, growth=-50.0),
@@ -212,8 +217,6 @@ class TestReportsFromDmd:
             dt_effective=0.1,
             singular_values=np.ones(r),
             rank_clamped=False,
-            a_tilde=np.eye(r),
-            eigvecs=np.eye(r, dtype=complex),
         )
         reports = od.reports_from_dmd(fit, f_sp=10.0, horizon_steps=4, slow_set={0, 1, 4})
         got = [(r.eigenvalue, r.pair, r.slow) for r in reports]

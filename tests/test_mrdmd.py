@@ -160,8 +160,6 @@ def fake_result(eigenvalues):
         dt_effective=1.0,
         singular_values=np.ones(r),
         rank_clamped=False,
-        a_tilde=np.diag(lam.real) if r else np.zeros((0, 0)),
-        eigvecs=np.eye(r, dtype=complex),
     )
 
 
