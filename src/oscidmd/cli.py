@@ -51,10 +51,6 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-# Rows formatted and written at a time by _write_series.
-_CHUNK_ROWS = 4096
-
-
 def _num(x) -> float | None:
     x = float(x)
     return x if np.isfinite(x) else None
@@ -243,18 +239,10 @@ def _time_cells(record: SignalRecord, count: int) -> list[str]:
     return [_fmt(t0 + k * dt) for k in range(count)]
 
 
-def _write_series(path: Path, header: list[str], times: list[str], *columns: np.ndarray) -> None:
-    """Write a time column and numeric columns of the same length.
-
-    Rows are formatted and written ``_CHUNK_ROWS`` at a time, so no
-    whole-file string is ever held.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r0 in range(0, len(times), _CHUNK_ROWS):
-            rows = slice(r0, r0 + _CHUNK_ROWS)
-            cells = [[_fmt(v) for v in col[rows].tolist()] for col in columns]
-            fh.write("".join(",".join(row) + "\n" for row in zip(times[rows], *cells)))
+def _series_lines(times: list[str], *columns: np.ndarray) -> Iterator[str]:
+    """A series file's rows, one per time cell: the cell, then each column's value as _fmt writes it."""
+    row = "%s" + ",%.16e" * len(columns) + "\n"
+    return (row % cells for cells in zip(times, *columns))
 
 
 def _dominant(reports: list[ModeReport], eps_crit: float) -> tuple[ModeCluster | None, ModeReport | None]:
@@ -338,10 +326,10 @@ def _write_run(
         path = out / ("modes.csv" if tagged else "eigenvalues.csv")
         _write_lines(path, header, _mode_lines(reports, tagged))
     times = _time_cells(record, min(series.size, record.length))
-    measured, fitted = record.channel(channel)[: len(times)], series[: len(times)]
-    _write_series(out / "reconstruction.csv", ["t", "measured", "reconstructed"], times, measured, fitted)
+    _write_lines(out / "reconstruction.csv", ["t", "measured", "reconstructed"],
+                 _series_lines(times, record.channel(channel), series))
     for l, level_series in enumerate(levels, start=1):
-        _write_series(out / f"level_{l}.csv", ["t", "reconstructed"], times, level_series)
+        _write_lines(out / f"level_{l}.csv", ["t", "reconstructed"], _series_lines(times, level_series))
     if cfg.emit_report:
         cluster, best = _dominant(reports, cfg.eps_crit)
         payload = {

@@ -25,6 +25,9 @@ A fit keeps what its readers use: the ordered modes, eigenvalues and
 amplitudes, the rank and the singular values. The reduced operator and
 its eigenvectors are checked in :func:`eig_modes` and then dropped.
 
+Both analyses build their series with :func:`product_antidiagonal_sums`,
+one FFT convolution of each mode shape with its coefficient sequence.
+
 All functions are pure; results are immutable and safe to share across
 threads. Linear-algebra kernels may use threaded BLAS internally, which is
 deterministic for a fixed library and thread count.
@@ -32,12 +35,13 @@ deterministic for a fixed library and thread count.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .stacking import antidiagonal_counts, antidiagonal_sums
+from .stacking import antidiagonal_counts
 
 # Singular values at or below these floors carry no usable signal.
 _SV_ABS_FLOOR = 1e-300
@@ -45,10 +49,10 @@ _SV_RATIO_FLOOR = 1e-12
 
 _EIG_RESIDUAL_RTOL = 1e-8
 
-# Column tile of reconstruct_series: an m x 1024 block is 8 MB at m = 1000.
-# On a 1000 x 4001 window, 1024 columns ran 1.4x faster than 64 or 256
-# (2-vCPU x86-64 VM, 1 OpenBLAS thread); wider tiles gained little more.
-_SERIES_COLUMNS = 1024
+# Modes transformed together by product_antidiagonal_sums. The two spectra
+# of a block are 2 * 64 * 16 bytes per FFT point (10 MB on a 1000 x 4001
+# window), and every MR-DMD bin of rank <= 64 is a single block.
+_SERIES_BLOCK = 64
 
 TRUNC_FIXED = "fixed-rank"
 TRUNC_ENERGY = "energy-fraction"
@@ -297,26 +301,56 @@ def reconstruct_window(result: DmdResult, n_columns: int) -> np.ndarray:
     return result.modes @ (result.amplitudes[:, None] * powers)
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy.fft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def product_antidiagonal_sums(modes: np.ndarray, sequences: Callable[[slice], np.ndarray], width: int) -> np.ndarray:
+    """Anti-diagonal sums of Re(modes @ C), C the r x width rows ``sequences(k)`` gives for mode slices k.
+
+    The sums are Re(sum_k modes[:, k] (*) C[k]), one convolution per mode, taken by FFT
+    ``_SERIES_BLOCK`` modes at a time in O(r * (rows + width) * log); modes @ C is never formed.
+    """
+    rows, r = modes.shape
+    length = rows + width - 1
+    size = _fast_length(length)
+    spectrum = np.zeros(size, dtype=complex)
+    for lo in range(0, r, _SERIES_BLOCK):
+        k = slice(lo, lo + _SERIES_BLOCK)
+        spectrum += np.einsum(
+            "fk,kf->f",
+            np.fft.fft(modes[:, k], size, axis=0),
+            np.fft.fft(sequences(k), size, axis=1),
+        )
+    return np.fft.ifft(spectrum)[:length].real
+
+
 def reconstruct_series(result: DmdResult, n_columns: int) -> np.ndarray:
     """Anti-diagonal average of Re(reconstruct_window(result, n_columns)).
 
-    Equals ``unembed(reconstruct_window(result, n_columns).real)``, a
-    series of length m + n_columns - 1, without forming the m x n window:
-    each tile of ``_SERIES_COLUMNS`` columns is one real product
-    [Re Phi, -Im Phi] @ [Re C; Im C] with C = b lambda^j, and its
-    anti-diagonal sums are added into the series.
+    Equals ``unembed(reconstruct_window(result, n_columns).real)`` up to
+    rounding, without forming the m x n window: the sums are
+    :func:`product_antidiagonal_sums` over the sequences b_k lambda_k^j.
     """
     if n_columns < 1:
         raise ValueError("need at least one column")
-    phi = np.hstack([result.modes.real, -result.modes.imag])
-    m = phi.shape[0]
-    sums = np.zeros(m + n_columns - 1)
-    for j0 in range(0, n_columns, _SERIES_COLUMNS):
-        j = np.arange(j0, min(j0 + _SERIES_COLUMNS, n_columns))
-        c = result.amplitudes[:, None] * _powers(result.eigenvalues, j)
-        tile = phi @ np.vstack([c.real, c.imag])
-        sums[j0 : j0 + m + j.size - 1] += antidiagonal_sums(tile)
-    return sums / antidiagonal_counts(m, n_columns)
+    j = np.arange(n_columns)
+    sums = product_antidiagonal_sums(
+        result.modes, lambda k: result.amplitudes[k, None] * _powers(result.eigenvalues[k], j), n_columns
+    )
+    return sums / antidiagonal_counts(result.modes.shape[0], n_columns)
 
 
 def _hankel_factor(x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:

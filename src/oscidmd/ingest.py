@@ -94,15 +94,17 @@ class SignalRecord:
     def length(self) -> int:
         return self.data.shape[1]
 
-    def channel(self, name: str) -> np.ndarray:
+    def _row(self, name: str) -> int:
         try:
-            row = self.names.index(name)
+            return self.names.index(name)
         except ValueError:
             raise IngestError(f"unknown channel {name!r}; have {self.names}") from None
-        return self.data[row]
+
+    def channel(self, name: str) -> np.ndarray:
+        return self.data[self._row(name)]
 
     def channel_mask(self, name: str) -> np.ndarray:
-        return self.missing_mask[self.names.index(name)]
+        return self.missing_mask[self._row(name)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignalRecord):

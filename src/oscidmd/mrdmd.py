@@ -16,10 +16,11 @@ mode shapes, amplitudes and continuous eigenvalues) and passed down the
 recursion to its descendants. A bin's contribution to its level's series
 is the anti-diagonal sums of its slow reconstruction, which is a sum of
 convolutions of each mode shape with its geometric sequence b_k z_k^j; it
-is taken by FFT, so no bin's m x width reconstruction is formed. The
-primary outputs, ``per_level_series`` and ``series``, cost O(L * (m + n))
-memory. The dense m x n per-level and total reconstructions are rebuilt
-from the node fits only on request, at O(L * m * n) memory.
+is taken by FFT (``dmd.product_antidiagonal_sums``, as for single-window
+DMD), so no bin's m x width reconstruction is formed. The primary outputs,
+``per_level_series`` and ``series``, cost O(L * (m + n)) memory. The dense
+m x n per-level and total reconstructions are rebuilt from the node fits
+only on request, at O(L * m * n) memory.
 
 Per-level bookkeeping (exact in rational arithmetic), with B = 2^(l-1)
 bins of nominal size S = n / B over a window of duration N = n * dt:
@@ -45,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
+from .dmd import product_antidiagonal_sums
 from .modes import ModeReport, reports_from_dmd
 from .stacking import SnapshotMatrix, antidiagonal_counts
 
@@ -221,22 +223,6 @@ def screen_slow(result: DmdResult, rho: float) -> np.ndarray:
     return np.flatnonzero(mags < rho)
 
 
-def _fast_length(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length numpy.fft transforms quickly."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 @dataclass(frozen=True)
 class SlowModes:
     """A bin's slow modes in factored form, analytic at any of its columns.
@@ -278,10 +264,7 @@ class SlowModes:
 
     def at_offsets(self, offsets: np.ndarray) -> np.ndarray:
         """The slow reconstruction at column offsets from the bin start."""
-        offsets = np.asarray(offsets)
-        if self.omega.size == 0:
-            return np.zeros((self.modes.shape[0], offsets.size))
-        tau = self.dt * offsets
+        tau = self.dt * np.asarray(offsets)
         coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
         return (self.modes @ coeff).real
 
@@ -317,22 +300,13 @@ class SlowModes:
         rows x width reconstruction, which is never formed: the sums are
         Re(sum_k modes[:, k] (*) (amplitudes[k] * z_k^j)), one convolution
         of each mode shape with its geometric sequence (z_k =
-        exp(omega_k * dt)), taken by FFT. The cost is
-        O(r_slow * (rows + width) * log) instead of O(rows * width * r_slow).
+        exp(omega_k * dt)), taken by FFT (``dmd.product_antidiagonal_sums``)
+        in O(r_slow * (rows + width) * log) instead of O(rows * width * r_slow).
         """
-        rows = self.modes.shape[0]
-        length = rows + self.width - 1
-        if self.omega.size == 0:
-            return np.zeros(length)
-        size = _fast_length(length)
-        tau = self.dt * np.arange(self.width)
-        sequences = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
-        spectrum = np.einsum(
-            "fk,kf->f",
-            np.fft.fft(self.modes, size, axis=0),
-            np.fft.fft(sequences, size, axis=1),
+        tau = self.dt * np.arange(self.width)[None, :]
+        return product_antidiagonal_sums(
+            self.modes, lambda k: self.amplitudes[k, None] * np.exp(self.omega[k, None] * tau), self.width
         )
-        return np.fft.ifft(spectrum)[:length].real
 
 
 def slow_reconstruction(

@@ -15,15 +15,15 @@ from click.testing import CliRunner
 
 import oscidmd as od
 from oscidmd.cli import (
-    _CHUNK_ROWS,
     RunConfig,
     _analyze_dmd_core,
     _analyze_mrdmd_core,
     _fmt,
     _load_record,
+    _series_lines,
     _time_cells,
+    _write_lines,
     _write_run,
-    _write_series,
     cli,
     run_dmd,
     run_mrdmd,
@@ -231,7 +231,7 @@ def per_cell_csv(header: list[str], rows: int, t0: float, dt: float, *columns) -
 
 
 class TestSeriesFiles:
-    """Shared time cells and chunked writes give the per-cell bytes."""
+    """Shared time cells and one %-format row per line give the per-cell bytes."""
 
     def test_mrdmd_series_files_equal_per_cell_format(self, tmp_path):
         cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, gap_start=1000,
@@ -239,16 +239,15 @@ class TestSeriesFiles:
         assert run_mrdmd(cfg) == 0
         record, _ = _load_record(cfg)
         _, series, result, _, _ = _analyze_mrdmd_core(cfg, record)
-        assert series.size > _CHUNK_ROWS
         raw = record.channel(record.names[0])
         t0, dt = record.t0, record.dt
-        assert (tmp_path / "reconstruction.csv").read_text() == per_cell_csv(
+        assert_same_lines((tmp_path / "reconstruction.csv").read_text(), per_cell_csv(
             ["t", "measured", "reconstructed"], series.size, t0, dt, raw, series
-        )
+        ))
         for l, level_series in enumerate(result.per_level_series, start=1):
-            assert (tmp_path / f"level_{l}.csv").read_text() == per_cell_csv(
+            assert_same_lines((tmp_path / f"level_{l}.csv").read_text(), per_cell_csv(
                 ["t", "reconstructed"], level_series.size, t0, dt, level_series
-            )
+            ))
 
     def test_dmd_reconstruction_equals_per_cell_format(self, tmp_path):
         cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, out_dir=tmp_path)
@@ -257,12 +256,22 @@ class TestSeriesFiles:
         _, series, _, _ = _analyze_dmd_core(cfg, record)
         raw = record.channel(record.names[0])
         cover = min(series.size, raw.size)
-        assert (tmp_path / "reconstruction.csv").read_text() == per_cell_csv(
+        assert_same_lines((tmp_path / "reconstruction.csv").read_text(), per_cell_csv(
             ["t", "measured", "reconstructed"], cover, record.t0, record.dt, raw, series
-        )
+        ))
+
+    def test_edge_values_equal_per_cell_format(self, tmp_path):
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308,
+                           1e-300, 0.1, -2.5])
+        record = tiny_record(values.size)
+        path = tmp_path / "edge.csv"
+        times = _time_cells(record, values.size)
+        _write_lines(path, ["t", "v", "w"], _series_lines(times, values, values[::-1]))
+        want = per_cell_csv(["t", "v", "w"], values.size, 0.0, 1e-3, values, values[::-1])
+        assert path.read_text() == want
 
     def test_long_series_written_in_bounded_memory(self, tmp_path):
-        rows = 50 * _CHUNK_ROWS + 17
+        rows = 204_817
         record = od.SignalRecord(
             names=("x",), data=np.zeros((1, rows)), dt=1e-4, t0=0.5,
             missing_mask=np.zeros((1, rows), dtype=bool),
@@ -272,13 +281,13 @@ class TestSeriesFiles:
         path = tmp_path / "series.csv"
         tracemalloc.start()
         try:
-            _write_series(path, ["t", "v"], times, values)
+            _write_lines(path, ["t", "v"], _series_lines(times, values))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         text = path.read_text()
-        assert text == per_cell_csv(["t", "v"], rows, 0.5, 1e-4, values)
-        # the file is about 10 MB; one chunk's cells and text take about 1 MB
+        assert_same_lines(text, per_cell_csv(["t", "v"], rows, 0.5, 1e-4, values))
+        # the file is about 10 MB; the writer holds one row and the file buffer
         assert len(text) > 8 * peak
 
 

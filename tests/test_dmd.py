@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 
 import oscidmd as od
 from oscidmd.dmd import (
-    _SERIES_COLUMNS,
     DecompositionError,
     TruncationRule,
     ZeroSignalError,
     _hankel_factor,
     _powers,
     _residuals_within_tol,
+    product_antidiagonal_sums,
     reconstruct_series,
 )
+from oscidmd.stacking import antidiagonal_sums
 
 
 def planted_pair(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
@@ -572,11 +573,27 @@ class TestReconstructSeries:
         result, _ = lfo_gapped_dmd
         self.assert_matches_window(result, lfo_gapped_embedded.data.shape[1])
 
-    def test_growing_mode_over_a_partial_last_tile(self):
+    def test_series_peak_below_one_real_window(self, lfo_gapped_embedded, lfo_gapped_dmd):
+        """numpy's tracked peak stays below one real m x n array.
+
+        The FFT blocks hold a bounded number of modes' spectra; a product
+        of the whole window, or one block over every mode, exceeds it.
+        """
+        result, _ = lfo_gapped_dmd
+        m, n = lfo_gapped_embedded.data.shape
+        tracemalloc.start()
+        try:
+            reconstruct_series(result, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8
+
+    def test_growing_mode_over_a_long_window(self):
         modes = [od.ModeSpec(7.0, 2.0, 1.0), od.ModeSpec(3.0, -1.0, 0.5)]
         (x1, x2), rec = planted_pair(modes, fs=500.0, duration=3.0, depth=50)
         n = x1.shape[1] + 1
-        assert n > _SERIES_COLUMNS and n % _SERIES_COLUMNS != 0
+        assert n > 1024
         result = od.dmd(x1, x2, TruncationRule.fixed(4), dt=rec.dt)
         assert np.max(np.abs(result.eigenvalues)) > 1.0
         self.assert_matches_window(result, n)
@@ -586,7 +603,7 @@ class TestReconstructSeries:
         lam = result.eigenvalues.copy()
         lam[0] = 0.0
         zeroed = dataclasses.replace(result, eigenvalues=lam)
-        for n in (1, 2, _SERIES_COLUMNS + 3):
+        for n in (1, 2, 1027):
             self.assert_matches_window(zeroed, n)
         window = od.reconstruct_window(zeroed, 3)
         np.testing.assert_allclose(
@@ -602,3 +619,15 @@ class TestReconstructSeries:
     def test_needs_a_column(self, lfo_clean_dmd):
         with pytest.raises(ValueError):
             reconstruct_series(lfo_clean_dmd[0], 0)
+
+    @pytest.mark.parametrize("r", [0, 1, 64, 65, 150])
+    def test_kernel_matches_dense_product_over_blocks(self, r):
+        """Sums over one, several and partial mode blocks equal the dense product's."""
+        rng = np.random.default_rng(r)
+        rows, width = 37, 211
+        modes = rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
+        coeff = rng.normal(size=(r, width)) + 1j * rng.normal(size=(r, width))
+        got = product_antidiagonal_sums(modes, lambda k: coeff[k], width)
+        want = antidiagonal_sums((modes @ coeff).real)
+        assert got.shape == (rows + width - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)

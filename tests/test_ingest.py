@@ -98,6 +98,17 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="unknown channel"):
             rec.channel("y")
 
+    def test_unknown_channel_mask_lookup_rejected_like_channel(self, tmp_path):
+        path = tmp_path / "ch.csv"
+        write_lines(path, ["x", "1.0", "2.0"])
+        rec = od.load_csv(path, simple_config())
+        messages = []
+        for lookup in (rec.channel, rec.channel_mask):
+            with pytest.raises(IngestError, match="unknown channel") as info:
+                lookup("y")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_non_uniform_time_column_rejected_with_index(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_lines(path, ["t,x", "0.0,1", "1.0,1", "2.0,1", "3.5,1", "4.0,1"])

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 import oscidmd as od
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
-from oscidmd.dmd import TruncationRule
+from oscidmd.dmd import TruncationRule, _fast_length
 from oscidmd.mrdmd import (
     _TILE,
     PlanError,
     SlowModes,
-    _fast_length,
     screen_slow,
     slow_reconstruction,
     subsample,
