@@ -36,6 +36,7 @@ from .dmd import (
 )
 from .mrdmd import (
     DEFAULT_BIN_RULE,
+    BinFit,
     MrdmdNode,
     MrdmdPlan,
     MrdmdResult,
@@ -90,6 +91,7 @@ __all__ = [
     "reduced_operator",
     "svd_truncated",
     "DEFAULT_BIN_RULE",
+    "BinFit",
     "MrdmdNode",
     "MrdmdPlan",
     "MrdmdResult",

@@ -12,15 +12,18 @@ subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts every
 ancestor's slow modes evaluated there; no residual is formed at full
 resolution. Each bin's slow modes are factored once (``SlowModes``: the
-mode shapes, amplitudes and continuous eigenvalues) and passed down the
-recursion to its descendants. A bin's contribution to its level's series
-is the anti-diagonal sums of its slow reconstruction, which is a sum of
-convolutions of each mode shape with its geometric sequence b_k z_k^j; it
-is taken by FFT (``dmd.product_antidiagonal_sums``, as for single-window
-DMD), so no bin's m x width reconstruction is formed. The primary outputs,
-``per_level_series`` and ``series``, cost O(L * (m + n)) memory. The dense
-m x n per-level and total reconstructions are rebuilt from the node fits
-only on request, at O(L * m * n) memory.
+mode shapes, amplitudes and continuous eigenvalues), kept on its node and
+passed down the recursion to its descendants. The node keeps its fit only
+as a ``BinFit`` (eigenvalues, amplitudes, rank and singular values); the
+fit's m x r mode matrix is freed when the bin's recursion returns, so at
+most one per level is alive at a time. A bin's contribution to its level's
+series is the anti-diagonal sums of its slow reconstruction, which is a
+sum of convolutions of each mode shape with its geometric sequence
+b_k z_k^j; it is taken by FFT (``dmd.product_antidiagonal_sums``, as for
+single-window DMD), so no bin's m x width reconstruction is formed. The
+primary outputs, ``per_level_series`` and ``series``, cost O(L * (m + n))
+memory. The dense m x n per-level and total reconstructions are rebuilt
+from the nodes' slow modes only on request, at O(L * m * n) memory.
 
 Per-level bookkeeping (exact in rational arithmetic), with B = 2^(l-1)
 bins of nominal size S = n / B over a window of duration N = n * dt:
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -210,7 +213,7 @@ def subsample(span: tuple[int, int], mu: int) -> np.ndarray:
     return start + quotient + up
 
 
-def screen_slow(result: DmdResult, rho: float) -> np.ndarray:
+def screen_slow(result: DmdResult | BinFit, rho: float) -> np.ndarray:
     """Indices of modes with |ln(lambda)| < rho (strict).
 
     A zero eigenvalue (fully decayed numerical mode) has |ln 0| = inf and
@@ -223,6 +226,25 @@ def screen_slow(result: DmdResult, rho: float) -> np.ndarray:
     return np.flatnonzero(mags < rho)
 
 
+@dataclass(frozen=True, slots=True)
+class BinFit:
+    """A bin's fit without its mode matrix: every ``DmdResult`` field but ``modes``.
+
+    The arrays are the fit's own read-only arrays, not copies.
+    """
+
+    eigenvalues: np.ndarray
+    amplitudes: np.ndarray
+    rank: int
+    rank_clamped: bool
+    singular_values: np.ndarray
+    dt_effective: float
+
+    @classmethod
+    def of(cls, fit: DmdResult) -> "BinFit":
+        return cls(*(getattr(fit, f.name) for f in fields(cls)))
+
+
 @dataclass(frozen=True)
 class SlowModes:
     """A bin's slow modes in factored form, analytic at any of its columns.
@@ -230,8 +252,9 @@ class SlowModes:
     The column at offset j from the bin start is
     Re(sum_k modes[:, k] * amplitudes[k] * exp(omega[k] * dt * j)), with
     omega_k = f_sp * ln(lambda_k) bridging the subsampled eigenvalue
-    interval to the full sample rate. ``modes`` is rows x r_slow; an empty
-    slow set evaluates to zeros.
+    interval to the full sample rate. ``modes`` is rows x r_slow, a copy of
+    the fit's slow columns that keeps no reference to its other modes; an
+    empty slow set evaluates to zeros. The arrays are read-only.
     """
 
     col_span: tuple[int, int]
@@ -239,6 +262,10 @@ class SlowModes:
     amplitudes: np.ndarray
     omega: np.ndarray
     dt: float
+
+    def __post_init__(self) -> None:
+        for field in ("modes", "amplitudes", "omega"):
+            getattr(self, field).setflags(write=False)
 
     @classmethod
     def of(
@@ -250,6 +277,7 @@ class SlowModes:
         f_sp: float,
     ) -> "SlowModes":
         idx = np.asarray(slow_set, dtype=int)
+        # fancy indexing copies, so the slow modes hold no view of the fit's Phi
         return cls(
             col_span=col_span,
             modes=node_dmd.modes[:, idx],
@@ -332,17 +360,20 @@ def slow_reconstruction(
 class MrdmdNode:
     """One (level, bin) analysis unit of the recursion.
 
-    ``f_sp`` is the bin's subsample rate, ``dt`` the full-resolution
-    column interval and ``rows`` the snapshot height; with the fit they
-    make the slow reconstruction analytic at any column of the bin.
+    ``dmd`` is the bin's fit without its mode matrix (None for a bin with
+    no signal energy) and ``slow_modes`` its factored slow modes (None when
+    the bin has none); these are the node's only m-row arrays. ``slow_set``
+    indexes the fit's modes. ``f_sp`` is the bin's subsample rate, ``dt``
+    the full-resolution column interval and ``rows`` the snapshot height.
     """
 
     level: int
     bin_index: int
     col_span: tuple[int, int]
     subsample_indices: np.ndarray
-    dmd: DmdResult | None
+    dmd: BinFit | None
     slow_set: tuple[int, ...]
+    slow_modes: SlowModes | None
     f_sp: float
     dt: float
     rows: int
@@ -357,9 +388,9 @@ class MrdmdNode:
 
         Bit for bit the columns of the full-width product (``SlowModes.at``).
         """
-        if self.dmd is None:
+        if self.slow_modes is None:
             return np.zeros((self.rows, np.asarray(cols).size))
-        return SlowModes.of(self.dmd, self.slow_set, self.col_span, self.dt, self.f_sp).at(cols)
+        return self.slow_modes.at(cols)
 
     @property
     def slow_reconstruction(self) -> np.ndarray:
@@ -375,7 +406,8 @@ class MrdmdResult:
     by anti-diagonal averaging (``stacking.unembed``) and ``series`` the
     sum over levels, each of length rows + n - 1. The dense rows x n
     views ``per_level_reconstruction`` and ``total_reconstruction`` are
-    rebuilt from the node fits on first access and cached read-only.
+    rebuilt from the nodes' ``slow_modes`` on first access and cached
+    read-only.
     """
 
     plan: MrdmdPlan
@@ -394,7 +426,7 @@ class MrdmdResult:
     def _dense(self, levels: range) -> np.ndarray:
         out = np.zeros((self.root.rows, self.plan.n))
         for node in self._nodes():
-            if node.level in levels:
+            if node.level in levels and node.slow_modes is not None:
                 start, stop = node.col_span
                 out[:, start:stop] += node.slow_reconstruction
         out.setflags(write=False)
@@ -425,10 +457,11 @@ def decompose(
     residual is never formed at full resolution: each bin adds the
     anti-diagonal sums of its own slow reconstruction, convolved by FFT
     from its factored slow modes, to its level's series. The factors stay
-    in the lineage passed to its descendants, not on the node, and are
-    dropped when the recursion leaves the bin. When a bin has no signal
-    energy left (fully explained upstream) it contributes zeros and an
-    empty mode list and the recursion continues. Bins of odd width split
+    on the node and in the lineage passed to its descendants; the node
+    keeps the bin's fit only as a ``BinFit``, and the full fit with its
+    m x r mode matrix is freed when the bin returns. When a bin has no
+    signal energy left (fully explained upstream) it contributes zeros and
+    an empty mode list and the recursion continues. Bins of odd width split
     with the larger half first.
     """
     data = snap.data if isinstance(snap, SnapshotMatrix) else np.asarray(snap, dtype=float)
@@ -462,6 +495,7 @@ def decompose(
         except ZeroSignalError:
             fit = None
         slow: tuple[int, ...] = ()
+        own = None
         lineage = ancestors
         if fit is not None:
             slow_idx = screen_slow(fit, mrdmd_plan.rho)
@@ -486,12 +520,18 @@ def decompose(
             bin_index=bin_index,
             col_span=span,
             subsample_indices=cols,
-            dmd=fit,
+            dmd=None if fit is None else BinFit.of(fit),
             slow_set=slow,
+            slow_modes=own,
             f_sp=f_sp,
             dt=dt,
             rows=m,
         )
+        # This frame lives until both halves return: free the bin's input
+        # first. The fit (Phi) is freed on return, not here: freed ahead of
+        # the halves' allocations it let glibc trim the heap and fault it
+        # back in for every bin (3x the page faults on a 1000 x 4000 input).
+        del xsub
         if level == level_count:
             return node
         half = (width + 1) // 2

@@ -77,6 +77,34 @@ def ac_mrdmd():
     return rec, profile, result, reports
 
 
+def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
+    """Yield (node, bin input, refit) for every fitted bin of a decomposition, root first.
+
+    A bin's input is ``data[:, cols]`` at its subsample columns less every
+    ancestor's ``slow_at(cols)``, root first, as ``decompose`` forms it. The
+    refit must reproduce the node's eigenvalues and amplitudes bit for bit,
+    and a zero-signal bin must have no signal energy left.
+    """
+
+    def walk(node, ancestors):
+        cols = node.subsample_indices
+        xsub = data[:, cols]
+        for ancestor in ancestors:
+            xsub -= ancestor.slow_at(cols)
+        if node.dmd is None:
+            with pytest.raises(od.ZeroSignalError):
+                od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / node.f_sp)
+        else:
+            fit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / node.f_sp)
+            assert np.array_equal(fit.eigenvalues, node.dmd.eigenvalues)
+            assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
+            yield node, xsub, fit
+        for child in node.children:
+            yield from walk(child, ancestors + (node,))
+
+    yield from walk(result.root, ())
+
+
 def series_metrics(record, channel: str, series: np.ndarray) -> tuple[float, float]:
     """(rmse, signal_rms) over covered, non-missing samples."""
     raw = record.channel(channel)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
+from conftest import refit_bins
 from oscidmd.modes import (
     DAMPING_CRITICAL,
     DAMPING_DECAYING,
@@ -239,11 +241,13 @@ class TestReportsFromDmd:
             assert r.slow == expected
 
 
-    def test_ic_equals_integral_contribution_bit_for_bit(self, lfo_gapped_mrdmd, lfo_gapped_dmd):
+    def test_ic_equals_integral_contribution_bit_for_bit(
+        self, lfo_gapped_mrdmd, lfo_gapped_embedded, lfo_gapped_dmd
+    ):
         """The per-bin envelope array gives every report the scalar formula's IC."""
         res, _ = lfo_gapped_mrdmd
-        fits = [(node.dmd, res.plan.mu) for node in res._nodes() if node.dmd is not None]
-        fits.append((lfo_gapped_dmd[0], 4000))
+        bins = refit_bins(res, lfo_gapped_embedded.data[:, :4000])
+        fits = itertools.chain(((fit, res.plan.mu) for _, _, fit in bins), [(lfo_gapped_dmd[0], 4000)])
         checked = 0
         for fit, horizon in fits:
             first = {}

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
+from conftest import refit_bins
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.dmd import TruncationRule, _fast_length
 from oscidmd.mrdmd import (
@@ -306,6 +307,15 @@ class TestSlowModesAntidiagonalSums:
             assert not any(smooth(k) for k in range(n, size))
 
 
+class TestSlowModesReadOnly:
+    def test_arrays_reject_writes(self):
+        fit = random_fit(4, EIGENVALUE_CASES["mixed"], seed=3)
+        slow = SlowModes.of(fit, [0, 1, 2], (0, 9), 0.01, 100.0)
+        for arr in (slow.modes, slow.amplitudes, slow.omega):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestSlowAtTiles:
     def test_whole_tile_columns_skip_the_tail_bit_for_bit(self, lfo_gapped_mrdmd):
         """Columns that all lie in whole tiles need not evaluate the bin's last tile."""
@@ -314,7 +324,7 @@ class TestSlowAtTiles:
         for node in res._nodes():
             if not node.slow_set:
                 continue
-            slow = SlowModes.of(node.dmd, node.slow_set, node.col_span, node.dt, node.f_sp)
+            slow = node.slow_modes
             start, stop = node.col_span
             tail = (stop - start) - (stop - start) % _TILE
             for child in node.children:
@@ -486,27 +496,29 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 5 * data.size * 8
 
+    def test_result_retains_no_bin_mode_matrices(self, lfo_gapped_embedded):
+        """A kept result holds each bin's slow modes, not its m x r fit."""
+        data = lfo_gapped_embedded.data[:, :4000]
+        plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
+        tracemalloc.start()
+        try:
+            res = od.decompose(data, plan, DEFAULT_BIN_RULE)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.root.children
+        assert retained < 0.75 * data.size * 8
+
     def test_every_bin_fit_is_the_least_squares_fit(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         """Each bin's reduced-space amplitudes fit its residual first column like lstsq on Phi."""
         res, _ = lfo_gapped_mrdmd
         data = lfo_gapped_embedded.data[:, :4000]
         fits = 0
-
-        def walk(node, ancestors):
-            nonlocal fits
-            cols = node.subsample_indices
-            x1 = data[:, cols[:1]].copy()
-            for ancestor in ancestors:
-                x1 -= ancestor.slow_at(cols[:1])
-            if node.dmd is not None:
-                b = node.dmd.amplitudes
-                want, *_ = np.linalg.lstsq(node.dmd.modes, x1[:, 0].astype(complex), rcond=None)
-                assert np.max(np.abs(b - want)) <= 1e-10 * np.max(np.abs(b))
-                fits += 1
-            for child in node.children:
-                walk(child, ancestors + (node,))
-
-        walk(res.root, ())
+        for node, xsub, fit in refit_bins(res, data):
+            b = node.dmd.amplitudes
+            want, *_ = np.linalg.lstsq(fit.modes, xsub[:, 0].astype(complex), rcond=None)
+            assert np.max(np.abs(b - want)) <= 1e-10 * np.max(np.abs(b))
+            fits += 1
         assert fits == 2**res.plan.termination_level - 1
 
     def test_reports_sorted_by_level_and_bin(self, lfo_gapped_mrdmd):
