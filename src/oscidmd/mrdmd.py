@@ -12,18 +12,20 @@ subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts every
 ancestor's slow modes evaluated there; no residual is formed at full
 resolution. Each bin's slow modes are factored once (``SlowModes``: the
-mode shapes, amplitudes and continuous eigenvalues), kept on its node and
-passed down the recursion to its descendants. The node keeps its fit only
-as a ``BinFit`` (eigenvalues, amplitudes, rank and singular values); the
-fit's m x r mode matrix is freed when the bin's recursion returns, so at
-most one per level is alive at a time. A bin's contribution to its level's
-series is the anti-diagonal sums of its slow reconstruction, which is a
-sum of convolutions of each mode shape with its geometric sequence
-b_k z_k^j; it is taken by FFT (``dmd.product_antidiagonal_sums``, as for
-single-window DMD), so no bin's m x width reconstruction is formed. The
-primary outputs, ``per_level_series`` and ``series``, cost O(L * (m + n))
-memory. The dense m x n per-level and total reconstructions are rebuilt
-from the nodes' slow modes only on request, at O(L * m * n) memory.
+mode shapes, amplitudes and continuous eigenvalues) and passed down the
+recursion, in the lineage tuple, to its descendants; they and the fit's
+m x r mode matrix are freed when the bin's subtree returns, so at most one
+of each per level is alive at a time. The node keeps only the bin's
+geometry, its fit as a ``BinFit`` (eigenvalues, amplitudes, rank and
+singular values) and its slow set: no m-row array. A bin's contribution to
+its level's series is the anti-diagonal sums of its slow reconstruction,
+which is a sum of convolutions of each mode shape with its geometric
+sequence b_k z_k^j; it is taken by FFT (``dmd.product_antidiagonal_sums``,
+as for single-window DMD), so no bin's m x width reconstruction is formed.
+The primary outputs, ``per_level_series`` and ``series``, cost
+O(L * (m + n)) memory. The dense m x n per-level and total reconstructions
+are rebuilt only on request, by walking the recursion again over the kept
+snapshot matrix (one more refit of every bin) at O(L * m * n) memory.
 
 Per-level bookkeeping (exact in rational arithmetic), with B = 2^(l-1)
 bins of nominal size S = n / B over a window of duration N = n * dt:
@@ -41,8 +43,8 @@ ordering any parallel variant must reproduce.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -51,7 +53,7 @@ import numpy as np
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
 from .dmd import product_antidiagonal_sums
 from .modes import ModeReport, reports_from_dmd
-from .stacking import SnapshotMatrix, antidiagonal_counts
+from .stacking import SnapshotMatrix, _read_only_float, antidiagonal_counts
 
 _MAX_DT_DENOMINATOR = 10**9
 
@@ -264,8 +266,8 @@ class SlowModes:
     dt: float
 
     def __post_init__(self) -> None:
-        for field in ("modes", "amplitudes", "omega"):
-            getattr(self, field).setflags(write=False)
+        for name in ("modes", "amplitudes", "omega"):
+            getattr(self, name).setflags(write=False)
 
     @classmethod
     def of(
@@ -361,10 +363,10 @@ class MrdmdNode:
     """One (level, bin) analysis unit of the recursion.
 
     ``dmd`` is the bin's fit without its mode matrix (None for a bin with
-    no signal energy) and ``slow_modes`` its factored slow modes (None when
-    the bin has none); these are the node's only m-row arrays. ``slow_set``
-    indexes the fit's modes. ``f_sp`` is the bin's subsample rate, ``dt``
-    the full-resolution column interval and ``rows`` the snapshot height.
+    no signal energy) and ``slow_set`` indexes the fit's slow modes.
+    ``f_sp`` is the bin's subsample rate and ``dt`` the full-resolution
+    column interval. A node holds no m-row array: the bin's slow modes
+    live on the recursion stack only while its descendants are fitted.
     """
 
     level: int
@@ -373,113 +375,37 @@ class MrdmdNode:
     subsample_indices: np.ndarray
     dmd: BinFit | None
     slow_set: tuple[int, ...]
-    slow_modes: SlowModes | None
     f_sp: float
     dt: float
-    rows: int
     children: tuple["MrdmdNode", ...] = ()
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
-    def slow_at(self, cols: np.ndarray) -> np.ndarray:
-        """Slow reconstruction at absolute snapshot columns inside the bin.
 
-        Bit for bit the columns of the full-width product (``SlowModes.at``).
-        """
-        if self.slow_modes is None:
-            return np.zeros((self.rows, np.asarray(cols).size))
-        return self.slow_modes.at(cols)
-
-    @property
-    def slow_reconstruction(self) -> np.ndarray:
-        """The bin's slow reconstruction at full resolution (rows x width)."""
-        return self.slow_at(np.arange(*self.col_span))
-
-
-@dataclass(frozen=True)
-class MrdmdResult:
-    """Full decomposition: node tree, modes, per-level and total series.
-
-    ``per_level_series[l - 1]`` is level l's slow reconstruction collapsed
-    by anti-diagonal averaging (``stacking.unembed``) and ``series`` the
-    sum over levels, each of length rows + n - 1. The dense rows x n
-    views ``per_level_reconstruction`` and ``total_reconstruction`` are
-    rebuilt from the nodes' ``slow_modes`` on first access and cached
-    read-only.
-    """
-
-    plan: MrdmdPlan
-    root: MrdmdNode
-    all_modes: tuple[ModeReport, ...]
-    per_level_series: tuple[np.ndarray, ...]
-    series: np.ndarray
-
-    def _nodes(self) -> Iterator[MrdmdNode]:
-        """Every node, level by level and left to right within a level."""
-        level = [self.root]
-        while level:
-            yield from level
-            level = [child for node in level for child in node.children]
-
-    def _dense(self, levels: range) -> np.ndarray:
-        out = np.zeros((self.root.rows, self.plan.n))
-        for node in self._nodes():
-            if node.level in levels and node.slow_modes is not None:
-                start, stop = node.col_span
-                out[:, start:stop] += node.slow_reconstruction
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def per_level_reconstruction(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            self._dense(range(l, l + 1)) for l in range(1, self.plan.termination_level + 1)
-        )
-
-    @cached_property
-    def total_reconstruction(self) -> np.ndarray:
-        # level by level, so each entry sums as zeros + layer 1 + layer 2 + ...
-        return self._dense(range(1, self.plan.termination_level + 1))
-
-
-def decompose(
-    snap: SnapshotMatrix | np.ndarray,
+def _walk(
+    data: np.ndarray,
     mrdmd_plan: MrdmdPlan,
-    rule: TruncationRule = DEFAULT_BIN_RULE,
-) -> MrdmdResult:
-    """Run the multi-resolution recursion over a snapshot matrix.
+    rule: TruncationRule,
+    visit: Callable[[MrdmdNode, DmdResult | None, SlowModes | None], None],
+) -> MrdmdNode:
+    """The recursion over ``data``; returns the root of its node tree.
 
-    Depth-first per bin: gather the bin's mu subsample columns, subtract
+    Depth first per bin: gather the bin's mu subsample columns, subtract
     every ancestor's slow modes evaluated at those columns (root first),
-    decompose, screen slow modes, then recurse into both halves. The
-    residual is never formed at full resolution: each bin adds the
-    anti-diagonal sums of its own slow reconstruction, convolved by FFT
-    from its factored slow modes, to its level's series. The factors stay
-    on the node and in the lineage passed to its descendants; the node
-    keeps the bin's fit only as a ``BinFit``, and the full fit with its
-    m x r mode matrix is freed when the bin returns. When a bin has no
-    signal energy left (fully explained upstream) it contributes zeros and
-    an empty mode list and the recursion continues. Bins of odd width split
-    with the larger half first.
+    decompose, screen slow modes, then call ``visit`` with the bin's
+    childless node, its fit (None when it has no signal energy left) and
+    its slow modes (None when it has none), and recurse into both halves.
+    Bins of odd width split with the larger half first. The lineage of
+    slow modes is a tuple passed down the recursion: a bin's ``SlowModes``
+    and its fit, with the fit's m x r mode matrix, are freed when the bin's
+    subtree returns, so at most one of each per level is alive at a time.
+    The same input gives the same fits, bit for bit, on every walk.
     """
-    data = snap.data if isinstance(snap, SnapshotMatrix) else np.asarray(snap, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("snapshot data must be 2-D")
-    m, n = data.shape
-    if n != mrdmd_plan.n:
-        raise ValueError(f"snapshot matrix has {n} columns but the plan expects {mrdmd_plan.n}")
-    if isinstance(snap, SnapshotMatrix) and abs(snap.dt - mrdmd_plan.dt) > 1e-9 * mrdmd_plan.dt:
-        raise ValueError(
-            f"snapshot interval {snap.dt!r} disagrees with the plan interval {mrdmd_plan.dt!r}"
-        )
-
     dt = mrdmd_plan.dt
     mu = mrdmd_plan.mu
     level_count = mrdmd_plan.termination_level
-    level_sums = np.zeros((level_count, m + n - 1))
-    reports: list[ModeReport] = []
 
     def recurse(
         start: int, width: int, level: int, bin_index: int, ancestors: tuple[SlowModes, ...]
@@ -496,25 +422,11 @@ def decompose(
             fit = None
         slow: tuple[int, ...] = ()
         own = None
-        lineage = ancestors
         if fit is not None:
             slow_idx = screen_slow(fit, mrdmd_plan.rho)
             slow = tuple(int(k) for k in slow_idx)
             if slow:
                 own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
-                level_sums[level - 1, start : start + m + width - 1] += own.antidiagonal_sums()
-                # a bin without slow modes subtracts nothing from its descendants
-                lineage = ancestors + (own,)
-            reports.extend(
-                reports_from_dmd(
-                    fit,
-                    f_sp=f_sp,
-                    horizon_steps=mu,
-                    level=level,
-                    bin_index=bin_index,
-                    slow_set=set(slow),
-                )
-            )
         node = MrdmdNode(
             level=level,
             bin_index=bin_index,
@@ -522,11 +434,10 @@ def decompose(
             subsample_indices=cols,
             dmd=None if fit is None else BinFit.of(fit),
             slow_set=slow,
-            slow_modes=own,
             f_sp=f_sp,
             dt=dt,
-            rows=m,
         )
+        visit(node, fit, own)
         # This frame lives until both halves return: free the bin's input
         # first. The fit (Phi) is freed on return, not here: freed ahead of
         # the halves' allocations it let glibc trim the heap and fault it
@@ -534,6 +445,8 @@ def decompose(
         del xsub
         if level == level_count:
             return node
+        # a bin without slow modes subtracts nothing from its descendants
+        lineage = ancestors if own is None else ancestors + (own,)
         half = (width + 1) // 2
         return replace(
             node,
@@ -543,7 +456,125 @@ def decompose(
             ),
         )
 
-    root = recurse(0, n, 1, 0, ())
+    return recurse(0, mrdmd_plan.n, 1, 0, ())
+
+
+@dataclass(frozen=True)
+class MrdmdResult:
+    """Full decomposition: node tree, modes, per-level and total series.
+
+    ``per_level_series[l - 1]`` is level l's slow reconstruction collapsed
+    by anti-diagonal averaging (``stacking.unembed``) and ``series`` the
+    sum over levels, each of length rows + n - 1. ``data`` is the
+    read-only snapshot matrix that was decomposed and ``rule`` the bins'
+    truncation rule. The dense rows x n views ``per_level_reconstruction``
+    and ``total_reconstruction`` are rebuilt on first access by walking the
+    recursion again over ``data``: every bin is refitted bit for bit and
+    adds its slow reconstruction over its span. Each view costs one more
+    walk and O(L * m * n) memory, and is cached read-only.
+    """
+
+    plan: MrdmdPlan
+    root: MrdmdNode
+    all_modes: tuple[ModeReport, ...]
+    per_level_series: tuple[np.ndarray, ...]
+    series: np.ndarray
+    data: np.ndarray = field(repr=False)
+    rule: TruncationRule
+
+    def _nodes(self) -> Iterator[MrdmdNode]:
+        """Every node, level by level and left to right within a level."""
+        level = [self.root]
+        while level:
+            yield from level
+            level = [child for node in level for child in node.children]
+
+    def _dense(self, per_level: bool) -> tuple[np.ndarray, ...]:
+        """One refitting walk that adds each bin's slow reconstruction to its layer.
+
+        The walk visits a bin's ancestors before it, so each entry of the
+        total sums as zeros + layer 1 + layer 2 + ...
+        """
+        layers = tuple(
+            np.zeros(self.data.shape) for _ in range(self.plan.termination_level if per_level else 1)
+        )
+
+        def add(node: MrdmdNode, fit: DmdResult | None, own: SlowModes | None) -> None:
+            if own is not None:
+                start, stop = node.col_span
+                layers[node.level - 1 if per_level else 0][:, start:stop] += own.at(
+                    np.arange(start, stop)
+                )
+
+        _walk(self.data, self.plan, self.rule, add)
+        for layer in layers:
+            layer.setflags(write=False)
+        return layers
+
+    @cached_property
+    def per_level_reconstruction(self) -> tuple[np.ndarray, ...]:
+        return self._dense(per_level=True)
+
+    @cached_property
+    def total_reconstruction(self) -> np.ndarray:
+        return self._dense(per_level=False)[0]
+
+
+def decompose(
+    snap: SnapshotMatrix | np.ndarray,
+    mrdmd_plan: MrdmdPlan,
+    rule: TruncationRule = DEFAULT_BIN_RULE,
+) -> MrdmdResult:
+    """Run the multi-resolution recursion over a snapshot matrix.
+
+    The recursion is ``_walk``. The residual is never formed at full
+    resolution: each bin adds the anti-diagonal sums of its own slow
+    reconstruction, convolved by FFT from its factored slow modes, to its
+    level's series, and its mode reports to the mode list. No bin's slow
+    modes or mode matrix outlive its subtree; its node keeps the fit only as
+    a ``BinFit``. When a bin has no signal energy left (fully explained
+    upstream) it contributes zeros and an empty mode list and the recursion
+    continues.
+
+    The result keeps the snapshot matrix for the dense views: a read-only
+    float array as given (``SnapshotMatrix`` data, or a view of it), and
+    anything else as a read-only copy, so that later writes by the caller
+    cannot change what the views rebuild.
+    """
+    data = snap.data if isinstance(snap, SnapshotMatrix) else snap
+    if not _read_only_float(data):
+        data = np.array(data, dtype=float)
+        data.setflags(write=False)
+    if data.ndim != 2:
+        raise ValueError("snapshot data must be 2-D")
+    m, n = data.shape
+    if n != mrdmd_plan.n:
+        raise ValueError(f"snapshot matrix has {n} columns but the plan expects {mrdmd_plan.n}")
+    if isinstance(snap, SnapshotMatrix) and abs(snap.dt - mrdmd_plan.dt) > 1e-9 * mrdmd_plan.dt:
+        raise ValueError(
+            f"snapshot interval {snap.dt!r} disagrees with the plan interval {mrdmd_plan.dt!r}"
+        )
+
+    level_sums = np.zeros((mrdmd_plan.termination_level, m + n - 1))
+    reports: list[ModeReport] = []
+
+    def collect(node: MrdmdNode, fit: DmdResult | None, own: SlowModes | None) -> None:
+        if own is not None:
+            start, stop = node.col_span
+            level_sums[node.level - 1, start : stop + m - 1] += own.antidiagonal_sums()
+        if fit is not None:
+            reports.extend(
+                reports_from_dmd(
+                    fit,
+                    f_sp=node.f_sp,
+                    horizon_steps=mrdmd_plan.mu,
+                    level=node.level,
+                    bin_index=node.bin_index,
+                    slow_set=set(node.slow_set),
+                )
+            )
+
+    root = _walk(data, mrdmd_plan, rule, collect)
     counts = antidiagonal_counts(m, n)
     per_level_series = tuple(sums / counts for sums in level_sums)
     series = level_sums.sum(axis=0) / counts
@@ -556,4 +587,6 @@ def decompose(
         all_modes=ordered,
         per_level_series=per_level_series,
         series=series,
+        data=data,
+        rule=rule,
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oscidmd as od
-from oscidmd.mrdmd import DEFAULT_BIN_RULE
+from oscidmd.mrdmd import DEFAULT_BIN_RULE, SlowModes
 
 GAP_START = 2000
 GAP_LENGTH = 250  # 0.1 s at 2500 Hz
@@ -78,10 +78,13 @@ def ac_mrdmd():
 
 
 def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
-    """Yield (node, bin input, refit) for every fitted bin of a decomposition, root first.
+    """Yield (node, bin input, refit, slow modes) for every fitted bin of a decomposition, root first.
 
     A bin's input is ``data[:, cols]`` at its subsample columns less every
-    ancestor's ``slow_at(cols)``, root first, as ``decompose`` forms it. The
+    fitted ancestor's slow modes at ``cols``, root first, as ``decompose``
+    forms it. Each bin's slow modes are built here from its own refit,
+    ``SlowModes.of(refit, node.slow_set, node.col_span, node.dt,
+    node.f_sp)``, so the lineage is independent of the decomposition's. The
     refit must reproduce the node's eigenvalues and amplitudes bit for bit,
     and a zero-signal bin must have no signal energy left.
     """
@@ -90,7 +93,8 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
         cols = node.subsample_indices
         xsub = data[:, cols]
         for ancestor in ancestors:
-            xsub -= ancestor.slow_at(cols)
+            xsub -= ancestor.at(cols)
+        lineage = ancestors
         if node.dmd is None:
             with pytest.raises(od.ZeroSignalError):
                 od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / node.f_sp)
@@ -98,9 +102,11 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
             fit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / node.f_sp)
             assert np.array_equal(fit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
-            yield node, xsub, fit
+            slow = SlowModes.of(fit, node.slow_set, node.col_span, node.dt, node.f_sp)
+            yield node, xsub, fit, slow
+            lineage = ancestors + (slow,)
         for child in node.children:
-            yield from walk(child, ancestors + (node,))
+            yield from walk(child, lineage)
 
     yield from walk(result.root, ())
 

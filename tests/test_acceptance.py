@@ -20,7 +20,7 @@ from oscidmd.cli import RunConfig, run_compare, run_dmd, run_mrdmd
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.dmd import TruncationRule
 from oscidmd.mrdmd import screen_slow
-from conftest import GAP_LENGTH, GAP_START, series_metrics
+from conftest import GAP_LENGTH, GAP_START, refit_bins, series_metrics
 
 
 def _verdict(cid: str, ok: bool, detail: str = "") -> None:
@@ -266,7 +266,8 @@ class TestC6PropertySuites:
             snap = od.delay_embed(rec, "signal", 6)
             width = int(rng.integers(180, snap.shape[1]))
             plan = od.plan(width, rec.dt, mu=8, g=4)
-            res = od.decompose(snap.data[:, :width], plan, TruncationRule.energy(0.999))
+            rule = TruncationRule.energy(0.999)
+            res = od.decompose(snap.data[:, :width], plan, rule)
             total = np.zeros_like(res.total_reconstruction)
             for layer in res.per_level_reconstruction:
                 total += layer
@@ -278,14 +279,9 @@ class TestC6PropertySuites:
                 ok &= np.max(np.abs(series - want)) <= 1e-12 * np.max(np.abs(want))
 
             placed = np.zeros_like(total)
-
-            def place(node):
+            for node, _, _, slow in refit_bins(res, snap.data[:, :width], rule):
                 start, stop = node.col_span
-                placed[:, start:stop] += node.slow_reconstruction
-                for child in node.children:
-                    place(child)
-
-            place(res.root)
+                placed[:, start:stop] += slow.at(np.arange(start, stop))
             ok &= np.allclose(placed, total, rtol=0, atol=1e-12)
             if not ok:
                 break

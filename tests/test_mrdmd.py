@@ -317,14 +317,13 @@ class TestSlowModesReadOnly:
 
 
 class TestSlowAtTiles:
-    def test_whole_tile_columns_skip_the_tail_bit_for_bit(self, lfo_gapped_mrdmd):
+    def test_whole_tile_columns_skip_the_tail_bit_for_bit(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         """Columns that all lie in whole tiles need not evaluate the bin's last tile."""
         res, _ = lfo_gapped_mrdmd
         checked = 0
-        for node in res._nodes():
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
             if not node.slow_set:
                 continue
-            slow = node.slow_modes
             start, stop = node.col_span
             tail = (stop - start) - (stop - start) % _TILE
             for child in node.children:
@@ -339,20 +338,20 @@ class TestSlowAtTiles:
                     checked += 1
         assert checked > 100
 
-    def test_any_columns_match_the_full_width_product(self, lfo_gapped_mrdmd):
+    def test_any_columns_match_the_full_width_product(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         res, _ = lfo_gapped_mrdmd
         rng = np.random.default_rng(7)
-        for node in res._nodes():
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
             if not node.slow_set or node.level > 5:
                 continue
-            full = node.slow_reconstruction
             start, stop = node.col_span
+            full = slow.at(np.arange(start, stop))
             for size in (1, 7, 16, 23):
                 cols = np.sort(rng.choice(np.arange(start, stop), size=size, replace=False))
-                assert np.array_equal(node.slow_at(cols), full[:, cols - start])
+                assert np.array_equal(slow.at(cols), full[:, cols - start])
             # the bin's last, partial tile only
             cols = np.arange(stop - 3, stop)
-            assert np.array_equal(node.slow_at(cols), full[:, cols - start])
+            assert np.array_equal(slow.at(cols), full[:, cols - start])
 
 
 class TestDecompose:
@@ -438,17 +437,21 @@ class TestDecompose:
             total += layer
         assert np.array_equal(total, res.total_reconstruction)
 
-    def test_node_reconstructions_tile_levels(self, lfo_gapped_mrdmd):
+    def test_node_reconstructions_tile_levels(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         res, _ = lfo_gapped_mrdmd
-
-        def walk(node):
+        tiled = 0
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
             layer = res.per_level_reconstruction[node.level - 1]
             start, stop = node.col_span
-            assert np.array_equal(layer[:, start:stop], node.slow_reconstruction)
-            for child in node.children:
-                walk(child)
-
-        walk(res.root)
+            assert np.array_equal(layer[:, start:stop], slow.at(np.arange(start, stop)))
+            tiled += 1
+        # a zero-signal bin adds nothing to its layer
+        for node in res._nodes():
+            if node.dmd is None:
+                start, stop = node.col_span
+                assert not res.per_level_reconstruction[node.level - 1][:, start:stop].any()
+                tiled += 1
+        assert tiled == 2**res.plan.termination_level - 1
 
     def test_residual_passing_bit_exact(self):
         """Each node's fit is reproducible from the parent residual slice."""
@@ -462,6 +465,7 @@ class TestDecompose:
         plan = od.plan(504, rec.dt, mu=8, g=4)
         rule = TruncationRule.energy(0.999)
         res = od.decompose(data, plan, rule)
+        lineage = {(node.level, node.bin_index): slow for node, _, _, slow in refit_bins(res, data, rule)}
 
         def walk(node, block):
             width = block.shape[1]
@@ -474,7 +478,9 @@ class TestDecompose:
             recon = slow_reconstruction(
                 refit, np.array(node.slow_set, dtype=int), (0, width), plan.dt, f_sp
             )
-            assert np.array_equal(recon, node.slow_reconstruction)
+            start, stop = node.col_span
+            assert np.array_equal(recon, lineage[node.level, node.bin_index].at(np.arange(start, stop)))
+            assert np.array_equal(recon, res.per_level_reconstruction[node.level - 1][:, start:stop])
             residual = block - recon
             if node.children:
                 half = (width + 1) // 2
@@ -496,8 +502,20 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 5 * data.size * 8
 
+    def test_peak_memory_under_a_fifth_of_the_matrix(self, lfo_gapped_embedded):
+        """No bin's slow modes or fit outlive its subtree, so the recursion stays small."""
+        data = lfo_gapped_embedded.data[:, :4000]
+        plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
+        tracemalloc.start()
+        try:
+            od.decompose(data, plan, DEFAULT_BIN_RULE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * data.size * 8
+
     def test_result_retains_no_bin_mode_matrices(self, lfo_gapped_embedded):
-        """A kept result holds each bin's slow modes, not its m x r fit."""
+        """A kept result holds no bin's m x r fit and no bin's slow-mode columns."""
         data = lfo_gapped_embedded.data[:, :4000]
         plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
         tracemalloc.start()
@@ -507,14 +525,45 @@ class TestDecompose:
         finally:
             tracemalloc.stop()
         assert res.root.children
-        assert retained < 0.75 * data.size * 8
+        assert retained < 0.1 * data.size * 8
+
+    def test_read_only_input_is_kept_without_a_copy(self, lfo_gapped_embedded):
+        """The CLI's read-only slice of the Hankel view is kept as given."""
+        snap = lfo_gapped_embedded
+        n = snap.shape[1] - 1  # the last column is reserved for the shifted pair
+        plan = od.plan(n, snap.dt, mu=16, g=4)
+        tracemalloc.start()
+        try:
+            res = od.decompose(snap.data[:, :n], plan, DEFAULT_BIN_RULE)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(res.data, snap.data)
+        assert retained < 0.1 * snap.shape[0] * n * 8
+
+    def test_writes_to_the_input_do_not_reach_the_dense_views(self):
+        """A writable input is kept as a read-only copy, so the rebuild sees what was decomposed."""
+        rec = od.generate(
+            [od.ModeSpec(3.0, 0.0, 1.0), od.ModeSpec(11.0, -0.5, 0.6)],
+            dc=1.0, fs=64.0, duration=8.0, noise_std=0.05, seed=5,
+        )
+        snap = od.delay_embed(rec, "signal", 8)
+        plan = od.plan(504, rec.dt, mu=8, g=4)
+        rule = TruncationRule.energy(0.999)
+        data = np.array(snap.data[:, :504])
+        res = od.decompose(data, plan, rule)
+        data[:, 100:300] = 0.0
+        untouched = od.decompose(np.array(snap.data[:, :504]), plan, rule)
+        assert not res.data.flags.writeable
+        assert untouched.total_reconstruction.any()
+        assert res.total_reconstruction.tobytes() == untouched.total_reconstruction.tobytes()
 
     def test_every_bin_fit_is_the_least_squares_fit(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         """Each bin's reduced-space amplitudes fit its residual first column like lstsq on Phi."""
         res, _ = lfo_gapped_mrdmd
         data = lfo_gapped_embedded.data[:, :4000]
         fits = 0
-        for node, xsub, fit in refit_bins(res, data):
+        for node, xsub, fit, _ in refit_bins(res, data):
             b = node.dmd.amplitudes
             want, *_ = np.linalg.lstsq(fit.modes, xsub[:, 0].astype(complex), rcond=None)
             assert np.max(np.abs(b - want)) <= 1e-10 * np.max(np.abs(b))
