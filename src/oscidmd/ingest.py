@@ -150,6 +150,25 @@ def _parse_cell(text: str, row: int, col: str) -> tuple[float, bool]:
     return value, False
 
 
+def _parse_column(rows: list[list[str]], c: int, values: np.ndarray, mask: np.ndarray) -> bool:
+    """Parse column c of every row into values and mask as :func:`_parse_cell` does.
+
+    False, with values and mask partly written, when a cell is unparseable
+    or non-finite; :func:`_parse_cell` then finds and reports it.
+    """
+    cells = [row[c].strip() for row in rows]
+    try:
+        values[:] = [float(s or "nan") for s in cells]
+    except ValueError:
+        return False
+    np.isnan(values, out=mask)
+    for i in np.flatnonzero(mask).tolist():
+        if cells[i] and cells[i].lower() != "nan":
+            return False
+    values[mask] = 0.0
+    return bool(np.isfinite(values).all())
+
+
 def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
     """Read a CSV file into a :class:`SignalRecord`.
 
@@ -195,13 +214,17 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
 
     values = np.empty((ncols, len(data_rows)))
     mask = np.zeros((ncols, len(data_rows)), dtype=bool)
-    for i, row in enumerate(data_rows):
-        for c, cell in enumerate(row):
-            v, missing = _parse_cell(cell, i, names[c])
-            if missing and c == time_idx:
-                raise IngestError(f"row {i}: time column cannot have missing samples")
-            values[c, i] = v
-            mask[c, i] = missing
+    if not all(_parse_column(data_rows, c, values[c], mask[c]) for c in range(ncols)) or (
+        time_idx is not None and mask[time_idx].any()
+    ):
+        # the cell by cell pass reports the first problem in row-major order
+        for i, row in enumerate(data_rows):
+            for c, cell in enumerate(row):
+                v, missing = _parse_cell(cell, i, names[c])
+                if missing and c == time_idx:
+                    raise IngestError(f"row {i}: time column cannot have missing samples")
+                values[c, i] = v
+                mask[c, i] = missing
 
     if time_idx is not None:
         t = values[time_idx]

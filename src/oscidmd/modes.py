@@ -10,6 +10,7 @@ analysis horizon and drives the dominant-mode ranking.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,12 @@ def reports_from_dmd(
     """
     if horizon_steps < 1:
         raise ValueError("horizon must be at least one step")
-    lams = [complex(lam) for lam in result.eigenvalues]
+    if not f_sp > 0:
+        raise ValueError("subsample frequency must be positive")
+    lams = result.eigenvalues.tolist()
     # Python abs, as integral_contribution takes it: np.abs can differ in the last bit
-    envelopes = _envelopes(np.array([abs(lam) for lam in lams]), horizon_steps)
+    envelopes = _envelopes(np.array([abs(lam) for lam in lams]), horizon_steps).tolist()
+    amplitude_mags = [abs(b) for b in result.amplitudes.tolist()]
     last = len(lams) - 1
     pair = [k < last and lam.imag > 0 and lams[k + 1] == lam.conjugate() for k, lam in enumerate(lams)]
     kept = [k for k, lam in enumerate(lams) if lam != 0 and not (k > 0 and pair[k - 1])]
@@ -117,21 +121,21 @@ def reports_from_dmd(
     reports: list[ModeReport] = []
     for k, col in zip(kept, cols):
         lam = lams[k]
-        omega = to_continuous(lam, f_sp)
+        omega = f_sp * cmath.log(lam)  # to_continuous, its checks made above
+        re, im = col.real, col.imag
+        # positional: keywords cost a frozen dataclass about 1 us more per report
         reports.append(
             ModeReport(
-                level=level,
-                bin_index=bin_index,
-                eigenvalue=lam,
-                omega=omega,
-                frequency_hz=abs(omega.imag) / (2.0 * np.pi),
-                growth_rate=omega.real,
-                amplitude_mag=float(abs(result.amplitudes[k])),
-                integral_contribution=float(np.sqrt(col.real.dot(col.real) + col.imag.dot(col.imag)))
-                * abs(complex(result.amplitudes[k]))
-                * float(envelopes[k]),
-                pair=pair[k],
-                slow=None if slow_set is None else k in slow_set,
+                level,
+                bin_index,
+                lam,
+                omega,
+                abs(omega.imag) / (2.0 * math.pi),  # frequency_hz
+                omega.real,  # growth_rate
+                amplitude_mags[k],
+                math.sqrt(re.dot(re) + im.dot(im)) * amplitude_mags[k] * envelopes[k],  # integral_contribution
+                pair[k],
+                None if slow_set is None else k in slow_set,  # slow
             )
         )
     return reports

@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -244,7 +245,9 @@ class BinFit:
 
     @classmethod
     def of(cls, fit: DmdResult) -> "BinFit":
-        return cls(*(getattr(fit, f.name) for f in fields(cls)))
+        return cls(
+            fit.eigenvalues, fit.amplitudes, fit.rank, fit.rank_clamped, fit.singular_values, fit.dt_effective
+        )
 
 
 @dataclass(frozen=True)
@@ -388,20 +391,24 @@ def _walk(
     data: np.ndarray,
     mrdmd_plan: MrdmdPlan,
     rule: TruncationRule,
-    visit: Callable[[MrdmdNode, DmdResult | None, SlowModes | None], None],
+    visit: Callable[
+        [int, int, tuple[int, int], float, tuple[int, ...], DmdResult | None, SlowModes | None], None
+    ],
 ) -> MrdmdNode:
     """The recursion over ``data``; returns the root of its node tree.
 
     Depth first per bin: gather the bin's mu subsample columns, subtract
     every ancestor's slow modes evaluated at those columns (root first),
-    decompose, screen slow modes, then call ``visit`` with the bin's
-    childless node, its fit (None when it has no signal energy left) and
-    its slow modes (None when it has none), and recurse into both halves.
-    Bins of odd width split with the larger half first. The lineage of
-    slow modes is a tuple passed down the recursion: a bin's ``SlowModes``
-    and its fit, with the fit's m x r mode matrix, are freed when the bin's
-    subtree returns, so at most one of each per level is alive at a time.
-    The same input gives the same fits, bit for bit, on every walk.
+    decompose, screen slow modes, then call
+    ``visit(level, bin_index, col_span, f_sp, slow_set, fit, slow_modes)``
+    with the bin's fit (None when it has no signal energy left) and its
+    slow modes (None when it has none), and recurse into both halves. The
+    bin's node is built once its halves' nodes are. Bins of odd width split
+    with the larger half first. The lineage of slow modes is a tuple passed
+    down the recursion: a bin's ``SlowModes`` and its fit, with the fit's
+    m x r mode matrix, are freed when the bin's subtree returns, so at most
+    one of each per level is alive at a time. The same input gives the same
+    fits, bit for bit, on every walk.
     """
     dt = mrdmd_plan.dt
     mu = mrdmd_plan.mu
@@ -424,10 +431,25 @@ def _walk(
         own = None
         if fit is not None:
             slow_idx = screen_slow(fit, mrdmd_plan.rho)
-            slow = tuple(int(k) for k in slow_idx)
+            slow = tuple(slow_idx.tolist())
             if slow:
                 own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
-        node = MrdmdNode(
+        visit(level, bin_index, span, f_sp, slow, fit, own)
+        # This frame lives until both halves return: free the bin's input
+        # first. The fit (Phi) is freed on return, not here: freed ahead of
+        # the halves' allocations it let glibc trim the heap and fault it
+        # back in for every bin (3x the page faults on a 1000 x 4000 input).
+        del xsub
+        children: tuple[MrdmdNode, ...] = ()
+        if level < level_count:
+            # a bin without slow modes subtracts nothing from its descendants
+            lineage = ancestors if own is None else ancestors + (own,)
+            half = (width + 1) // 2
+            children = (
+                recurse(start, half, level + 1, 2 * bin_index, lineage),
+                recurse(start + half, width - half, level + 1, 2 * bin_index + 1, lineage),
+            )
+        return MrdmdNode(
             level=level,
             bin_index=bin_index,
             col_span=span,
@@ -436,24 +458,7 @@ def _walk(
             slow_set=slow,
             f_sp=f_sp,
             dt=dt,
-        )
-        visit(node, fit, own)
-        # This frame lives until both halves return: free the bin's input
-        # first. The fit (Phi) is freed on return, not here: freed ahead of
-        # the halves' allocations it let glibc trim the heap and fault it
-        # back in for every bin (3x the page faults on a 1000 x 4000 input).
-        del xsub
-        if level == level_count:
-            return node
-        # a bin without slow modes subtracts nothing from its descendants
-        lineage = ancestors if own is None else ancestors + (own,)
-        half = (width + 1) // 2
-        return replace(
-            node,
-            children=(
-                recurse(start, half, level + 1, 2 * bin_index, lineage),
-                recurse(start + half, width - half, level + 1, 2 * bin_index + 1, lineage),
-            ),
+            children=children,
         )
 
     return recurse(0, mrdmd_plan.n, 1, 0, ())
@@ -499,12 +504,18 @@ class MrdmdResult:
             np.zeros(self.data.shape) for _ in range(self.plan.termination_level if per_level else 1)
         )
 
-        def add(node: MrdmdNode, fit: DmdResult | None, own: SlowModes | None) -> None:
+        def add(
+            level: int,
+            bin_index: int,
+            span: tuple[int, int],
+            f_sp: float,
+            slow: tuple[int, ...],
+            fit: DmdResult | None,
+            own: SlowModes | None,
+        ) -> None:
             if own is not None:
-                start, stop = node.col_span
-                layers[node.level - 1 if per_level else 0][:, start:stop] += own.at(
-                    np.arange(start, stop)
-                )
+                start, stop = span
+                layers[level - 1 if per_level else 0][:, start:stop] += own.at(np.arange(start, stop))
 
         _walk(self.data, self.plan, self.rule, add)
         for layer in layers:
@@ -556,21 +567,30 @@ def decompose(
         )
 
     level_sums = np.zeros((mrdmd_plan.termination_level, m + n - 1))
-    reports: list[ModeReport] = []
+    # the walk visits each level's bins left to right, so each list is in bin order
+    level_reports: tuple[list[ModeReport], ...] = tuple([] for _ in level_sums)
 
-    def collect(node: MrdmdNode, fit: DmdResult | None, own: SlowModes | None) -> None:
+    def collect(
+        level: int,
+        bin_index: int,
+        span: tuple[int, int],
+        f_sp: float,
+        slow: tuple[int, ...],
+        fit: DmdResult | None,
+        own: SlowModes | None,
+    ) -> None:
         if own is not None:
-            start, stop = node.col_span
-            level_sums[node.level - 1, start : stop + m - 1] += own.antidiagonal_sums()
+            start, stop = span
+            level_sums[level - 1, start : stop + m - 1] += own.antidiagonal_sums()
         if fit is not None:
-            reports.extend(
+            level_reports[level - 1].extend(
                 reports_from_dmd(
                     fit,
-                    f_sp=node.f_sp,
+                    f_sp=f_sp,
                     horizon_steps=mrdmd_plan.mu,
-                    level=node.level,
-                    bin_index=node.bin_index,
-                    slow_set=set(node.slow_set),
+                    level=level,
+                    bin_index=bin_index,
+                    slow_set=set(slow),
                 )
             )
 
@@ -580,11 +600,10 @@ def decompose(
     series = level_sums.sum(axis=0) / counts
     for s in (*per_level_series, series):
         s.setflags(write=False)
-    ordered = tuple(sorted(reports, key=lambda r: (r.level, r.bin_index)))
     return MrdmdResult(
         plan=mrdmd_plan,
         root=root,
-        all_modes=ordered,
+        all_modes=tuple(chain.from_iterable(level_reports)),
         per_level_series=per_level_series,
         series=series,
         data=data,

@@ -19,7 +19,9 @@ from oscidmd.dmd import (
     DecompositionError,
     TruncationRule,
     ZeroSignalError,
+    _eigenvectors_independent,
     _hankel_factor,
+    _mode_order,
     _powers,
     _residuals_within_tol,
     product_antidiagonal_sums,
@@ -217,6 +219,49 @@ class TestEigModes:
         monkeypatch.setattr(np.linalg, "norm", no_two_norm)
         od.eig_modes(a, np.eye(40))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        r=st.integers(1, 64),
+        kind=st.sampled_from(["random", "unitary", "eigenvectors", "duplicate", "angle"]),
+        angle_exponent=st.integers(3, 15),
+    )
+    @example(seed=1, r=400, kind="eigenvectors", angle_exponent=3)
+    @example(seed=2, r=400, kind="angle", angle_exponent=9)
+    def test_certificate_decides_as_the_singular_value_rule(self, seed, r, kind, angle_exponent):
+        """The Cholesky certificate accepts W exactly when sigma_min(W) > 1e-12 sigma_max(W)."""
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        if kind == "unitary":
+            w = np.linalg.qr(w)[0]
+        elif kind == "eigenvectors":
+            w = np.linalg.eig(rng.normal(size=(r, r)))[1].astype(complex)
+        w /= np.linalg.norm(w, axis=0)
+        if r > 1 and kind in ("duplicate", "angle"):
+            i, j = rng.choice(r, size=2, replace=False)
+            if kind == "duplicate":
+                w[:, j] = w[:, i]
+            else:  # column j at angle 10^-angle_exponent from column i
+                v = w[:, j] - (w[:, i].conj() @ w[:, j]) * w[:, i]
+                theta = 10.0**-angle_exponent
+                w[:, j] = np.cos(theta) * w[:, i] + np.sin(theta) * v / np.linalg.norm(v)
+                w[:, j] /= np.linalg.norm(w[:, j])
+        wsv = np.linalg.svd(w, compute_uv=False)
+        assert _eigenvectors_independent(w) == (wsv[-1] > 1e-12 * wsv[0])
+
+    def test_typical_fit_skips_the_eigenvector_svd(self, monkeypatch):
+        """Well-conditioned eigenvectors are accepted by the certificate, without singular values."""
+        svd = np.linalg.svd
+
+        def no_singular_values(a, *args, compute_uv=True, **kw):
+            assert compute_uv, "eig_modes took the singular values of W"
+            return svd(a, *args, compute_uv=compute_uv, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", no_singular_values)
+        od.eig_modes(np.random.default_rng(7).normal(size=(40, 40)), np.eye(40))
+        (x1, x2), rec = planted_pair([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], noise=0.01)
+        assert od.dmd(x1, x2, TruncationRule.fixed(30), dt=rec.dt).rank == 30
+
     def test_defective_operator_rejected(self):
         with pytest.raises(DecompositionError, match="r-1"):
             od.eig_modes(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
@@ -358,6 +403,36 @@ class TestDmdComposition:
         result, _ = lfo_clean_dmd
         score = np.abs(result.amplitudes) * np.linalg.norm(result.modes, axis=0)
         assert np.all(np.diff(score) <= 1e-9 * score[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 10.0),
+                st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.6, 0.8, 1.0]),
+                st.sampled_from([0.0, -0.0, 0.3, -0.3, 0.6, -0.6, 0.8, -0.8]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    # hypot ties these two magnitudes; np.abs rounds the complex one a bit lower on some builds
+    @example([(1.0, 0.982344135219425, 0.0), (1.0, -0.95, 0.25)])
+    def test_mode_order_is_the_five_key_order(self, modes):
+        """lexsort gives the documented order, ties (equal scores and |lambda|, +-0.0) included."""
+        score = np.array([m[0] for m in modes])
+        eigvals = np.array([complex(m[1], m[2]) for m in modes])
+        want = sorted(
+            range(len(modes)),
+            key=lambda k: (
+                -score[k],
+                -abs(eigvals[k]),
+                0 if eigvals[k].imag >= 0 else 1,
+                -eigvals[k].imag,
+                eigvals[k].real,
+            ),
+        )
+        assert _mode_order(score, eigvals).tolist() == want
 
     def test_conjugate_pairs_adjacent_with_positive_imag_first(self, lfo_clean_dmd):
         result, _ = lfo_clean_dmd

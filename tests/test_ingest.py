@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oscidmd as od
-from oscidmd.ingest import FILL_HOLD, FILL_ZERO, IngestConfig, IngestError
+from oscidmd.ingest import FILL_HOLD, FILL_ZERO, IngestConfig, IngestError, _parse_cell
 
 
 def write_lines(path, lines):
@@ -152,6 +154,57 @@ class TestLoadCsv:
         write_lines(path, ["a,b", "1,2", "3"])
         with pytest.raises(IngestError, match="row 1"):
             od.load_csv(path, simple_config())
+
+
+def cell_by_cell(rows, names, time_idx):
+    """The reference parse: every cell in row-major order, the first problem raised."""
+    values = np.empty((len(names), len(rows)))
+    mask = np.zeros((len(names), len(rows)), dtype=bool)
+    for i, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            v, missing = _parse_cell(cell, i, names[c])
+            if missing and c == time_idx:
+                raise IngestError(f"row {i}: time column cannot have missing samples")
+            values[c, i] = v
+            mask[c, i] = missing
+    return values, mask
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.5", " 2 ", "-3e-2", "1_000", "", " ", "nan", " NaN", "-nan", "inf", "1e999", "abc"]),
+)
+
+
+class TestColumnParse:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        grid=st.integers(1, 3).flatmap(
+            lambda ncols: st.lists(st.lists(CELLS, min_size=ncols, max_size=ncols), min_size=2, max_size=25)
+        ),
+        time_cell=st.none() | st.tuples(st.integers(0, 24), st.sampled_from(["", "nan", "x", "inf"])),
+    )
+    @example(grid=[["1"], ["-nan"], [" NaN"]], time_cell=None)  # only nan is a missing token
+    @example(grid=[["1", ""], ["2", "abc"]], time_cell=(1, ""))  # the missing time sample comes first
+    @example(grid=[["1", "inf"], ["2", "3"]], time_cell=(1, ""))  # the non-finite cell comes first
+    def test_column_parse_is_the_cell_by_cell_parse(self, tmp_path, grid, time_cell):
+        """Same values, mask and first error (in row-major order) as the reference parse."""
+        rows = [[repr(float(i))] + row for i, row in enumerate(grid)]
+        if time_cell is not None and time_cell[0] < len(rows):
+            rows[time_cell[0]][0] = time_cell[1]
+        names = ["t"] + [f"c{c}" for c in range(len(grid[0]))]
+        path = tmp_path / "grid.csv"
+        write_lines(path, [",".join(names)] + [",".join(row) for row in rows])
+        try:
+            values, mask = cell_by_cell(rows, names, 0)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as info:
+                od.load_csv(path, IngestConfig(time_column="t"))
+            assert str(info.value) == str(exc)
+            return
+        rec = od.load_csv(path, IngestConfig(time_column="t"))
+        assert np.array_equal(rec.data, values[1:])
+        assert np.array_equal(rec.missing_mask, mask[1:])
 
 
 class TestRoundTrip:
