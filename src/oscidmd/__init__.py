@@ -28,7 +28,6 @@ from .dmd import (
     amplitudes,
     dmd,
     eig_modes,
-    reconstruct,
     reconstruct_series,
     reconstruct_window,
     reduced_operator,
@@ -85,7 +84,6 @@ __all__ = [
     "amplitudes",
     "dmd",
     "eig_modes",
-    "reconstruct",
     "reconstruct_series",
     "reconstruct_window",
     "reduced_operator",

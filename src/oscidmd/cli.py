@@ -90,8 +90,8 @@ class RunConfig:
             raise ValueError("--gap-length must be non-negative")
         if self.gap_length > 0 and self.gap_start is None:
             raise ValueError("--gap-start is required when --gap-length is positive")
-        if self.eps_crit < 0:
-            raise ValueError("--eps-crit must be non-negative")
+        if not np.isfinite(self.eps_crit) or self.eps_crit < 0:
+            raise ValueError(f"--eps-crit must be finite and non-negative, got {self.eps_crit!r}")
         if self.stack_depth is not None and self.stack_depth < 1:
             raise ValueError("--stack must be at least 1")
 

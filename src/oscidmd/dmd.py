@@ -317,13 +317,6 @@ def amplitudes(u: np.ndarray, w: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return np.linalg.solve(w, u.T @ x1)
 
 
-def reconstruct(result: DmdResult, j: int) -> np.ndarray:
-    """State estimate at iteration j >= 1: Phi diag(lambda^(j-1)) b."""
-    if j < 1:
-        raise ValueError("iteration index j starts at 1")
-    return result.modes @ (result.amplitudes * result.eigenvalues ** (j - 1))
-
-
 def _powers(eigenvalues: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """lambda ** j as exp(j ln lambda) for each eigenvalue (rows) and exponent (columns).
 

@@ -156,8 +156,8 @@ def classify(
     (slow is not False, frequency > 0) by descending integral
     contribution; ties break on ascending frequency, level, then bin.
     """
-    if eps_crit < 0:
-        raise ValueError("eps_crit must be non-negative")
+    if not eps_crit >= 0:
+        raise ValueError(f"eps_crit must be non-negative, got {eps_crit!r}")
 
     def damping(r: ModeReport) -> str:
         if r.growth_rate > eps_crit:
@@ -220,18 +220,19 @@ def cluster_sustained(
     aggregate contribution, ties by (frequency, level) ascending.
     """
     candidates = [r for r in reports if retained_oscillatory(r) and abs(r.growth_rate) <= eps_crit]
+    candidates.sort(key=lambda r: (r.level, r.frequency_hz, r.bin_index))
     clusters: list[ModeCluster] = []
-    for level in sorted({r.level for r in candidates}):
-        group: list[ModeReport] = []
-        for r in sorted(candidates, key=lambda r: (r.frequency_hz, r.bin_index)):
-            if r.level != level:
-                continue
-            if group and r.frequency_hz - group[-1].frequency_hz > _adjacency_tol(r.frequency_hz):
-                clusters.append(_make_cluster(level, group))
-                group = []
-            group.append(r)
-        if group:
-            clusters.append(_make_cluster(level, group))
+    group: list[ModeReport] = []
+    for r in candidates:
+        if group and (
+            r.level != group[-1].level
+            or r.frequency_hz - group[-1].frequency_hz > _adjacency_tol(r.frequency_hz)
+        ):
+            clusters.append(_make_cluster(group[-1].level, group))
+            group = []
+        group.append(r)
+    if group:
+        clusters.append(_make_cluster(group[-1].level, group))
     clusters.sort(key=lambda c: (-c.aggregate_ic, c.frequency_hz, c.level))
     return clusters
 

@@ -23,9 +23,9 @@ which is a sum of convolutions of each mode shape with its geometric
 sequence b_k z_k^j; it is taken by FFT (``dmd.product_antidiagonal_sums``,
 as for single-window DMD), so no bin's m x width reconstruction is formed.
 The primary outputs, ``per_level_series`` and ``series``, cost
-O(L * (m + n)) memory. The dense m x n per-level and total reconstructions
-are rebuilt only on request, by walking the recursion again over the kept
-snapshot matrix (one more refit of every bin) at O(L * m * n) memory.
+O(L * (m + n)) memory. The one dense view, the m x n total reconstruction,
+is rebuilt only on request, by walking the recursion again over the kept
+snapshot matrix (one more refit of every bin) at O(m * n) memory.
 
 Per-level bookkeeping (exact in rational arithmetic), with B = 2^(l-1)
 bins of nominal size S = n / B over a window of duration N = n * dt:
@@ -54,7 +54,7 @@ import numpy as np
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
 from .dmd import product_antidiagonal_sums
 from .modes import ModeReport, reports_from_dmd
-from .stacking import SnapshotMatrix, _read_only_float, antidiagonal_counts
+from .stacking import _read_only_float, antidiagonal_counts
 
 _MAX_DT_DENOMINATOR = 10**9
 
@@ -382,10 +382,6 @@ class MrdmdNode:
     dt: float
     children: tuple["MrdmdNode", ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 def _walk(
     data: np.ndarray,
@@ -472,11 +468,11 @@ class MrdmdResult:
     by anti-diagonal averaging (``stacking.unembed``) and ``series`` the
     sum over levels, each of length rows + n - 1. ``data`` is the
     read-only snapshot matrix that was decomposed and ``rule`` the bins'
-    truncation rule. The dense rows x n views ``per_level_reconstruction``
-    and ``total_reconstruction`` are rebuilt on first access by walking the
+    truncation rule. The one dense view, the rows x n
+    ``total_reconstruction``, is rebuilt on first access by walking the
     recursion again over ``data``: every bin is refitted bit for bit and
-    adds its slow reconstruction over its span. Each view costs one more
-    walk and O(L * m * n) memory, and is cached read-only.
+    adds its slow reconstruction over its span. It costs one more walk and
+    O(m * n) memory, and is cached read-only.
     """
 
     plan: MrdmdPlan
@@ -494,15 +490,14 @@ class MrdmdResult:
             yield from level
             level = [child for node in level for child in node.children]
 
-    def _dense(self, per_level: bool) -> tuple[np.ndarray, ...]:
-        """One refitting walk that adds each bin's slow reconstruction to its layer.
+    @cached_property
+    def total_reconstruction(self) -> np.ndarray:
+        """One refitting walk that adds each bin's slow reconstruction over its span.
 
-        The walk visits a bin's ancestors before it, so each entry of the
-        total sums as zeros + layer 1 + layer 2 + ...
+        The walk visits a bin's ancestors before it, so each entry sums as
+        zeros + level 1 + level 2 + ...
         """
-        layers = tuple(
-            np.zeros(self.data.shape) for _ in range(self.plan.termination_level if per_level else 1)
-        )
+        total = np.zeros(self.data.shape)
 
         def add(
             level: int,
@@ -515,28 +510,19 @@ class MrdmdResult:
         ) -> None:
             if own is not None:
                 start, stop = span
-                layers[level - 1 if per_level else 0][:, start:stop] += own.at(np.arange(start, stop))
+                total[:, start:stop] += own.at(np.arange(start, stop))
 
         _walk(self.data, self.plan, self.rule, add)
-        for layer in layers:
-            layer.setflags(write=False)
-        return layers
-
-    @cached_property
-    def per_level_reconstruction(self) -> tuple[np.ndarray, ...]:
-        return self._dense(per_level=True)
-
-    @cached_property
-    def total_reconstruction(self) -> np.ndarray:
-        return self._dense(per_level=False)[0]
+        total.setflags(write=False)
+        return total
 
 
 def decompose(
-    snap: SnapshotMatrix | np.ndarray,
+    data: np.ndarray,
     mrdmd_plan: MrdmdPlan,
     rule: TruncationRule = DEFAULT_BIN_RULE,
 ) -> MrdmdResult:
-    """Run the multi-resolution recursion over a snapshot matrix.
+    """Run the multi-resolution recursion over a rows x n snapshot matrix.
 
     The recursion is ``_walk``. The residual is never formed at full
     resolution: each bin adds the anti-diagonal sums of its own slow
@@ -547,12 +533,11 @@ def decompose(
     upstream) it contributes zeros and an empty mode list and the recursion
     continues.
 
-    The result keeps the snapshot matrix for the dense views: a read-only
-    float array as given (``SnapshotMatrix`` data, or a view of it), and
+    The result keeps the snapshot matrix for its dense view: a read-only
+    float array as given (such as a slice of ``SnapshotMatrix.data``), and
     anything else as a read-only copy, so that later writes by the caller
-    cannot change what the views rebuild.
+    cannot change what the view rebuilds.
     """
-    data = snap.data if isinstance(snap, SnapshotMatrix) else snap
     if not _read_only_float(data):
         data = np.array(data, dtype=float)
         data.setflags(write=False)
@@ -561,10 +546,6 @@ def decompose(
     m, n = data.shape
     if n != mrdmd_plan.n:
         raise ValueError(f"snapshot matrix has {n} columns but the plan expects {mrdmd_plan.n}")
-    if isinstance(snap, SnapshotMatrix) and abs(snap.dt - mrdmd_plan.dt) > 1e-9 * mrdmd_plan.dt:
-        raise ValueError(
-            f"snapshot interval {snap.dt!r} disagrees with the plan interval {mrdmd_plan.dt!r}"
-        )
 
     level_sums = np.zeros((mrdmd_plan.termination_level, m + n - 1))
     # the walk visits each level's bins left to right, so each list is in bin order

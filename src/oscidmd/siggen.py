@@ -60,10 +60,13 @@ def generate(
 ) -> SignalRecord:
     """Synthesize one channel of modal content plus Gaussian noise.
 
-    Rejects sample rates at or below twice the fastest planted frequency.
+    Rejects sample rates at or below twice the fastest planted frequency,
+    and a noise level that is negative or NaN.
     """
     if not fs > 0:
         raise ValueError("sample rate must be positive")
+    if not noise_std >= 0:
+        raise ValueError(f"noise_std must be non-negative, got {noise_std!r}")
     f_max = max((m.frequency_hz for m in modes), default=0.0)
     if f_max > 0 and not fs > 2.0 * f_max:
         raise ValueError(

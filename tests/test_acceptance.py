@@ -268,20 +268,22 @@ class TestC6PropertySuites:
             plan = od.plan(width, rec.dt, mu=8, g=4)
             rule = TruncationRule.energy(0.999)
             res = od.decompose(snap.data[:, :width], plan, rule)
-            total = np.zeros_like(res.total_reconstruction)
-            for layer in res.per_level_reconstruction:
+            # each level's layer, from its bins' refit blocks at their spans
+            layers = np.zeros((plan.termination_level, *res.data.shape))
+            placed = np.zeros(res.data.shape)
+            for node, _, _, slow in refit_bins(res, snap.data[:, :width], rule):
+                start, stop = node.col_span
+                block = slow.at(np.arange(start, stop))
+                layers[node.level - 1][:, start:stop] += block
+                placed[:, start:stop] += block
+            total = np.zeros(res.data.shape)
+            for layer in layers:
                 total += layer
             ok &= np.array_equal(total, res.total_reconstruction)
-            pairs = [(res.series, res.total_reconstruction),
-                     *zip(res.per_level_series, res.per_level_reconstruction)]
+            pairs = [(res.series, res.total_reconstruction), *zip(res.per_level_series, layers)]
             for series, dense in pairs:
                 want = od.unembed(dense)
                 ok &= np.max(np.abs(series - want)) <= 1e-12 * np.max(np.abs(want))
-
-            placed = np.zeros_like(total)
-            for node, _, _, slow in refit_bins(res, snap.data[:, :width], rule):
-                start, stop = node.col_span
-                placed[:, start:stop] += slow.at(np.arange(start, stop))
             ok &= np.allclose(placed, total, rtol=0, atol=1e-12)
             if not ok:
                 break

@@ -577,6 +577,39 @@ class TestFlagsToConfig:
         assert message in err["error"]["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd", "compare"])
+    def test_non_finite_eps_crit_rejected_before_any_output(self, runner, tmp_path, command, value):
+        out = tmp_path / "x"
+        result = runner.invoke(
+            cli, ["analyze", command, "--profile", "lfo_udc", "--stack", "200",
+                  "--eps-crit", value, "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == "ValueError"
+        assert "--eps-crit" in err["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_negative_or_nan_noise_rejected(self, runner, tmp_path, value):
+        dest = tmp_path / "sig.csv"
+        result = runner.invoke(
+            cli, ["generate", "--profile", "lfo_udc", "--noise-std", value, "-o", str(dest)],
+        )
+        assert result.exit_code == 1
+        assert "noise_std" in json.loads(result.stderr.strip().splitlines()[-1])["error"]["message"]
+        assert not dest.exists()
+        out = tmp_path / "cmp"
+        result = runner.invoke(
+            cli, ["analyze", "compare", "--profile", "lfo_udc", "--noise-std", value, "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "noise_std" in json.loads(result.stderr.strip().splitlines()[-1])["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--no-report", "--report", "--no-eigenvalues", "--eigenvalues"])
     def test_compare_takes_no_emit_flags(self, runner, tmp_path, flag):
         result = runner.invoke(

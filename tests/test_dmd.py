@@ -342,13 +342,14 @@ class TestReconstruct:
         (x1, x2), rec = planted_pair([od.ModeSpec(4.0, -1.0, 1.0)], fs=100, duration=2, depth=20)
         result = od.dmd(x1, x2, TruncationRule.fixed(2), dt=rec.dt)
         np.testing.assert_allclose(
-            od.reconstruct(result, 1), result.modes @ result.amplitudes, rtol=1e-12
+            od.reconstruct_window(result, 1)[:, 0], result.modes @ result.amplitudes, rtol=1e-12
         )
 
     def test_dc_mode_constant(self):
         result = od.dmd(np.full((1, 9), 2.5), np.full((1, 9), 2.5), TruncationRule.fixed(1), dt=1.0)
+        window = od.reconstruct_window(result, 50)
         for j in (1, 5, 50):
-            np.testing.assert_allclose(od.reconstruct(result, j).real, [2.5], rtol=1e-12)
+            np.testing.assert_allclose(window[:, j - 1].real, [2.5], rtol=1e-12)
 
     def test_noiseless_window_rmse(self):
         modes = [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)]
@@ -362,7 +363,7 @@ class TestReconstruct:
         (x1, x2), rec = planted_pair([od.ModeSpec(4.0, 0.0, 1.0)], fs=100, duration=1, depth=10)
         result = od.dmd(x1, x2, TruncationRule.fixed(2), dt=rec.dt)
         with pytest.raises(ValueError):
-            od.reconstruct(result, 0)
+            od.reconstruct_window(result, 0)
 
 
 class TestDmdComposition:

@@ -17,6 +17,7 @@ from oscidmd.modes import (
     DAMPING_DECAYING,
     DAMPING_GROWING,
     ModeReport,
+    retained_oscillatory,
 )
 
 
@@ -184,6 +185,11 @@ class TestClassify:
         assert out is not reports
         assert reports[0].damping_class is None
 
+    @pytest.mark.parametrize("eps_crit", [-0.1, float("nan")])
+    def test_negative_or_nan_band_rejected(self, eps_crit):
+        with pytest.raises(ValueError, match="eps_crit"):
+            od.classify([make_report()], eps_crit=eps_crit)
+
 
 class TestReportsFromDmd:
     def test_conjugate_pairs_collapse_with_nonnegative_frequency(self, lfo_clean_dmd):
@@ -271,6 +277,40 @@ class TestClusters:
         assert len(top.members) >= 5
         freqs = [m.frequency_hz for m in top.members]
         assert max(freqs) - min(freqs) < 0.5
+
+    def test_groups_match_a_per_level_pass(self):
+        """Clusters equal grouping each level's candidates alone, sorted by (frequency, bin)."""
+        rng = np.random.default_rng(3)
+        reports = od.classify([
+            make_report(
+                level=int(rng.integers(1, 5)),
+                bin_index=int(rng.integers(0, 8)),
+                freq=float(rng.choice([0.0, 0.2, 0.9, 1.3, 5.0, 5.4, 5.9, 60.0, 60.5, 61.3])),
+                growth=float(rng.uniform(-1.0, 1.0)),
+                ic=float(rng.choice([1.0, 2.0, 3.0])),
+                slow=bool(rng.random() < 0.9),
+            )
+            for _ in range(400)
+        ])
+        candidates = [r for r in reports if retained_oscillatory(r) and abs(r.growth_rate) <= 0.5]
+        want = []
+        for level in sorted({r.level for r in candidates}):
+            group = []
+            level_candidates = [r for r in candidates if r.level == level]
+            for r in sorted(level_candidates, key=lambda r: (r.frequency_hz, r.bin_index)):
+                if group and r.frequency_hz - group[-1].frequency_hz > max(0.5, 0.01 * r.frequency_hz):
+                    want.append((level, tuple(group)))
+                    group = []
+                group.append(r)
+            want.append((level, tuple(group)))
+        want.sort(key=lambda c: (
+            -sum(r.integral_contribution for r in c[1]),
+            max(c[1], key=lambda r: r.integral_contribution).frequency_hz,
+            c[0],
+        ))
+        got = od.cluster_sustained(reports)
+        assert len(got) > 10
+        assert [(c.level, c.members) for c in got] == want
 
     def test_strongest_oscillatory_fallback(self):
         reports = od.classify([make_report(freq=4.0, growth=-9.0, ic=7.0)])

@@ -354,6 +354,15 @@ class TestSlowAtTiles:
             assert np.array_equal(slow.at(cols), full[:, cols - start])
 
 
+def level_energies(res, data) -> np.ndarray:
+    """Energy of each level's slow reconstruction, summed over its bins' refit blocks at their spans."""
+    energy = np.zeros(res.plan.termination_level)
+    for node, _, _, slow in refit_bins(res, data):
+        start, stop = node.col_span
+        energy[node.level - 1] += np.sum(slow.at(np.arange(start, stop)) ** 2)
+    return energy
+
+
 class TestDecompose:
     def test_pure_dc_captured_at_level_one(self):
         rec = od.generate([], dc=3.5, fs=2500, duration=2.0)
@@ -363,8 +372,8 @@ class TestDecompose:
         total_energy = np.sum(snap.data[:, :4000] ** 2)
         residual = snap.data[:, :4000] - res.total_reconstruction
         assert np.sum(residual**2) <= 1e-8 * total_energy
-        for layer in res.per_level_reconstruction[1:]:
-            assert np.sum(layer**2) <= 1e-8 * total_energy
+        for energy in level_energies(res, snap.data[:, :4000])[1:]:
+            assert energy <= 1e-8 * total_energy
 
     def test_dc_plus_lfo_captured_at_level_four(self):
         rec = od.generate([od.ModeSpec(8.6, 0.0, 6.0)], dc=170.0, fs=2500, duration=2.0)
@@ -372,11 +381,10 @@ class TestDecompose:
         plan = od.plan(4000, rec.dt, mu=16, g=4)
         res = od.decompose(snap.data[:, :4000], plan, DEFAULT_BIN_RULE)
         osc_energy = np.sum((snap.data[:, :4000] - 170.0) ** 2)
+        energy = level_energies(res, snap.data[:, :4000])
         for level in (2, 3):
-            layer = res.per_level_reconstruction[level - 1]
-            assert np.sum(layer**2) <= 1e-8 * osc_energy
-        level4 = res.per_level_reconstruction[3]
-        assert np.sum(level4**2) >= 0.98 * osc_energy
+            assert energy[level - 1] <= 1e-8 * osc_energy
+        assert energy[3] >= 0.98 * osc_energy
         cluster = od.dominant_cluster(od.classify(list(res.all_modes)))
         assert cluster.level == 4
         assert cluster.best.frequency_hz == pytest.approx(8.6, abs=0.05)
@@ -399,7 +407,7 @@ class TestDecompose:
 
         def walk(node):
             levels.setdefault(node.level, []).append(node)
-            assert node.is_leaf == (node.level == res.plan.termination_level)
+            assert (not node.children) == (node.level == res.plan.termination_level)
             if node.children:
                 left, right = node.children
                 assert left.col_span[0] == node.col_span[0]
@@ -430,28 +438,44 @@ class TestDecompose:
 
         walk(res.root)
 
-    def test_per_level_additivity(self, lfo_gapped_mrdmd):
+    def test_per_level_additivity(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
+        """The total is the sum of the level layers, each built from its bins' refit blocks."""
         res, _ = lfo_gapped_mrdmd
-        total = np.zeros_like(res.total_reconstruction)
-        for layer in res.per_level_reconstruction:
-            total += layer
+        total = np.zeros(res.data.shape)
+        # refit_bins yields a bin's ancestors before it, so each column sums as
+        # zeros + level 1 + level 2 + ...: the layers added in level order
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
+            start, stop = node.col_span
+            total[:, start:stop] += slow.at(np.arange(start, stop))
         assert np.array_equal(total, res.total_reconstruction)
 
     def test_node_reconstructions_tile_levels(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
+        """Over each leaf, the total is its lineage's refit blocks summed root first."""
         res, _ = lfo_gapped_mrdmd
+        lineage = {
+            (node.level, node.bin_index): slow
+            for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000])
+        }
+        covered = np.zeros(res.plan.n, dtype=int)
         tiled = 0
-        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
-            layer = res.per_level_reconstruction[node.level - 1]
+
+        def walk(node, above):
+            nonlocal tiled
             start, stop = node.col_span
-            assert np.array_equal(layer[:, start:stop], slow.at(np.arange(start, stop)))
+            slow = lineage.get((node.level, node.bin_index))
+            # a zero-signal bin adds nothing to its layer
+            here = above if slow is None else above + slow.at(np.arange(start, stop))
             tiled += 1
-        # a zero-signal bin adds nothing to its layer
-        for node in res._nodes():
-            if node.dmd is None:
-                start, stop = node.col_span
-                assert not res.per_level_reconstruction[node.level - 1][:, start:stop].any()
-                tiled += 1
+            if not node.children:
+                assert np.array_equal(here, res.total_reconstruction[:, start:stop])
+                covered[start:stop] += 1
+            for child in node.children:
+                lo, hi = child.col_span
+                walk(child, here[:, lo - start : hi - start])
+
+        walk(res.root, np.zeros(res.data.shape))
         assert tiled == 2**res.plan.termination_level - 1
+        assert np.all(covered == 1)
 
     def test_residual_passing_bit_exact(self):
         """Each node's fit is reproducible from the parent residual slice."""
@@ -467,7 +491,7 @@ class TestDecompose:
         res = od.decompose(data, plan, rule)
         lineage = {(node.level, node.bin_index): slow for node, _, _, slow in refit_bins(res, data, rule)}
 
-        def walk(node, block):
+        def walk(node, block, above):
             width = block.shape[1]
             idx = subsample((0, width), plan.mu)
             f_sp = plan.mu / (width * plan.dt)
@@ -480,14 +504,17 @@ class TestDecompose:
             )
             start, stop = node.col_span
             assert np.array_equal(recon, lineage[node.level, node.bin_index].at(np.arange(start, stop)))
-            assert np.array_equal(recon, res.per_level_reconstruction[node.level - 1][:, start:stop])
+            # the levels' reconstructions over the bin, summed root first
+            here = above + recon
             residual = block - recon
             if node.children:
                 half = (width + 1) // 2
-                walk(node.children[0], residual[:, :half])
-                walk(node.children[1], residual[:, half:])
+                walk(node.children[0], residual[:, :half], here[:, :half])
+                walk(node.children[1], residual[:, half:], here[:, half:])
+            else:
+                assert np.array_equal(here, res.total_reconstruction[:, start:stop])
 
-        walk(res.root, data)
+        walk(res.root, data, np.zeros(data.shape))
 
     def test_peak_memory_a_few_hankel_sizes(self, lfo_gapped_embedded):
         """The recursion never holds per-level layers or residual copies."""

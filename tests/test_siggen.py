@@ -106,3 +106,11 @@ def test_noise_override():
     t = np.arange(5000) * rec.dt
     want = 170.0 + 6.0 * np.cos(2 * np.pi * 8.6 * t)
     np.testing.assert_allclose(rec.data[0], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("noise_std", [-1.0, -1e-300, float("nan")])
+def test_negative_or_nan_noise_rejected(noise_std):
+    with pytest.raises(ValueError, match="noise_std"):
+        od.generate([], dc=0.0, fs=100, duration=1, noise_std=noise_std)
+    with pytest.raises(ValueError, match="noise_std"):
+        od.generate_profile("lfo_udc", noise_std=noise_std)
