@@ -18,7 +18,7 @@ from .ingest import (
     load_csv,
     write_csv,
 )
-from .stacking import SnapshotMatrix, default_stack_depth, delay_embed, shifted_pair, unembed
+from .stacking import default_stack_depth, delay_embed, shifted_pair, unembed
 from .dmd import (
     DEFAULT_RULE,
     DecompositionError,
@@ -71,7 +71,6 @@ __all__ = [
     "inject_gap",
     "load_csv",
     "write_csv",
-    "SnapshotMatrix",
     "default_stack_depth",
     "delay_embed",
     "shifted_pair",

@@ -39,7 +39,7 @@ from .modes import (
 )
 from .mrdmd import DEFAULT_BIN_RULE, MrdmdPlan, MrdmdResult, decompose, plan
 from .siggen import PROFILES, generate_profile
-from .stacking import SnapshotMatrix, delay_embed, shifted_pair
+from .stacking import delay_embed, shifted_pair
 
 # Unused here, but bench/spans.py wraps these names on this module by getattr.
 from .dmd import reconstruct_window  # noqa: F401
@@ -350,7 +350,7 @@ def _write_run(
     return out
 
 
-def _embed(cfg: RunConfig, record: SignalRecord) -> SnapshotMatrix:
+def _embed(cfg: RunConfig, record: SignalRecord) -> np.ndarray:
     """Delay-embed the configured channel (default: the first) at the configured depth."""
     return delay_embed(record, cfg.channel or record.names[0], cfg.stack_depth)
 
@@ -358,28 +358,28 @@ def _embed(cfg: RunConfig, record: SignalRecord) -> SnapshotMatrix:
 def _analyze_dmd_core(
     cfg: RunConfig, record: SignalRecord
 ) -> tuple[list[ModeReport], np.ndarray, DmdResult, int]:
-    snap = _embed(cfg, record)
-    x1, x2 = shifted_pair(snap)
+    hankel = _embed(cfg, record)
+    x1, x2 = shifted_pair(hankel)
     result = dmd(x1, x2, cfg.rule or DEFAULT_RULE, dt=record.dt)
     reports = classify(
         reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=x1.shape[1]),
         cfg.eps_crit,
     )
-    series = reconstruct_series(result, snap.data.shape[1])
-    return reports, series, result, snap.stack_depth
+    series = reconstruct_series(result, hankel.shape[1])
+    return reports, series, result, hankel.shape[0]
 
 
 def _analyze_mrdmd_core(
     cfg: RunConfig, record: SignalRecord
 ) -> tuple[list[ModeReport], np.ndarray, MrdmdResult, MrdmdPlan, int]:
-    snap = _embed(cfg, record)
-    if snap.data.shape[1] < 3:
+    hankel = _embed(cfg, record)
+    if hankel.shape[1] < 3:
         raise ValueError("record too short for the multi-resolution recursion")
-    n_cols = snap.data.shape[1] - 1  # last column reserved for the shifted pair
+    n_cols = hankel.shape[1] - 1  # last column reserved for the shifted pair
     mrdmd_plan = plan(n_cols, record.dt, mu=cfg.mu, g=cfg.g, termination_level=cfg.termination_level)
-    result = decompose(snap.data[:, :n_cols], mrdmd_plan, cfg.rule or DEFAULT_BIN_RULE)
+    result = decompose(hankel[:, :n_cols], mrdmd_plan, cfg.rule or DEFAULT_BIN_RULE)
     reports = classify(list(result.all_modes), cfg.eps_crit)
-    return reports, result.series, result, mrdmd_plan, snap.stack_depth
+    return reports, result.series, result, mrdmd_plan, hankel.shape[0]
 
 
 def run_dmd(cfg: RunConfig) -> int:

@@ -49,8 +49,8 @@ class IngestConfig:
             )
         if self.dt is None and self.time_column is None:
             raise IngestError("either dt or a time column must be configured")
-        if self.dt is not None and not self.dt > 0:
-            raise IngestError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise IngestError(f"dt must be finite and positive, got {self.dt!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +72,16 @@ class SignalRecord:
     def __post_init__(self) -> None:
         data = np.array(self.data, dtype=float, copy=True)
         mask = np.array(self.missing_mask, dtype=bool, copy=True)
+        if not self.names:
+            raise IngestError("a record needs at least one channel")
         if data.ndim != 2 or data.shape[0] != len(self.names):
             raise IngestError("data must be a (channels, samples) array matching names")
         if data.shape[1] < 2:
             raise IngestError("a record needs at least 2 samples per channel")
         if mask.shape != data.shape:
             raise IngestError("missing_mask must have the same shape as data")
-        if not self.dt > 0:
-            raise IngestError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise IngestError(f"dt must be finite and positive, got {self.dt!r}")
         if self.fill_policy not in _FILL_POLICIES:
             raise IngestError(f"unknown fill policy {self.fill_policy!r}")
         if not np.all(np.isfinite(data)):

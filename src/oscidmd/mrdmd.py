@@ -54,7 +54,7 @@ import numpy as np
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
 from .dmd import product_antidiagonal_sums
 from .modes import ModeReport, reports_from_dmd
-from .stacking import _read_only_float, antidiagonal_counts
+from .stacking import antidiagonal_counts
 
 _MAX_DT_DENOMINATOR = 10**9
 
@@ -467,12 +467,12 @@ class MrdmdResult:
     ``per_level_series[l - 1]`` is level l's slow reconstruction collapsed
     by anti-diagonal averaging (``stacking.unembed``) and ``series`` the
     sum over levels, each of length rows + n - 1. ``data`` is the
-    read-only snapshot matrix that was decomposed and ``rule`` the bins'
-    truncation rule. The one dense view, the rows x n
-    ``total_reconstruction``, is rebuilt on first access by walking the
-    recursion again over ``data``: every bin is refitted bit for bit and
-    adds its slow reconstruction over its span. It costs one more walk and
-    O(m * n) memory, and is cached read-only.
+    read-only snapshot matrix that was decomposed (such as a slice of the
+    ``delay_embed`` view) and ``rule`` the bins' truncation rule. The one
+    dense view, the rows x n ``total_reconstruction``, is rebuilt on first
+    access by walking the recursion again over ``data``: every bin is
+    refitted bit for bit and adds its slow reconstruction over its span. It
+    costs one more walk and O(m * n) memory, and is cached read-only.
     """
 
     plan: MrdmdPlan
@@ -517,6 +517,18 @@ class MrdmdResult:
         return total
 
 
+def _read_only_float(arr) -> bool:
+    """True for a float64 array that neither it nor any array it views can write."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+        return False
+    base = arr
+    while base is not None:
+        if isinstance(base, np.ndarray) and base.flags.writeable:
+            return False
+        base = getattr(base, "base", None)
+    return True
+
+
 def decompose(
     data: np.ndarray,
     mrdmd_plan: MrdmdPlan,
@@ -534,7 +546,7 @@ def decompose(
     continues.
 
     The result keeps the snapshot matrix for its dense view: a read-only
-    float array as given (such as a slice of ``SnapshotMatrix.data``), and
+    float array as given (such as a slice of the ``delay_embed`` view), and
     anything else as a read-only copy, so that later writes by the caller
     cannot change what the view rebuilds.
     """

@@ -62,7 +62,7 @@ def lfo_gapped_dmd(lfo_gapped, lfo_gapped_embedded):
 def lfo_gapped_mrdmd(lfo_gapped, lfo_gapped_embedded):
     rec, _ = lfo_gapped
     mrdmd_plan = od.plan(4000, rec.dt, mu=16, g=4)
-    result = od.decompose(lfo_gapped_embedded.data[:, :4000], mrdmd_plan, DEFAULT_BIN_RULE)
+    result = od.decompose(lfo_gapped_embedded[:, :4000], mrdmd_plan, DEFAULT_BIN_RULE)
     reports = od.classify(list(result.all_modes))
     return result, reports
 
@@ -70,9 +70,9 @@ def lfo_gapped_mrdmd(lfo_gapped, lfo_gapped_embedded):
 @pytest.fixture(scope="session")
 def ac_mrdmd():
     rec, profile = od.generate_profile("ac_in", seed=0)
-    snap = od.delay_embed(rec, "i_ac", 1000)
+    hankel = od.delay_embed(rec, "i_ac", 1000)
     mrdmd_plan = od.plan(4000, rec.dt, mu=50, g=4, termination_level=6)
-    result = od.decompose(snap.data[:, :4000], mrdmd_plan, DEFAULT_BIN_RULE)
+    result = od.decompose(hankel[:, :4000], mrdmd_plan, DEFAULT_BIN_RULE)
     reports = od.classify(list(result.all_modes))
     return rec, profile, result, reports
 

@@ -37,9 +37,9 @@ def timed_lfo_mrdmd():
     t0 = time.perf_counter()
     rec, profile = od.generate_profile("lfo_udc", seed=0)
     gapped = od.inject_gap(rec, GAP_START, GAP_LENGTH)
-    snap = od.delay_embed(gapped, "u_dc", 1000)
+    hankel = od.delay_embed(gapped, "u_dc", 1000)
     plan = od.plan(4000, rec.dt, mu=16, g=4)
-    result = od.decompose(snap.data[:, :4000], plan, DEFAULT_BIN_RULE)
+    result = od.decompose(hankel[:, :4000], plan, DEFAULT_BIN_RULE)
     reports = od.classify(list(result.all_modes))
     series = od.unembed(result.total_reconstruction)
     elapsed = time.perf_counter() - t0
@@ -51,9 +51,9 @@ def timed_ac_mrdmd():
     """Criterion-4 pipeline, timed end to end."""
     t0 = time.perf_counter()
     rec, profile = od.generate_profile("ac_in", seed=0)
-    snap = od.delay_embed(rec, "i_ac", 1000)
+    hankel = od.delay_embed(rec, "i_ac", 1000)
     plan = od.plan(4000, rec.dt, mu=50, g=4, termination_level=6)
-    result = od.decompose(snap.data[:, :4000], plan, DEFAULT_BIN_RULE)
+    result = od.decompose(hankel[:, :4000], plan, DEFAULT_BIN_RULE)
     reports = od.classify(list(result.all_modes))
     elapsed = time.perf_counter() - t0
     return rec, profile, result, reports, elapsed
@@ -84,8 +84,8 @@ def test_c2_dmd_oracle_recovery():
         [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)],
         dc=0.0, fs=2500.0, duration=2.0, noise_std=0.0,
     )
-    snap = od.delay_embed(rec, "signal", 200)
-    x1, x2 = od.shifted_pair(snap)
+    hankel = od.delay_embed(rec, "signal", 200)
+    x1, x2 = od.shifted_pair(hankel)
     result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=rec.dt)
     reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
     elapsed = time.perf_counter() - t0
@@ -154,13 +154,13 @@ def test_c5_robustness_comparison(timed_lfo_mrdmd):
     gapped, profile, _, mr_reports, mr_series, _ = timed_lfo_mrdmd
     truth = profile.dominant_truth()
 
-    snap = od.delay_embed(gapped, "u_dc", 1000)
-    x1, x2 = od.shifted_pair(snap)
+    hankel = od.delay_embed(gapped, "u_dc", 1000)
+    x1, x2 = od.shifted_pair(hankel)
     result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=gapped.dt)
     dmd_reports = od.classify(
         od.reports_from_dmd(result, f_sp=1.0 / gapped.dt, horizon_steps=x1.shape[1])
     )
-    dmd_series = od.unembed(od.reconstruct_window(result, snap.data.shape[1]).real)
+    dmd_series = od.unembed(od.reconstruct_window(result, hankel.shape[1]).real)
 
     def dominant_estimate(reports):
         cluster = od.dominant_cluster(reports)
@@ -217,12 +217,12 @@ class TestC6PropertySuites:
                 names=("x",), data=values[None, :],
                 missing_mask=np.zeros((1, length), dtype=bool), dt=1.0,
             )
-            snap = od.delay_embed(rec, "x", depth)
-            m, n = snap.shape
+            hankel = od.delay_embed(rec, "x", depth)
+            m, n = hankel.shape
             ok &= m + n - 1 == length
             i = rng.integers(0, m, size=10)
             j = rng.integers(0, n, size=10)
-            ok &= bool(np.all(snap.data[i, j] == values[i + j]))
+            ok &= bool(np.all(hankel[i, j] == values[i + j]))
             if not ok:
                 break
         _verdict("C6.2 Hankel structure (120 cases)", ok)
@@ -263,15 +263,15 @@ class TestC6PropertySuites:
             ]
             rec = od.generate(modes, dc=float(rng.uniform(-2, 2)), fs=32.0, duration=8.3,
                               noise_std=0.02, seed=trial)
-            snap = od.delay_embed(rec, "signal", 6)
-            width = int(rng.integers(180, snap.shape[1]))
+            hankel = od.delay_embed(rec, "signal", 6)
+            width = int(rng.integers(180, hankel.shape[1]))
             plan = od.plan(width, rec.dt, mu=8, g=4)
             rule = TruncationRule.energy(0.999)
-            res = od.decompose(snap.data[:, :width], plan, rule)
+            res = od.decompose(hankel[:, :width], plan, rule)
             # each level's layer, from its bins' refit blocks at their spans
             layers = np.zeros((plan.termination_level, *res.data.shape))
             placed = np.zeros(res.data.shape)
-            for node, _, _, slow in refit_bins(res, snap.data[:, :width], rule):
+            for node, _, _, slow in refit_bins(res, hankel[:, :width], rule):
                 start, stop = node.col_span
                 block = slow.at(np.arange(start, stop))
                 layers[node.level - 1][:, start:stop] += block

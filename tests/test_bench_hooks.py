@@ -64,3 +64,9 @@ def test_every_fit_times_its_amplitude_solve_once(traced_mrdmd):
     fits = [i for i, s in enumerate(recorder.spans) if s.name == "dmd.dmd"]
     parents = sorted(s.parent for s in recorder.spans if s.name == "dmd.amplitudes")
     assert fits and parents == fits
+
+
+def test_traced_run_reads_the_hankel_size(traced_mrdmd):
+    """The embedding counter reads the 100 x 4901 Hankel view's bytes, though the view copies none."""
+    recorder, _ = traced_mrdmd
+    assert recorder.counts["stacking.hankel_mb"] == 100 * 4901 * 8 / 2**20

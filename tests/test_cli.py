@@ -610,6 +610,40 @@ class TestFlagsToConfig:
         assert "noise_std" in json.loads(result.stderr.strip().splitlines()[-1])["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd"])
+    def test_time_column_only_csv_is_one_json_error(self, runner, tmp_path, command):
+        data = tmp_path / "t.csv"
+        data.write_text("t\n" + "".join(f"{k * 0.01!r}\n" for k in range(50)))
+        out = tmp_path / "x"
+        result = runner.invoke(
+            cli, ["analyze", command, "--input", str(data), "--time-column", "t", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == "IngestError"
+        assert "channel" in err["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_dt_rejected_before_any_output(self, runner, tmp_path, command, value):
+        data = tmp_path / "x.csv"
+        data.write_text("x\n" + "".join(f"{np.sin(0.3 * k)!r}\n" for k in range(200)))
+        out = tmp_path / "x"
+        result = runner.invoke(
+            cli, ["analyze", command, "--input", str(data), "--dt", value, "--stack", "20",
+                  "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == "IngestError"
+        assert "dt must be finite and positive" in err["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--no-report", "--report", "--no-eigenvalues", "--eigenvalues"])
     def test_compare_takes_no_emit_flags(self, runner, tmp_path, flag):
         result = runner.invoke(

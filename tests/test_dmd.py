@@ -32,8 +32,8 @@ from oscidmd.stacking import antidiagonal_sums
 
 def planted_pair(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
     rec = od.generate(signal_modes, dc=dc, fs=fs, duration=duration, noise_std=noise, seed=seed)
-    snap = od.delay_embed(rec, "signal", depth)
-    return od.shifted_pair(snap), rec
+    hankel = od.delay_embed(rec, "signal", depth)
+    return od.shifted_pair(hankel), rec
 
 
 class TestSvdTruncated:
@@ -511,8 +511,8 @@ class TestProperties:
             ]
             rec = od.generate(modes, dc=float(rng.uniform(0, 5)), fs=200, duration=1.0,
                               noise_std=0.01, seed=trial)
-            snap = od.delay_embed(rec, "signal", 40)
-            x1, x2 = od.shifted_pair(snap)
+            hankel = od.delay_embed(rec, "signal", 40)
+            x1, x2 = od.shifted_pair(hankel)
             prev = np.inf
             for r in range(1, 10):
                 result = od.dmd(x1, x2, TruncationRule.fixed(r), dt=rec.dt)
@@ -647,7 +647,7 @@ class TestReconstructSeries:
 
     def test_matches_window_on_lfo(self, lfo_gapped_embedded, lfo_gapped_dmd):
         result, _ = lfo_gapped_dmd
-        self.assert_matches_window(result, lfo_gapped_embedded.data.shape[1])
+        self.assert_matches_window(result, lfo_gapped_embedded.shape[1])
 
     def test_series_peak_below_one_real_window(self, lfo_gapped_embedded, lfo_gapped_dmd):
         """numpy's tracked peak stays below one real m x n array.
@@ -656,7 +656,7 @@ class TestReconstructSeries:
         of the whole window, or one block over every mode, exceeds it.
         """
         result, _ = lfo_gapped_dmd
-        m, n = lfo_gapped_embedded.data.shape
+        m, n = lfo_gapped_embedded.shape
         tracemalloc.start()
         try:
             reconstruct_series(result, n)

@@ -155,6 +155,23 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="row 1"):
             od.load_csv(path, simple_config())
 
+    def test_time_column_only_file_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["t", "0.0", "0.5", "1.0"])
+        with pytest.raises(IngestError, match="at least one channel"):
+            od.load_csv(path, IngestConfig(time_column="t"))
+
+    def test_record_without_channels_rejected(self):
+        with pytest.raises(IngestError, match="at least one channel"):
+            od.SignalRecord(names=(), data=np.empty((0, 5)), missing_mask=np.empty((0, 5), bool), dt=1.0)
+
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(IngestError, match="dt must be finite and positive"):
+            IngestConfig(dt=dt)
+        with pytest.raises(IngestError, match="dt must be finite and positive"):
+            od.SignalRecord(names=("x",), data=[[1.0, 2.0]], missing_mask=[[False, False]], dt=dt)
+
 
 def cell_by_cell(rows, names, time_idx):
     """The reference parse: every cell in row-major order, the first problem raised."""

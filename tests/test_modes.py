@@ -252,7 +252,7 @@ class TestReportsFromDmd:
     ):
         """The per-bin envelope array gives every report the scalar formula's IC."""
         res, _ = lfo_gapped_mrdmd
-        bins = refit_bins(res, lfo_gapped_embedded.data[:, :4000])
+        bins = refit_bins(res, lfo_gapped_embedded[:, :4000])
         fits = itertools.chain(((fit, res.plan.mu) for _, _, fit, _ in bins), [(lfo_gapped_dmd[0], 4000)])
         checked = 0
         for fit, horizon in fits:

@@ -233,9 +233,9 @@ class TestSlowReconstruction:
 
     def test_planted_mode_matches_generator_within_1pct(self):
         rec = od.generate([od.ModeSpec(8.6, 0.0, 1.0)], dc=0.0, fs=2500, duration=2.0)
-        snap = od.delay_embed(rec, "signal", 1000)
+        hankel = od.delay_embed(rec, "signal", 1000)
         plan = od.plan(4000, rec.dt, mu=16, g=4)
-        block = np.array(snap.data[:, :500])  # one level-4 bin
+        block = np.array(hankel[:, :500])  # one level-4 bin
         idx = subsample((0, 500), 16)
         f_sp = 16 / (500 * rec.dt)
         fit = od.dmd(block[:, idx][:, :-1], block[:, idx][:, 1:], DEFAULT_BIN_RULE, dt=1 / f_sp)
@@ -321,7 +321,7 @@ class TestSlowAtTiles:
         """Columns that all lie in whole tiles need not evaluate the bin's last tile."""
         res, _ = lfo_gapped_mrdmd
         checked = 0
-        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded[:, :4000]):
             if not node.slow_set:
                 continue
             start, stop = node.col_span
@@ -341,7 +341,7 @@ class TestSlowAtTiles:
     def test_any_columns_match_the_full_width_product(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         res, _ = lfo_gapped_mrdmd
         rng = np.random.default_rng(7)
-        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded[:, :4000]):
             if not node.slow_set or node.level > 5:
                 continue
             start, stop = node.col_span
@@ -366,22 +366,22 @@ def level_energies(res, data) -> np.ndarray:
 class TestDecompose:
     def test_pure_dc_captured_at_level_one(self):
         rec = od.generate([], dc=3.5, fs=2500, duration=2.0)
-        snap = od.delay_embed(rec, "signal", 1000)
+        hankel = od.delay_embed(rec, "signal", 1000)
         plan = od.plan(4000, rec.dt, mu=16, g=4)
-        res = od.decompose(snap.data[:, :4000], plan, DEFAULT_BIN_RULE)
-        total_energy = np.sum(snap.data[:, :4000] ** 2)
-        residual = snap.data[:, :4000] - res.total_reconstruction
+        res = od.decompose(hankel[:, :4000], plan, DEFAULT_BIN_RULE)
+        total_energy = np.sum(hankel[:, :4000] ** 2)
+        residual = hankel[:, :4000] - res.total_reconstruction
         assert np.sum(residual**2) <= 1e-8 * total_energy
-        for energy in level_energies(res, snap.data[:, :4000])[1:]:
+        for energy in level_energies(res, hankel[:, :4000])[1:]:
             assert energy <= 1e-8 * total_energy
 
     def test_dc_plus_lfo_captured_at_level_four(self):
         rec = od.generate([od.ModeSpec(8.6, 0.0, 6.0)], dc=170.0, fs=2500, duration=2.0)
-        snap = od.delay_embed(rec, "signal", 1000)
+        hankel = od.delay_embed(rec, "signal", 1000)
         plan = od.plan(4000, rec.dt, mu=16, g=4)
-        res = od.decompose(snap.data[:, :4000], plan, DEFAULT_BIN_RULE)
-        osc_energy = np.sum((snap.data[:, :4000] - 170.0) ** 2)
-        energy = level_energies(res, snap.data[:, :4000])
+        res = od.decompose(hankel[:, :4000], plan, DEFAULT_BIN_RULE)
+        osc_energy = np.sum((hankel[:, :4000] - 170.0) ** 2)
+        energy = level_energies(res, hankel[:, :4000])
         for level in (2, 3):
             assert energy[level - 1] <= 1e-8 * osc_energy
         assert energy[3] >= 0.98 * osc_energy
@@ -444,7 +444,7 @@ class TestDecompose:
         total = np.zeros(res.data.shape)
         # refit_bins yields a bin's ancestors before it, so each column sums as
         # zeros + level 1 + level 2 + ...: the layers added in level order
-        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000]):
+        for node, _, _, slow in refit_bins(res, lfo_gapped_embedded[:, :4000]):
             start, stop = node.col_span
             total[:, start:stop] += slow.at(np.arange(start, stop))
         assert np.array_equal(total, res.total_reconstruction)
@@ -454,7 +454,7 @@ class TestDecompose:
         res, _ = lfo_gapped_mrdmd
         lineage = {
             (node.level, node.bin_index): slow
-            for node, _, _, slow in refit_bins(res, lfo_gapped_embedded.data[:, :4000])
+            for node, _, _, slow in refit_bins(res, lfo_gapped_embedded[:, :4000])
         }
         covered = np.zeros(res.plan.n, dtype=int)
         tiled = 0
@@ -484,8 +484,8 @@ class TestDecompose:
             [od.ModeSpec(3.0, 0.0, 1.0), od.ModeSpec(11.0, -0.5, 0.6)],
             dc=1.0, fs=64.0, duration=8.0, noise_std=0.05, seed=5,
         )
-        snap = od.delay_embed(rec, "signal", 8)
-        data = np.array(snap.data[:, :504])
+        hankel = od.delay_embed(rec, "signal", 8)
+        data = np.array(hankel[:, :504])
         plan = od.plan(504, rec.dt, mu=8, g=4)
         rule = TruncationRule.energy(0.999)
         res = od.decompose(data, plan, rule)
@@ -516,10 +516,10 @@ class TestDecompose:
 
         walk(res.root, data, np.zeros(data.shape))
 
-    def test_peak_memory_a_few_hankel_sizes(self, lfo_gapped_embedded):
+    def test_peak_memory_a_few_hankel_sizes(self, lfo_gapped, lfo_gapped_embedded):
         """The recursion never holds per-level layers or residual copies."""
-        data = lfo_gapped_embedded.data[:, :4000]
-        plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
+        data = lfo_gapped_embedded[:, :4000]
+        plan = od.plan(4000, lfo_gapped[0].dt, mu=16, g=4)
         assert data.shape == (1000, 4000) and plan.termination_level == 8
         tracemalloc.start()
         try:
@@ -529,10 +529,10 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 5 * data.size * 8
 
-    def test_peak_memory_under_a_fifth_of_the_matrix(self, lfo_gapped_embedded):
+    def test_peak_memory_under_a_fifth_of_the_matrix(self, lfo_gapped, lfo_gapped_embedded):
         """No bin's slow modes or fit outlive its subtree, so the recursion stays small."""
-        data = lfo_gapped_embedded.data[:, :4000]
-        plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
+        data = lfo_gapped_embedded[:, :4000]
+        plan = od.plan(4000, lfo_gapped[0].dt, mu=16, g=4)
         tracemalloc.start()
         try:
             od.decompose(data, plan, DEFAULT_BIN_RULE)
@@ -541,10 +541,10 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 0.2 * data.size * 8
 
-    def test_result_retains_no_bin_mode_matrices(self, lfo_gapped_embedded):
+    def test_result_retains_no_bin_mode_matrices(self, lfo_gapped, lfo_gapped_embedded):
         """A kept result holds no bin's m x r fit and no bin's slow-mode columns."""
-        data = lfo_gapped_embedded.data[:, :4000]
-        plan = od.plan(4000, lfo_gapped_embedded.dt, mu=16, g=4)
+        data = lfo_gapped_embedded[:, :4000]
+        plan = od.plan(4000, lfo_gapped[0].dt, mu=16, g=4)
         tracemalloc.start()
         try:
             res = od.decompose(data, plan, DEFAULT_BIN_RULE)
@@ -554,19 +554,19 @@ class TestDecompose:
         assert res.root.children
         assert retained < 0.1 * data.size * 8
 
-    def test_read_only_input_is_kept_without_a_copy(self, lfo_gapped_embedded):
+    def test_read_only_input_is_kept_without_a_copy(self, lfo_gapped, lfo_gapped_embedded):
         """The CLI's read-only slice of the Hankel view is kept as given."""
-        snap = lfo_gapped_embedded
-        n = snap.shape[1] - 1  # the last column is reserved for the shifted pair
-        plan = od.plan(n, snap.dt, mu=16, g=4)
+        hankel = lfo_gapped_embedded
+        n = hankel.shape[1] - 1  # the last column is reserved for the shifted pair
+        plan = od.plan(n, lfo_gapped[0].dt, mu=16, g=4)
         tracemalloc.start()
         try:
-            res = od.decompose(snap.data[:, :n], plan, DEFAULT_BIN_RULE)
+            res = od.decompose(hankel[:, :n], plan, DEFAULT_BIN_RULE)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(res.data, snap.data)
-        assert retained < 0.1 * snap.shape[0] * n * 8
+        assert np.shares_memory(res.data, hankel)
+        assert retained < 0.1 * hankel.shape[0] * n * 8
 
     def test_writes_to_the_input_do_not_reach_the_dense_views(self):
         """A writable input is kept as a read-only copy, so the rebuild sees what was decomposed."""
@@ -574,13 +574,13 @@ class TestDecompose:
             [od.ModeSpec(3.0, 0.0, 1.0), od.ModeSpec(11.0, -0.5, 0.6)],
             dc=1.0, fs=64.0, duration=8.0, noise_std=0.05, seed=5,
         )
-        snap = od.delay_embed(rec, "signal", 8)
+        hankel = od.delay_embed(rec, "signal", 8)
         plan = od.plan(504, rec.dt, mu=8, g=4)
         rule = TruncationRule.energy(0.999)
-        data = np.array(snap.data[:, :504])
+        data = np.array(hankel[:, :504])
         res = od.decompose(data, plan, rule)
         data[:, 100:300] = 0.0
-        untouched = od.decompose(np.array(snap.data[:, :504]), plan, rule)
+        untouched = od.decompose(np.array(hankel[:, :504]), plan, rule)
         assert not res.data.flags.writeable
         assert untouched.total_reconstruction.any()
         assert res.total_reconstruction.tobytes() == untouched.total_reconstruction.tobytes()
@@ -588,7 +588,7 @@ class TestDecompose:
     def test_every_bin_fit_is_the_least_squares_fit(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         """Each bin's reduced-space amplitudes fit its residual first column like lstsq on Phi."""
         res, _ = lfo_gapped_mrdmd
-        data = lfo_gapped_embedded.data[:, :4000]
+        data = lfo_gapped_embedded[:, :4000]
         fits = 0
         for node, xsub, fit, _ in refit_bins(res, data):
             b = node.dmd.amplitudes

@@ -58,8 +58,8 @@ def test_recovery_oracle_contract():
         od.ModeSpec(33.0, -4.0, 0.4),
     ]
     rec = od.generate(modes, dc=2.0, fs=200.0, duration=3.0)
-    snap = od.delay_embed(rec, "signal", 120)
-    x1, x2 = od.shifted_pair(snap)
+    hankel = od.delay_embed(rec, "signal", 120)
+    x1, x2 = od.shifted_pair(hankel)
     # rank covers DC plus the three conjugate pairs exactly
     result = od.dmd(x1, x2, od.TruncationRule.fixed(7), dt=rec.dt)
     reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])

@@ -28,14 +28,14 @@ def test_flagship_shape_5000_samples_depth_1000(lfo_clean_embedded):
 
 
 def test_smallest_hankel():
-    snap = od.delay_embed(record_from([1.0, 2.0, 3.0]), "x", 2)
-    assert np.array_equal(snap.data, [[1.0, 2.0], [2.0, 3.0]])
+    hankel = od.delay_embed(record_from([1.0, 2.0, 3.0]), "x", 2)
+    assert np.array_equal(hankel, [[1.0, 2.0], [2.0, 3.0]])
 
 
 def test_identity_embedding():
     values = np.arange(10.0)
-    snap = od.delay_embed(record_from(values), "x", 1)
-    assert np.array_equal(snap.data, values[None, :])
+    hankel = od.delay_embed(record_from(values), "x", 1)
+    assert np.array_equal(hankel, values[None, :])
 
 
 def test_depth_too_large_names_maximum():
@@ -57,10 +57,9 @@ def test_embed_defaults_to_first_channel_and_depth():
         missing_mask=np.zeros((2, 50), dtype=bool),
         dt=0.5,
     )
-    snap = od.delay_embed(rec)
-    assert snap.source_channel == "a"
-    assert snap.stack_depth == 10
-    assert np.array_equal(snap.data[0], rec.data[0, :41])
+    hankel = od.delay_embed(rec)
+    assert hankel.shape == (10, 41)
+    assert np.array_equal(hankel[0], rec.data[0, :41])
 
 
 @settings(max_examples=120, deadline=None)
@@ -72,19 +71,19 @@ def test_embed_defaults_to_first_channel_and_depth():
 )
 def test_hankel_structure_matches_source(values, data):
     depth = data.draw(st.integers(min_value=1, max_value=len(values) - 1))
-    snap = od.delay_embed(record_from(values), "x", depth)
-    m, n = snap.shape
+    hankel = od.delay_embed(record_from(values), "x", depth)
+    m, n = hankel.shape
     assert m == depth
     assert m + n - 1 == len(values)
     for i in range(m):
         for j in range(n):
-            assert snap.data[i, j] == values[i + j]
+            assert hankel[i, j] == values[i + j]
 
 
 def test_shifted_pair_overlap():
     rng = np.random.default_rng(0)
-    snap = od.delay_embed(record_from(rng.normal(size=60)), "x", 12)
-    x1, x2 = od.shifted_pair(snap)
+    hankel = od.delay_embed(record_from(rng.normal(size=60)), "x", 12)
+    x1, x2 = od.shifted_pair(hankel)
     assert np.array_equal(x1[:, 1:], x2[:, :-1])
 
 
@@ -95,16 +94,16 @@ def test_shifted_pair_minimal():
 
 
 def test_shifted_pair_of_constant_signal():
-    snap = od.delay_embed(record_from(np.full(20, 3.3)), "x", 4)
-    x1, x2 = od.shifted_pair(snap)
+    hankel = od.delay_embed(record_from(np.full(20, 3.3)), "x", 4)
+    x1, x2 = od.shifted_pair(hankel)
     assert np.array_equal(x1, x2)
 
 
 def test_unembed_inverts_embedding():
     rng = np.random.default_rng(7)
     values = rng.normal(size=80)
-    snap = od.delay_embed(record_from(values), "x", 16)
-    np.testing.assert_allclose(od.unembed(snap.data), values, rtol=1e-12, atol=1e-12)
+    hankel = od.delay_embed(record_from(values), "x", 16)
+    np.testing.assert_allclose(od.unembed(hankel), values, rtol=1e-12, atol=1e-12)
 
 
 def test_unembed_rejects_empty():
@@ -114,17 +113,11 @@ def test_unembed_rejects_empty():
 
 def test_snapshot_matrix_immutable(lfo_clean_embedded):
     with pytest.raises(ValueError):
-        lfo_clean_embedded.data[0, 0] = 1.0
+        lfo_clean_embedded[0, 0] = 1.0
 
 
 def test_embedding_is_read_only_view_of_record():
     rec = record_from(np.arange(30.0))
-    snap = od.delay_embed(rec, "x", 6)
-    assert np.shares_memory(snap.data, rec.data)
-    assert not snap.data.flags.writeable
-    # a caller's writeable array is still copied, so later writes do not leak in
-    raw = np.ones((2, 3))
-    held = od.SnapshotMatrix(raw, dt=1.0, t0=0.0, stack_depth=2, source_channel="x")
-    raw[0, 0] = 5.0
-    assert held.data[0, 0] == 1.0
-    assert not held.data.flags.writeable
+    hankel = od.delay_embed(rec, "x", 6)
+    assert np.shares_memory(hankel, rec.data)
+    assert not hankel.flags.writeable
