@@ -18,7 +18,7 @@ import configparser
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -94,6 +94,17 @@ class RunConfig:
             raise ValueError(f"--eps-crit must be finite and non-negative, got {self.eps_crit!r}")
         if self.stack_depth is not None and self.stack_depth < 1:
             raise ValueError("--stack must be at least 1")
+        # a flag that cannot apply to the chosen source is an error, not ignored
+        if self.profile is not None:
+            for flag, given in (
+                ("--dt", self.dt is not None),
+                ("--time-column", self.time_column is not None),
+                ("--no-header", not self.has_header),
+            ):
+                if given:
+                    raise ValueError(f"{flag} applies to --input only, not to --profile")
+        elif self.noise_std is not None:
+            raise ValueError("--noise-std applies to --profile only, not to --input")
 
 
 def _resolve_rule(rank: int | None, energy: float | None, sv_ratio: float | None) -> TruncationRule | None:
@@ -124,6 +135,8 @@ def _run_config(
 def _load_record(cfg: RunConfig) -> tuple[SignalRecord, object | None]:
     if cfg.profile is not None:
         record, profile = generate_profile(cfg.profile, seed=cfg.seed, noise_std=cfg.noise_std)
+        # the fill policy decides what an injected gap holds
+        record = replace(record, fill_policy=cfg.fill_policy)
     else:
         record = load_csv(
             cfg.input_path,
@@ -360,7 +373,7 @@ def _analyze_dmd_core(
 ) -> tuple[list[ModeReport], np.ndarray, DmdResult, int]:
     hankel = _embed(cfg, record)
     x1, x2 = shifted_pair(hankel)
-    result = dmd(x1, x2, cfg.rule or DEFAULT_RULE, dt=record.dt)
+    result = dmd(x1, x2, cfg.rule or DEFAULT_RULE)
     reports = classify(
         reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=x1.shape[1]),
         cfg.eps_crit,

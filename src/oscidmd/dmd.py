@@ -135,7 +135,7 @@ class DmdResult:
     """Outcome of one decomposition.
 
     modes holds the projected mode columns Phi = U W (unit-norm W columns),
-    eigenvalues the per-step multipliers at dt_effective, amplitudes the
+    eigenvalues the per-step multipliers, amplitudes the
     least-squares fit of the first snapshot, solved as W b = U^T x1. Modes
     are ordered by descending score |b_k| * ||Phi_k||, ties broken by
     descending |lambda| with the non-negative imaginary member first. Both
@@ -150,7 +150,6 @@ class DmdResult:
     eigenvalues: np.ndarray
     amplitudes: np.ndarray
     rank: int
-    dt_effective: float
     singular_values: np.ndarray
     rank_clamped: bool
 
@@ -422,13 +421,11 @@ def dmd(
     x1: np.ndarray,
     x2: np.ndarray,
     rule: TruncationRule = DEFAULT_RULE,
-    dt: float = 1.0,
 ) -> DmdResult:
     """Full decomposition of a shifted snapshot pair.
 
     Composes truncated SVD, reduced-operator projection, eigendecomposition
-    and amplitude fitting; dt is the sampling interval the eigenvalues are
-    expressed in.
+    and amplitude fitting. The eigenvalues are per snapshot step.
 
     A wide pair (n > m + 1) that is the one-step shifted Hankel pair of one
     series is first compressed to the m x (m+1) pair L[:m], L[1:] with
@@ -446,8 +443,6 @@ def dmd(
         raise DecompositionError("empty snapshot pair")
     if x1.shape != x2.shape:
         raise ValueError(f"snapshot pair shapes differ: {x1.shape} vs {x2.shape}")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
 
     low = _hankel_factor(x1, x2)
     y1, y2 = (x1, x2) if low is None else (low[:-1], low[1:])
@@ -470,7 +465,6 @@ def dmd(
         eigenvalues=eigvals[order],
         amplitudes=b[order],
         rank=svd.rank,
-        dt_effective=dt,
         singular_values=svd.singular_values.copy(),
         rank_clamped=svd.rank_clamped,
     )

@@ -34,13 +34,13 @@ class IngestConfig:
     time column (``time_column`` is a header name or a 0-based column
     index). If both are given they must agree to within 1e-6 relative,
     otherwise the file is rejected rather than silently preferring one.
+    Without a time column the record starts at t = 0.
     """
 
     dt: float | None = None
     time_column: str | int | None = None
     has_header: bool = True
     fill_policy: str = FILL_ZERO
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.fill_policy not in _FILL_POLICIES:
@@ -250,7 +250,7 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
         keep = [c for c in range(ncols) if c != time_idx]
     else:
         dt = float(config.dt)  # config guarantees presence
-        t0 = config.t0
+        t0 = 0.0
         keep = list(range(ncols))
 
     data = _fill(values[keep], mask[keep], config.fill_policy)

@@ -7,6 +7,9 @@ full-resolution reconstruction is subtracted from the bin and the residual
 is halved and recursed until the termination level, which is the largest L
 keeping more than mu columns per bin.
 
+The recursion is one generator, ``_walk``, that yields each bin in
+pre-order (a bin, then its left half, then its right half) with its fit
+and slow modes; ``decompose`` and the dense view are plain loops over it.
 The implementation is matrix-free. A bin's fit reads only its mu
 subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts every
@@ -14,7 +17,7 @@ ancestor's slow modes evaluated there; no residual is formed at full
 resolution. Each bin's slow modes are factored once (``SlowModes``: the
 mode shapes, amplitudes and continuous eigenvalues) and passed down the
 recursion, in the lineage tuple, to its descendants; they and the fit's
-m x r mode matrix are freed when the bin's subtree returns, so at most one
+m x r mode matrix are freed when the bin's subtree is done, so at most one
 of each per level is alive at a time. The node keeps only the bin's
 geometry, its fit as a ``BinFit`` (eigenvalues, amplitudes, rank and
 singular values) and its slow set: no m-row array. A bin's contribution to
@@ -43,8 +46,8 @@ ordering any parallel variant must reproduce.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -241,13 +244,10 @@ class BinFit:
     rank: int
     rank_clamped: bool
     singular_values: np.ndarray
-    dt_effective: float
 
     @classmethod
     def of(cls, fit: DmdResult) -> "BinFit":
-        return cls(
-            fit.eigenvalues, fit.amplitudes, fit.rank, fit.rank_clamped, fit.singular_values, fit.dt_effective
-        )
+        return cls(fit.eigenvalues, fit.amplitudes, fit.rank, fit.rank_clamped, fit.singular_values)
 
 
 @dataclass(frozen=True)
@@ -384,27 +384,21 @@ class MrdmdNode:
 
 
 def _walk(
-    data: np.ndarray,
-    mrdmd_plan: MrdmdPlan,
-    rule: TruncationRule,
-    visit: Callable[
-        [int, int, tuple[int, int], float, tuple[int, ...], DmdResult | None, SlowModes | None], None
-    ],
-) -> MrdmdNode:
-    """The recursion over ``data``; returns the root of its node tree.
+    data: np.ndarray, mrdmd_plan: MrdmdPlan, rule: TruncationRule
+) -> Iterator[tuple[MrdmdNode, DmdResult | None, SlowModes | None]]:
+    """The recursion over ``data``: yields each bin as it is fitted.
 
-    Depth first per bin: gather the bin's mu subsample columns, subtract
-    every ancestor's slow modes evaluated at those columns (root first),
-    decompose, screen slow modes, then call
-    ``visit(level, bin_index, col_span, f_sp, slow_set, fit, slow_modes)``
-    with the bin's fit (None when it has no signal energy left) and its
-    slow modes (None when it has none), and recurse into both halves. The
-    bin's node is built once its halves' nodes are. Bins of odd width split
-    with the larger half first. The lineage of slow modes is a tuple passed
-    down the recursion: a bin's ``SlowModes`` and its fit, with the fit's
-    m x r mode matrix, are freed when the bin's subtree returns, so at most
-    one of each per level is alive at a time. The same input gives the same
-    fits, bit for bit, on every walk.
+    Pre-order per bin (a bin, then its left half, then its right half):
+    gather the bin's mu subsample columns, subtract every ancestor's slow
+    modes evaluated at those columns (root first), decompose, screen slow
+    modes, then yield ``(node, fit, slow_modes)``: the bin's childless
+    node, its fit (None when it has no signal energy left) and its slow
+    modes (None when it has none). Bins of odd width split with the larger
+    half first. The lineage of slow modes is a tuple passed down the
+    recursion: a bin's ``SlowModes`` and its fit, with the fit's m x r mode
+    matrix, are freed when the bin's subtree is done, so at most one of
+    each per level is alive at a time unless the consumer holds them. The
+    same input gives the same fits, bit for bit, on every walk.
     """
     dt = mrdmd_plan.dt
     mu = mrdmd_plan.mu
@@ -412,7 +406,7 @@ def _walk(
 
     def recurse(
         start: int, width: int, level: int, bin_index: int, ancestors: tuple[SlowModes, ...]
-    ) -> MrdmdNode:
+    ) -> Iterator[tuple[MrdmdNode, DmdResult | None, SlowModes | None]]:
         span = (start, start + width)
         cols = subsample(span, mu)
         f_sp = mu / (width * dt)
@@ -420,7 +414,7 @@ def _walk(
         for ancestor in ancestors:
             xsub -= ancestor.at(cols)
         try:
-            fit = dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / f_sp)
+            fit = dmd(xsub[:, :-1], xsub[:, 1:], rule)
         except ZeroSignalError:
             fit = None
         slow: tuple[int, ...] = ()
@@ -430,32 +424,19 @@ def _walk(
             slow = tuple(slow_idx.tolist())
             if slow:
                 own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
-        visit(level, bin_index, span, f_sp, slow, fit, own)
-        # This frame lives until both halves return: free the bin's input
+        binfit = None if fit is None else BinFit.of(fit)
+        yield MrdmdNode(level, bin_index, span, cols, binfit, slow, f_sp, dt), fit, own
+        # This frame lives until both halves are done: free the bin's input
         # first. The fit (Phi) is freed on return, not here: freed ahead of
         # the halves' allocations it let glibc trim the heap and fault it
         # back in for every bin (3x the page faults on a 1000 x 4000 input).
         del xsub
-        children: tuple[MrdmdNode, ...] = ()
         if level < level_count:
             # a bin without slow modes subtracts nothing from its descendants
             lineage = ancestors if own is None else ancestors + (own,)
             half = (width + 1) // 2
-            children = (
-                recurse(start, half, level + 1, 2 * bin_index, lineage),
-                recurse(start + half, width - half, level + 1, 2 * bin_index + 1, lineage),
-            )
-        return MrdmdNode(
-            level=level,
-            bin_index=bin_index,
-            col_span=span,
-            subsample_indices=cols,
-            dmd=None if fit is None else BinFit.of(fit),
-            slow_set=slow,
-            f_sp=f_sp,
-            dt=dt,
-            children=children,
-        )
+            yield from recurse(start, half, level + 1, 2 * bin_index, lineage)
+            yield from recurse(start + half, width - half, level + 1, 2 * bin_index + 1, lineage)
 
     return recurse(0, mrdmd_plan.n, 1, 0, ())
 
@@ -470,9 +451,10 @@ class MrdmdResult:
     read-only snapshot matrix that was decomposed (such as a slice of the
     ``delay_embed`` view) and ``rule`` the bins' truncation rule. The one
     dense view, the rows x n ``total_reconstruction``, is rebuilt on first
-    access by walking the recursion again over ``data``: every bin is
-    refitted bit for bit and adds its slow reconstruction over its span. It
-    costs one more walk and O(m * n) memory, and is cached read-only.
+    access by walking the recursion again over ``data``: the walk yields
+    every bin, refitted bit for bit, and each adds its slow reconstruction
+    over its span. It costs one more walk and O(m * n) memory, and is cached
+    read-only.
     """
 
     plan: MrdmdPlan
@@ -494,25 +476,16 @@ class MrdmdResult:
     def total_reconstruction(self) -> np.ndarray:
         """One refitting walk that adds each bin's slow reconstruction over its span.
 
-        The walk visits a bin's ancestors before it, so each entry sums as
+        The walk yields a bin's ancestors before it, so each entry sums as
         zeros + level 1 + level 2 + ...
         """
         total = np.zeros(self.data.shape)
-
-        def add(
-            level: int,
-            bin_index: int,
-            span: tuple[int, int],
-            f_sp: float,
-            slow: tuple[int, ...],
-            fit: DmdResult | None,
-            own: SlowModes | None,
-        ) -> None:
+        for node, fit, own in _walk(self.data, self.plan, self.rule):
             if own is not None:
-                start, stop = span
+                start, stop = node.col_span
                 total[:, start:stop] += own.at(np.arange(start, stop))
-
-        _walk(self.data, self.plan, self.rule, add)
+            # held across the next step, they would stay alive while the next bin is fitted
+            del fit, own
         total.setflags(write=False)
         return total
 
@@ -529,6 +502,14 @@ def _read_only_float(arr) -> bool:
     return True
 
 
+def _subtree(pre_order: Iterator[MrdmdNode], level_count: int) -> MrdmdNode:
+    """The next node of a pre-order node sequence, given its two subtrees above the last level."""
+    node = next(pre_order)
+    if node.level < level_count:
+        return replace(node, children=(_subtree(pre_order, level_count), _subtree(pre_order, level_count)))
+    return node
+
+
 def decompose(
     data: np.ndarray,
     mrdmd_plan: MrdmdPlan,
@@ -536,14 +517,15 @@ def decompose(
 ) -> MrdmdResult:
     """Run the multi-resolution recursion over a rows x n snapshot matrix.
 
-    The recursion is ``_walk``. The residual is never formed at full
-    resolution: each bin adds the anti-diagonal sums of its own slow
-    reconstruction, convolved by FFT from its factored slow modes, to its
-    level's series, and its mode reports to the mode list. No bin's slow
-    modes or mode matrix outlive its subtree; its node keeps the fit only as
-    a ``BinFit``. When a bin has no signal energy left (fully explained
-    upstream) it contributes zeros and an empty mode list and the recursion
-    continues.
+    The recursion is ``_walk``, which yields each bin in pre-order; one
+    loop consumes it. The residual is never formed at full resolution: each
+    bin adds the anti-diagonal sums of its own slow reconstruction,
+    convolved by FFT from its factored slow modes, to its level's series,
+    and its mode reports to the mode list. No bin's slow modes or mode
+    matrix outlive its subtree; its node keeps the fit only as a
+    ``BinFit``. The node tree is built from the pre-order node list. When a
+    bin has no signal energy left (fully explained upstream) it contributes
+    zeros and an empty mode list and the recursion continues.
 
     The result keeps the snapshot matrix for its dense view: a read-only
     float array as given (such as a slice of the ``delay_embed`` view), and
@@ -560,34 +542,31 @@ def decompose(
         raise ValueError(f"snapshot matrix has {n} columns but the plan expects {mrdmd_plan.n}")
 
     level_sums = np.zeros((mrdmd_plan.termination_level, m + n - 1))
-    # the walk visits each level's bins left to right, so each list is in bin order
+    # the walk yields each level's bins left to right, so each list is in bin order
     level_reports: tuple[list[ModeReport], ...] = tuple([] for _ in level_sums)
-
-    def collect(
-        level: int,
-        bin_index: int,
-        span: tuple[int, int],
-        f_sp: float,
-        slow: tuple[int, ...],
-        fit: DmdResult | None,
-        own: SlowModes | None,
-    ) -> None:
+    nodes = []
+    for node, fit, own in _walk(data, mrdmd_plan, rule):
         if own is not None:
-            start, stop = span
-            level_sums[level - 1, start : stop + m - 1] += own.antidiagonal_sums()
+            start, stop = node.col_span
+            level_sums[node.level - 1, start : stop + m - 1] += own.antidiagonal_sums()
         if fit is not None:
-            level_reports[level - 1].extend(
+            level_reports[node.level - 1].extend(
                 reports_from_dmd(
                     fit,
-                    f_sp=f_sp,
+                    f_sp=node.f_sp,
                     horizon_steps=mrdmd_plan.mu,
-                    level=level,
-                    bin_index=bin_index,
-                    slow_set=set(slow),
+                    level=node.level,
+                    bin_index=node.bin_index,
+                    slow_set=set(node.slow_set),
                 )
             )
+        nodes.append(node)
+        # The walk frees a bin's fit and slow modes once its subtree is done;
+        # held here across the next step, they would stay alive while the
+        # next bin is fitted.
+        del fit, own
 
-    root = _walk(data, mrdmd_plan, rule, collect)
+    root = _subtree(iter(nodes), mrdmd_plan.termination_level)
     counts = antidiagonal_counts(m, n)
     per_level_series = tuple(sums / counts for sums in level_sums)
     series = level_sums.sum(axis=0) / counts

@@ -40,7 +40,7 @@ def lfo_gapped_embedded(lfo_gapped):
 def lfo_clean_dmd(lfo_clean, lfo_clean_embedded):
     rec, _ = lfo_clean
     x1, x2 = od.shifted_pair(lfo_clean_embedded)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=rec.dt)
+    result = od.dmd(x1, x2, od.DEFAULT_RULE)
     reports = od.classify(
         od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
     )
@@ -51,7 +51,7 @@ def lfo_clean_dmd(lfo_clean, lfo_clean_embedded):
 def lfo_gapped_dmd(lfo_gapped, lfo_gapped_embedded):
     rec, _ = lfo_gapped
     x1, x2 = od.shifted_pair(lfo_gapped_embedded)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=rec.dt)
+    result = od.dmd(x1, x2, od.DEFAULT_RULE)
     reports = od.classify(
         od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
     )
@@ -97,9 +97,9 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
         lineage = ancestors
         if node.dmd is None:
             with pytest.raises(od.ZeroSignalError):
-                od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / node.f_sp)
+                od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
         else:
-            fit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / node.f_sp)
+            fit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
             assert np.array_equal(fit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
             slow = SlowModes.of(fit, node.slow_set, node.col_span, node.dt, node.f_sp)

@@ -86,7 +86,7 @@ def test_c2_dmd_oracle_recovery():
     )
     hankel = od.delay_embed(rec, "signal", 200)
     x1, x2 = od.shifted_pair(hankel)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=rec.dt)
+    result = od.dmd(x1, x2, od.DEFAULT_RULE)
     reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
     elapsed = time.perf_counter() - t0
 
@@ -156,7 +156,7 @@ def test_c5_robustness_comparison(timed_lfo_mrdmd):
 
     hankel = od.delay_embed(gapped, "u_dc", 1000)
     x1, x2 = od.shifted_pair(hankel)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=gapped.dt)
+    result = od.dmd(x1, x2, od.DEFAULT_RULE)
     dmd_reports = od.classify(
         od.reports_from_dmd(result, f_sp=1.0 / gapped.dt, horizon_steps=x1.shape[1])
     )
@@ -191,7 +191,7 @@ class TestC6PropertySuites:
             m = int(rng.integers(3, 8))
             n = int(rng.integers(m + 8, 50))
             x = rng.normal(size=(m, n))
-            result = od.dmd(x[:, :-1], x[:, 1:], TruncationRule.fixed(m), dt=1.0)
+            result = od.dmd(x[:, :-1], x[:, 1:], TruncationRule.fixed(m))
             lam, phi, b = result.eigenvalues, result.modes, result.amplitudes
             scale_b = max(1.0, float(np.max(np.abs(b))))
             for k in range(lam.size):
@@ -242,7 +242,7 @@ class TestC6PropertySuites:
                 modes=np.eye(max(count, 1), count, dtype=complex),
                 eigenvalues=lam.astype(complex),
                 amplitudes=np.ones(count, dtype=complex),
-                rank=count, dt_effective=1.0,
+                rank=count,
                 singular_values=np.ones(count), rank_clamped=False,
             )
             got = set(screen_slow(fake, rho))

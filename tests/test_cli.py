@@ -644,6 +644,47 @@ class TestFlagsToConfig:
         assert "dt must be finite and positive" in err["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd", "compare"])
+    @pytest.mark.parametrize(
+        "source, flags",
+        [
+            ("--profile", ["--dt", "4e-4"]),
+            ("--profile", ["--time-column", "t"]),
+            ("--profile", ["--no-header"]),
+            ("--input", ["--noise-std", "0.1"]),
+        ],
+    )
+    def test_flag_for_the_other_source_rejected_before_any_output(
+        self, runner, tmp_path, command, source, flags
+    ):
+        data = tmp_path / "x.csv"
+        data.write_text("x\n" + "".join(f"{np.sin(0.3 * k)!r}\n" for k in range(200)))
+        given = ["--profile", "lfo_udc"] if source == "--profile" else ["--input", str(data), "--dt", "0.01"]
+        out = tmp_path / "x"
+        result = runner.invoke(
+            cli, ["analyze", command, *given, *flags, "--stack", "20", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == "ValueError"
+        assert f"{flags[0]} applies to" in err["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd"])
+    def test_hold_fill_holds_an_injected_gap(self, runner, tmp_path, command):
+        out = tmp_path / "hold"
+        result = runner.invoke(
+            cli, ["analyze", command, "--profile", "lfo_udc", "--stack", "200", "--gap-start", "2000",
+                  "--gap-length", "250", "--fill", "hold", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        measured = read_csv_columns(out / "reconstruction.csv")["measured"]
+        assert float(measured[1999]) != 0.0
+        assert set(measured[2000:2250]) == {measured[1999]}
+        assert measured[2250] != measured[1999]
+
     @pytest.mark.parametrize("flag", ["--no-report", "--report", "--no-eigenvalues", "--eigenvalues"])
     def test_compare_takes_no_emit_flags(self, runner, tmp_path, flag):
         result = runner.invoke(

@@ -155,7 +155,7 @@ class TestEigModes:
 
     def test_critically_damped_8p6_hz(self):
         (x1, x2), rec = planted_pair([od.ModeSpec(8.6, 0.0, 1.0)])
-        result = od.dmd(x1, x2, TruncationRule.fixed(2), dt=rec.dt)
+        result = od.dmd(x1, x2, TruncationRule.fixed(2))
         want_angle = 2 * np.pi * 8.6 * 4e-4
         angles = np.sort(np.angle(result.eigenvalues))
         np.testing.assert_allclose(angles, [-want_angle, want_angle], rtol=1e-9)
@@ -260,7 +260,7 @@ class TestEigModes:
         monkeypatch.setattr(np.linalg, "svd", no_singular_values)
         od.eig_modes(np.random.default_rng(7).normal(size=(40, 40)), np.eye(40))
         (x1, x2), rec = planted_pair([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], noise=0.01)
-        assert od.dmd(x1, x2, TruncationRule.fixed(30), dt=rec.dt).rank == 30
+        assert od.dmd(x1, x2, TruncationRule.fixed(30)).rank == 30
 
     def test_defective_operator_rejected(self):
         with pytest.raises(DecompositionError, match="r-1"):
@@ -316,7 +316,7 @@ class TestAmplitudes:
     def test_planted_two_mode_amplitudes(self):
         modes = [od.ModeSpec(5.0, 0.0, 2.0), od.ModeSpec(17.0, 0.0, 0.5)]
         (x1, x2), rec = planted_pair(modes, fs=200.0, duration=3.0, depth=60)
-        result = od.dmd(x1, x2, TruncationRule.fixed(4), dt=rec.dt)
+        result = od.dmd(x1, x2, TruncationRule.fixed(4))
         # oracle: least-squares fit of the known complex-exponential mode
         # vectors to the first snapshot
         i = np.arange(60)
@@ -340,13 +340,13 @@ class TestAmplitudes:
 class TestReconstruct:
     def test_j1_is_phi_b(self):
         (x1, x2), rec = planted_pair([od.ModeSpec(4.0, -1.0, 1.0)], fs=100, duration=2, depth=20)
-        result = od.dmd(x1, x2, TruncationRule.fixed(2), dt=rec.dt)
+        result = od.dmd(x1, x2, TruncationRule.fixed(2))
         np.testing.assert_allclose(
             od.reconstruct_window(result, 1)[:, 0], result.modes @ result.amplitudes, rtol=1e-12
         )
 
     def test_dc_mode_constant(self):
-        result = od.dmd(np.full((1, 9), 2.5), np.full((1, 9), 2.5), TruncationRule.fixed(1), dt=1.0)
+        result = od.dmd(np.full((1, 9), 2.5), np.full((1, 9), 2.5), TruncationRule.fixed(1))
         window = od.reconstruct_window(result, 50)
         for j in (1, 5, 50):
             np.testing.assert_allclose(window[:, j - 1].real, [2.5], rtol=1e-12)
@@ -354,14 +354,14 @@ class TestReconstruct:
     def test_noiseless_window_rmse(self):
         modes = [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)]
         (x1, x2), rec = planted_pair(modes)
-        result = od.dmd(x1, x2, od.DEFAULT_RULE, dt=rec.dt)
+        result = od.dmd(x1, x2, od.DEFAULT_RULE)
         recon = od.reconstruct_window(result, x1.shape[1]).real
         rel = np.linalg.norm(recon - x1) / np.linalg.norm(x1)
         assert rel <= 1e-6
 
     def test_j_below_one_rejected(self):
         (x1, x2), rec = planted_pair([od.ModeSpec(4.0, 0.0, 1.0)], fs=100, duration=1, depth=10)
-        result = od.dmd(x1, x2, TruncationRule.fixed(2), dt=rec.dt)
+        result = od.dmd(x1, x2, TruncationRule.fixed(2))
         with pytest.raises(ValueError):
             od.reconstruct_window(result, 0)
 
@@ -385,7 +385,7 @@ class TestDmdComposition:
 
     def test_zero_length_pair_rejected(self):
         with pytest.raises(DecompositionError, match="empty"):
-            od.dmd(np.empty((3, 0)), np.empty((3, 0)), od.DEFAULT_RULE, dt=1.0)
+            od.dmd(np.empty((3, 0)), np.empty((3, 0)), od.DEFAULT_RULE)
 
     def test_retained_operator_satisfies_eigen_residual(self, lfo_clean_dmd, lfo_clean_embedded):
         """The eigenpairs of the fit's reduced operator, from eig_modes, meet 1e-8 * ||A~||_2."""
@@ -490,7 +490,7 @@ class TestProperties:
             x[:, 0] = rng.normal(size=m)
             for j in range(59):
                 x[:, j + 1] = a0 @ x[:, j]
-            result = od.dmd(x[:, :-1], x[:, 1:], TruncationRule.fixed(m), dt=1.0)
+            result = od.dmd(x[:, :-1], x[:, 1:], TruncationRule.fixed(m))
             got = np.sort_complex(result.eigenvalues)
             want = np.sort_complex(eigs)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
@@ -515,7 +515,7 @@ class TestProperties:
             x1, x2 = od.shifted_pair(hankel)
             prev = np.inf
             for r in range(1, 10):
-                result = od.dmd(x1, x2, TruncationRule.fixed(r), dt=rec.dt)
+                result = od.dmd(x1, x2, TruncationRule.fixed(r))
                 res = np.linalg.norm(result.modes @ result.amplitudes - x1[:, 0])
                 assert res <= prev + 1e-12
                 prev = res
@@ -670,7 +670,7 @@ class TestReconstructSeries:
         (x1, x2), rec = planted_pair(modes, fs=500.0, duration=3.0, depth=50)
         n = x1.shape[1] + 1
         assert n > 1024
-        result = od.dmd(x1, x2, TruncationRule.fixed(4), dt=rec.dt)
+        result = od.dmd(x1, x2, TruncationRule.fixed(4))
         assert np.max(np.abs(result.eigenvalues)) > 1.0
         self.assert_matches_window(result, n)
 

@@ -222,7 +222,6 @@ class TestReportsFromDmd:
             eigenvalues=np.array(eigenvalues),
             amplitudes=np.ones(r, dtype=complex),
             rank=r,
-            dt_effective=0.1,
             singular_values=np.ones(r),
             rank_clamped=False,
         )

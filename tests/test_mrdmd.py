@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
+import oscidmd.mrdmd as mrdmd_module
 from conftest import refit_bins
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.dmd import TruncationRule, _fast_length
@@ -21,6 +22,7 @@ from oscidmd.mrdmd import (
     _TILE,
     PlanError,
     SlowModes,
+    _walk,
     screen_slow,
     slow_reconstruction,
     subsample,
@@ -157,7 +159,6 @@ def fake_result(eigenvalues):
         eigenvalues=lam,
         amplitudes=np.ones(r, dtype=complex),
         rank=r,
-        dt_effective=1.0,
         singular_values=np.ones(r),
         rank_clamped=False,
     )
@@ -238,7 +239,7 @@ class TestSlowReconstruction:
         block = np.array(hankel[:, :500])  # one level-4 bin
         idx = subsample((0, 500), 16)
         f_sp = 16 / (500 * rec.dt)
-        fit = od.dmd(block[:, idx][:, :-1], block[:, idx][:, 1:], DEFAULT_BIN_RULE, dt=1 / f_sp)
+        fit = od.dmd(block[:, idx][:, :-1], block[:, idx][:, 1:], DEFAULT_BIN_RULE)
         slow = screen_slow(fit, plan.rho)
         recon = slow_reconstruction(fit, slow, (0, 500), rec.dt, f_sp)
         rel = np.sqrt(np.mean((recon - block) ** 2)) / np.sqrt(np.mean(block**2))
@@ -424,6 +425,31 @@ class TestDecompose:
             widths = {n.col_span[1] - n.col_span[0] for n in nodes}
             assert widths <= {4000 // 2 ** (level - 1), -(-4000 // 2 ** (level - 1))}
 
+    def test_walk_yields_each_bin_as_it_is_fitted(self, monkeypatch):
+        fits = []
+        fit_bin = mrdmd_module.dmd
+        monkeypatch.setattr(mrdmd_module, "dmd", lambda *args: fits.append(args) or fit_bin(*args))
+        t = np.arange(200) * 0.01
+        data = np.sin(2 * np.pi * 3 * t) + np.random.default_rng(5).normal(0.0, 0.1, (6, 200))
+        plan = od.plan(200, 0.01, mu=16, g=4)
+        depth = plan.termination_level
+
+        walk = _walk(data, plan, DEFAULT_BIN_RULE)
+        first, *_ = next(walk)
+        assert len(fits) == 1
+        seen = [first, *(node for node, _, _ in walk)]
+
+        def pre_order(level, bin_index):
+            yield level, bin_index
+            if level < depth:
+                yield from pre_order(level + 1, 2 * bin_index)
+                yield from pre_order(level + 1, 2 * bin_index + 1)
+
+        assert depth == 4
+        assert [(node.level, node.bin_index) for node in seen] == list(pre_order(1, 0))
+        assert len(seen) == len(fits) == 2**depth - 1
+        assert all(node.children == () for node in seen)
+
     def test_subsample_indices_inside_span(self, lfo_gapped_mrdmd):
         res, _ = lfo_gapped_mrdmd
 
@@ -496,7 +522,7 @@ class TestDecompose:
             idx = subsample((0, width), plan.mu)
             f_sp = plan.mu / (width * plan.dt)
             xsub = block[:, idx]
-            refit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule, dt=1.0 / f_sp)
+            refit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
             assert np.array_equal(refit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(refit.amplitudes, node.dmd.amplitudes)
             recon = slow_reconstruction(

@@ -61,7 +61,7 @@ def test_recovery_oracle_contract():
     hankel = od.delay_embed(rec, "signal", 120)
     x1, x2 = od.shifted_pair(hankel)
     # rank covers DC plus the three conjugate pairs exactly
-    result = od.dmd(x1, x2, od.TruncationRule.fixed(7), dt=rec.dt)
+    result = od.dmd(x1, x2, od.TruncationRule.fixed(7))
     reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
     for m in modes:
         best = min(reports, key=lambda r: abs(r.frequency_hz - m.frequency_hz))
