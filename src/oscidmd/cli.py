@@ -62,7 +62,7 @@ class RunConfig:
 
     input_path: Path | None = None
     profile: str | None = None
-    seed: int = 0
+    seed: int | None = None
     noise_std: float | None = None
     channel: str | None = None
     dt: float | None = None
@@ -103,8 +103,15 @@ class RunConfig:
             ):
                 if given:
                     raise ValueError(f"{flag} applies to --input only, not to --profile")
-        elif self.noise_std is not None:
-            raise ValueError("--noise-std applies to --profile only, not to --input")
+            if self.seed is None:
+                self.seed = 0
+        else:
+            for flag, given in (
+                ("--noise-std", self.noise_std is not None),
+                ("--seed", self.seed is not None),
+            ):
+                if given:
+                    raise ValueError(f"{flag} applies to --profile only, not to --input")
 
 
 def _resolve_rule(rank: int | None, energy: float | None, sv_ratio: float | None) -> TruncationRule | None:
@@ -306,7 +313,7 @@ def _source_payload(cfg: RunConfig, record: SignalRecord, channel: str) -> dict:
     return {
         "kind": "profile" if cfg.profile else "file",
         "name": cfg.profile or str(cfg.input_path),
-        "seed": cfg.seed if cfg.profile else None,
+        "seed": cfg.seed,
         "channel": channel,
         "length": record.length,
         "dt": record.dt,
@@ -585,7 +592,7 @@ _source_options = _options(
                  help="CSV file to analyze."),
     click.option("--profile", type=str, default=None,
                  help=f"Synthetic profile instead of a file ({', '.join(sorted(PROFILES))})."),
-    click.option("--seed", type=int, default=0, show_default=True, help="Generator seed."),
+    click.option("--seed", type=int, default=None, help="Generator seed (--profile only; default 0)."),
     click.option("--noise-std", type=float, default=None, help="Override profile noise level."),
     click.option("--channel", type=str, default=None, help="Channel name (default: first)."),
     click.option("--dt", type=float, default=None, help="Sample interval of the CSV in seconds."),

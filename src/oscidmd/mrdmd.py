@@ -12,13 +12,16 @@ pre-order (a bin, then its left half, then its right half) with its fit
 and slow modes; ``decompose`` and the dense view are plain loops over it.
 The implementation is matrix-free. A bin's fit reads only its mu
 subsample columns, and slow modes are analytic in time, so each bin
-gathers those columns from the snapshot matrix and subtracts every
-ancestor's slow modes evaluated there; no residual is formed at full
-resolution. Each bin's slow modes are factored once (``SlowModes``: the
-mode shapes, amplitudes and continuous eigenvalues) and passed down the
-recursion, in the lineage tuple, to its descendants; they and the fit's
-m x r mode matrix are freed when the bin's subtree is done, so at most one
-of each per level is alive at a time. The node keeps only the bin's
+gathers those columns from the snapshot matrix and subtracts its
+ancestors' slow modes evaluated there, in one product; no residual is
+formed at full resolution. Each bin's slow modes are factored once
+(``SlowModes``: the mode shapes, amplitudes and continuous eigenvalues,
+one column per conjugate pair). A bin with slow modes appends them to the
+lineage factor it received (``lineage_factor``: one ``SlowModes`` holding
+every ancestor's slow columns, amplitudes re-based to the bin's start)
+and passes the result to both halves. The factor and the fit's m x r mode
+matrix are freed when the bin's subtree is done, so at most one of each
+per level is alive at a time. The node keeps only the bin's
 geometry, its fit as a ``BinFit`` (eigenvalues, amplitudes, rank and
 singular values) and its slow set: no m-row array. A bin's contribution to
 its level's series is the anti-diagonal sums of its slow reconstruction,
@@ -67,10 +70,10 @@ _MAX_DT_DENOMINATOR = 10**9
 DEFAULT_BIN_RULE = TruncationRule(TRUNC_RATIO, 1e-4)
 
 # BLAS products round the columns of a partial output tile differently from
-# the rest. Evaluating ancestors' slow modes in whole tiles of this many
-# columns keeps each bin's input bit-identical to the dense residual on
-# builds whose column tile divides it; noise-only bins amplify any last-bit
-# difference.
+# the rest. Evaluating a lineage factor in whole tiles of this many columns
+# keeps each bin's input bit-identical to the data less the factor's
+# full-span product, on builds whose column tile divides it; noise-only
+# bins amplify any last-bit difference.
 _TILE = 8
 
 
@@ -257,9 +260,11 @@ class SlowModes:
     The column at offset j from the bin start is
     Re(sum_k modes[:, k] * amplitudes[k] * exp(omega[k] * dt * j)), with
     omega_k = f_sp * ln(lambda_k) bridging the subsampled eigenvalue
-    interval to the full sample rate. ``modes`` is rows x r_slow, a copy of
-    the fit's slow columns that keeps no reference to its other modes; an
-    empty slow set evaluates to zeros. The arrays are read-only.
+    interval to the full sample rate. ``modes`` is rows x r, a copy of the
+    fit's slow columns that keeps no reference to its other modes, with one
+    column per conjugate pair; an empty slow set evaluates to zeros. A
+    lineage factor (``lineage_factor``) has the same form. The arrays are
+    read-only.
     """
 
     col_span: tuple[int, int]
@@ -281,13 +286,30 @@ class SlowModes:
         dt: float,
         f_sp: float,
     ) -> "SlowModes":
+        """The slow set's modes, a conjugate pair folded into one column.
+
+        dmd() lists a pair as adjacent modes, positive-imaginary member
+        first, with exactly conjugate eigenvalues and modes. Then
+        Re(phi b z^j + conj(phi) b' conj(z)^j) = Re(phi (b + conj(b')) z^j),
+        so the pair keeps its first member's column with amplitude
+        b + conj(b'). Members that are not exact conjugates stay apart.
+        """
         idx = np.asarray(slow_set, dtype=int)
+        lam = node_dmd.eigenvalues[idx]
         # fancy indexing copies, so the slow modes hold no view of the fit's Phi
+        modes = node_dmd.modes[:, idx]
+        amplitudes = node_dmd.amplitudes[idx]
+        first = np.flatnonzero(
+            (lam[:-1].imag > 0) & (idx[1:] == idx[:-1] + 1) & (lam[1:] == lam[:-1].conj())
+        )
+        first = first[np.all(modes[:, first + 1] == modes[:, first].conj(), axis=0)]
+        amplitudes[first] += amplitudes[first + 1].conj()
+        keep = np.delete(np.arange(idx.size), first + 1)
         return cls(
             col_span=col_span,
-            modes=node_dmd.modes[:, idx],
-            amplitudes=node_dmd.amplitudes[idx],
-            omega=f_sp * np.log(node_dmd.eigenvalues[idx]),
+            modes=modes[:, keep],
+            amplitudes=amplitudes[keep],
+            omega=f_sp * np.log(lam[keep]),
             dt=dt,
         )
 
@@ -342,6 +364,29 @@ class SlowModes:
         )
 
 
+def lineage_factor(ancestors: SlowModes | None, own: SlowModes) -> SlowModes:
+    """The factor a bin with slow modes passes to both its halves.
+
+    One ``SlowModes`` over the bin's span: the columns of ``ancestors``
+    (the factor the bin received, None at the root), then ``own``'s. The
+    ancestors' amplitudes are re-based to the bin's start,
+    b * exp(omega * dt * (start - origin)); a left half starts where its
+    parent starts, so its factor keeps them unchanged.
+    """
+    if ancestors is None:
+        return own
+    shift = own.col_span[0] - ancestors.col_span[0]
+    return SlowModes(
+        col_span=own.col_span,
+        modes=np.concatenate([ancestors.modes, own.modes], axis=1),
+        amplitudes=np.concatenate(
+            [ancestors.amplitudes * np.exp(ancestors.omega * (ancestors.dt * shift)), own.amplitudes]
+        ),
+        omega=np.concatenate([ancestors.omega, own.omega]),
+        dt=own.dt,
+    )
+
+
 def slow_reconstruction(
     node_dmd: DmdResult,
     slow_set: np.ndarray | tuple[int, ...],
@@ -389,30 +434,32 @@ def _walk(
     """The recursion over ``data``: yields each bin as it is fitted.
 
     Pre-order per bin (a bin, then its left half, then its right half):
-    gather the bin's mu subsample columns, subtract every ancestor's slow
-    modes evaluated at those columns (root first), decompose, screen slow
-    modes, then yield ``(node, fit, slow_modes)``: the bin's childless
-    node, its fit (None when it has no signal energy left) and its slow
-    modes (None when it has none). Bins of odd width split with the larger
-    half first. The lineage of slow modes is a tuple passed down the
-    recursion: a bin's ``SlowModes`` and its fit, with the fit's m x r mode
-    matrix, are freed when the bin's subtree is done, so at most one of
-    each per level is alive at a time unless the consumer holds them. The
-    same input gives the same fits, bit for bit, on every walk.
+    gather the bin's mu subsample columns, subtract the lineage factor it
+    received evaluated at those columns (one product for all ancestors),
+    decompose, screen slow modes, then yield ``(node, fit, slow_modes)``:
+    the bin's childless node, its fit (None when it has no signal energy
+    left) and its slow modes (None when it has none). Bins of odd width
+    split with the larger half first. A bin with slow modes appends them
+    to its factor (``lineage_factor``), built once and shared by both
+    halves; a bin without passes its factor on unchanged. A bin's factor
+    and its fit, with the fit's m x r mode matrix, are freed when the
+    bin's subtree is done, so at most one of each per level is alive at a
+    time unless the consumer holds them. The same input gives the same
+    fits, bit for bit, on every walk.
     """
     dt = mrdmd_plan.dt
     mu = mrdmd_plan.mu
     level_count = mrdmd_plan.termination_level
 
     def recurse(
-        start: int, width: int, level: int, bin_index: int, ancestors: tuple[SlowModes, ...]
+        start: int, width: int, level: int, bin_index: int, lineage: SlowModes | None
     ) -> Iterator[tuple[MrdmdNode, DmdResult | None, SlowModes | None]]:
         span = (start, start + width)
         cols = subsample(span, mu)
         f_sp = mu / (width * dt)
         xsub = data[:, cols]
-        for ancestor in ancestors:
-            xsub -= ancestor.at(cols)
+        if lineage is not None:
+            xsub -= lineage.at(cols)
         try:
             fit = dmd(xsub[:, :-1], xsub[:, 1:], rule)
         except ZeroSignalError:
@@ -432,13 +479,16 @@ def _walk(
         # back in for every bin (3x the page faults on a 1000 x 4000 input).
         del xsub
         if level < level_count:
-            # a bin without slow modes subtracts nothing from its descendants
-            lineage = ancestors if own is None else ancestors + (own,)
+            # a bin without slow modes subtracts nothing more from its descendants
+            if own is not None:
+                lineage = lineage_factor(lineage, own)
+            # the factor holds a copy of own's columns (or is own): keep no second one over the subtree
+            del own
             half = (width + 1) // 2
             yield from recurse(start, half, level + 1, 2 * bin_index, lineage)
             yield from recurse(start + half, width - half, level + 1, 2 * bin_index + 1, lineage)
 
-    return recurse(0, mrdmd_plan.n, 1, 0, ())
+    return recurse(0, mrdmd_plan.n, 1, 0, None)
 
 
 @dataclass(frozen=True)

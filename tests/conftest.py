@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oscidmd as od
-from oscidmd.mrdmd import DEFAULT_BIN_RULE, SlowModes
+from oscidmd.mrdmd import DEFAULT_BIN_RULE, SlowModes, lineage_factor
 
 GAP_START = 2000
 GAP_LENGTH = 250  # 0.1 s at 2500 Hz
@@ -80,21 +80,22 @@ def ac_mrdmd():
 def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
     """Yield (node, bin input, refit, slow modes) for every fitted bin of a decomposition, root first.
 
-    A bin's input is ``data[:, cols]`` at its subsample columns less every
-    fitted ancestor's slow modes at ``cols``, root first, as ``decompose``
-    forms it. Each bin's slow modes are built here from its own refit,
+    A bin's input is ``data[:, cols]`` at its subsample columns less the
+    lineage factor it received at ``cols``, as ``decompose`` forms it. Each
+    bin's slow modes are built here from its own refit,
     ``SlowModes.of(refit, node.slow_set, node.col_span, node.dt,
-    node.f_sp)``, so the lineage is independent of the decomposition's. The
-    refit must reproduce the node's eigenvalues and amplitudes bit for bit,
-    and a zero-signal bin must have no signal energy left.
+    node.f_sp)``, and a bin with slow modes passes
+    ``lineage_factor(received, slow)`` to its halves, so the lineage is
+    independent of the decomposition's. The refit must reproduce the node's
+    eigenvalues and amplitudes bit for bit, and a zero-signal bin must have
+    no signal energy left.
     """
 
-    def walk(node, ancestors):
+    def walk(node, lineage):
         cols = node.subsample_indices
         xsub = data[:, cols]
-        for ancestor in ancestors:
-            xsub -= ancestor.at(cols)
-        lineage = ancestors
+        if lineage is not None:
+            xsub -= lineage.at(cols)
         if node.dmd is None:
             with pytest.raises(od.ZeroSignalError):
                 od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
@@ -104,11 +105,12 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
             assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
             slow = SlowModes.of(fit, node.slow_set, node.col_span, node.dt, node.f_sp)
             yield node, xsub, fit, slow
-            lineage = ancestors + (slow,)
+            if node.slow_set:
+                lineage = lineage_factor(lineage, slow)
         for child in node.children:
             yield from walk(child, lineage)
 
-    yield from walk(result.root, ())
+    yield from walk(result.root, None)
 
 
 def series_metrics(record, channel: str, series: np.ndarray) -> tuple[float, float]:

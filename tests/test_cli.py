@@ -652,6 +652,7 @@ class TestFlagsToConfig:
             ("--profile", ["--time-column", "t"]),
             ("--profile", ["--no-header"]),
             ("--input", ["--noise-std", "0.1"]),
+            ("--input", ["--seed", "0"]),
         ],
     )
     def test_flag_for_the_other_source_rejected_before_any_output(
@@ -671,6 +672,19 @@ class TestFlagsToConfig:
         assert err["error"]["kind"] == "ValueError"
         assert f"{flags[0]} applies to" in err["error"]["message"]
         assert not out.exists()
+
+    def test_profile_seed_defaults_to_zero(self, runner, tmp_path):
+        outs = [tmp_path / "default", tmp_path / "zero"]
+        for out, flags in zip(outs, ([], ["--seed", "0"])):
+            result = runner.invoke(
+                cli, ["analyze", "mrdmd", "--profile", "lfo_udc", "--stack", "200", *flags, "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+        assert json.loads((outs[0] / "report.json").read_text())["source"]["seed"] == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["dmd", "mrdmd"])
     def test_hold_fill_holds_an_injected_gap(self, runner, tmp_path, command):

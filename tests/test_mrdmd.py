@@ -23,6 +23,7 @@ from oscidmd.mrdmd import (
     PlanError,
     SlowModes,
     _walk,
+    lineage_factor,
     screen_slow,
     slow_reconstruction,
     subsample,
@@ -317,6 +318,80 @@ class TestSlowModesReadOnly:
                 arr[0] = 0
 
 
+def received_lineages(res, data, rule=DEFAULT_BIN_RULE) -> dict:
+    """(level, bin_index) -> (node, the lineage factor it subtracts, its refit slow modes).
+
+    The factor is None at the root and the slow modes None for a
+    zero-signal bin. The factor is built from ``refit_bins``' slow modes as
+    the walk builds it: a bin with slow modes passes
+    ``lineage_factor(received, slow)`` to its halves.
+    """
+    slows = {(node.level, node.bin_index): slow for node, _, _, slow in refit_bins(res, data, rule)}
+    received = {}
+
+    def walk(node, lineage):
+        slow = slows.get((node.level, node.bin_index))
+        received[node.level, node.bin_index] = node, lineage, slow
+        if node.slow_set:
+            lineage = lineage_factor(lineage, slow)
+        for child in node.children:
+            walk(child, lineage)
+
+    walk(res.root, None)
+    return received
+
+
+class TestFoldedPairs:
+    @staticmethod
+    def check_pairs(fit):
+        """Every non-real eigenvalue is in an adjacent pair with exactly conjugate eigenvalues and modes."""
+        lam = fit.eigenvalues
+        first = np.flatnonzero(lam.imag > 0)
+        assert np.array_equal(np.flatnonzero(lam.imag != 0), np.sort(np.concatenate([first, first + 1])))
+        assert np.array_equal(lam[first + 1], lam[first].conj())
+        assert np.array_equal(fit.modes[:, first + 1], fit.modes[:, first].conj())
+        return first.size
+
+    @staticmethod
+    def check_fold(fit, idx, span, dt, f_sp):
+        """Folded and two-member forms agree on columns and anti-diagonal sums."""
+        folded = SlowModes.of(fit, idx, span, dt, f_sp)
+        unfolded = SlowModes(
+            span, fit.modes[:, idx], fit.amplitudes[idx], f_sp * np.log(fit.eigenvalues[idx]), dt
+        )
+        pairs = int(np.sum(fit.eigenvalues[idx].imag > 0))
+        assert folded.modes.shape[1] == idx.size - pairs
+        offsets = np.arange(span[1] - span[0])
+        for got, want in (
+            (folded.at_offsets(offsets), unfolded.at_offsets(offsets)),
+            (folded.antidiagonal_sums(), unfolded.antidiagonal_sums()),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        return pairs
+
+    def test_every_bin_fit_folds_exactly(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
+        res, _ = lfo_gapped_mrdmd
+        pairs = folded = 0
+        for node, _, fit, _ in refit_bins(res, lfo_gapped_embedded[:, :4000]):
+            pairs += self.check_pairs(fit)
+            if node.slow_set:
+                idx = np.array(node.slow_set)
+                folded += self.check_fold(fit, idx, node.col_span, node.dt, node.f_sp)
+        assert pairs > 1000 and folded > 0
+
+    def test_single_window_fit_folds_exactly(self, lfo_gapped, lfo_gapped_dmd):
+        rec, _ = lfo_gapped
+        fit, _ = lfo_gapped_dmd
+        assert self.check_pairs(fit) > 0
+        idx = np.flatnonzero(fit.eigenvalues != 0)
+        assert self.check_fold(fit, idx, (0, 500), rec.dt, 1.0 / rec.dt) > 0
+
+    def test_pair_that_is_not_exactly_conjugate_stays_apart(self):
+        fit = random_fit(5, EIGENVALUE_CASES["decaying"], seed=4)
+        slow = SlowModes.of(fit, [0, 1, 2], (0, 9), 0.01, 100.0)
+        assert np.array_equal(slow.amplitudes, fit.amplitudes)
+
+
 class TestSlowAtTiles:
     def test_whole_tile_columns_skip_the_tail_bit_for_bit(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
         """Columns that all lie in whole tiles need not evaluate the bin's last tile."""
@@ -353,6 +428,25 @@ class TestSlowAtTiles:
             # the bin's last, partial tile only
             cols = np.arange(stop - 3, stop)
             assert np.array_equal(slow.at(cols), full[:, cols - start])
+
+    def test_lineage_columns_match_the_full_span_product(self, lfo_gapped_mrdmd, lfo_gapped_embedded):
+        """A bin's one lineage product equals those columns of the factor's full-span product."""
+        res, _ = lfo_gapped_mrdmd
+        received = received_lineages(res, lfo_gapped_embedded[:, :4000])
+        most = 0
+        for node, lineage, _ in received.values():
+            if lineage is None:
+                continue
+            ancestors = [received[level, node.bin_index >> (node.level - level)][0]
+                         for level in range(1, node.level)]
+            most = max(most, sum(bool(a.slow_set) for a in ancestors))
+            cols = node.subsample_indices
+            full = lineage.at(np.arange(*lineage.col_span))
+            start, stop = node.col_span
+            origin = lineage.col_span[0]
+            assert np.array_equal(lineage.at(cols), full[:, cols - origin])
+            assert np.array_equal(lineage.at(np.arange(start, stop)), full[:, start - origin : stop - origin])
+        assert most == res.plan.termination_level - 1
 
 
 def level_energies(res, data) -> np.ndarray:
@@ -504,7 +598,7 @@ class TestDecompose:
         assert np.all(covered == 1)
 
     def test_residual_passing_bit_exact(self):
-        """Each node's fit is reproducible from the parent residual slice."""
+        """Each node's fit is reproducible from its dense residual: the data less its lineage factor."""
         rng = np.random.default_rng(23)
         rec = od.generate(
             [od.ModeSpec(3.0, 0.0, 1.0), od.ModeSpec(11.0, -0.5, 0.6)],
@@ -515,28 +609,34 @@ class TestDecompose:
         plan = od.plan(504, rec.dt, mu=8, g=4)
         rule = TruncationRule.energy(0.999)
         res = od.decompose(data, plan, rule)
-        lineage = {(node.level, node.bin_index): slow for node, _, _, slow in refit_bins(res, data, rule)}
+        received = received_lineages(res, data, rule)
+        scale = np.max(np.abs(data))
 
-        def walk(node, block, above):
-            width = block.shape[1]
+        def walk(node, textbook, above):
+            start, stop = node.col_span
+            width = stop - start
+            _, lineage, slow = received[node.level, node.bin_index]
+            block = data[:, start:stop]
+            residual = block if lineage is None else block - lineage.at(np.arange(start, stop))
+            # the level-by-level residual agrees with the dense one to rounding
+            assert np.max(np.abs(textbook - residual)) <= 1e-12 * scale
             idx = subsample((0, width), plan.mu)
             f_sp = plan.mu / (width * plan.dt)
-            xsub = block[:, idx]
+            xsub = residual[:, idx]
             refit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
             assert np.array_equal(refit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(refit.amplitudes, node.dmd.amplitudes)
             recon = slow_reconstruction(
                 refit, np.array(node.slow_set, dtype=int), (0, width), plan.dt, f_sp
             )
-            start, stop = node.col_span
-            assert np.array_equal(recon, lineage[node.level, node.bin_index].at(np.arange(start, stop)))
+            assert np.array_equal(recon, slow.at(np.arange(start, stop)))
             # the levels' reconstructions over the bin, summed root first
             here = above + recon
-            residual = block - recon
+            textbook = textbook - recon
             if node.children:
                 half = (width + 1) // 2
-                walk(node.children[0], residual[:, :half], here[:, :half])
-                walk(node.children[1], residual[:, half:], here[:, half:])
+                walk(node.children[0], textbook[:, :half], here[:, :half])
+                walk(node.children[1], textbook[:, half:], here[:, half:])
             else:
                 assert np.array_equal(here, res.total_reconstruction[:, start:stop])
 
