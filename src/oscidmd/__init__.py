@@ -18,20 +18,15 @@ from .ingest import (
     load_csv,
     write_csv,
 )
-from .stacking import default_stack_depth, delay_embed, shifted_pair, unembed
+from .stacking import default_stack_depth, delay_embed, shifted_pair
 from .dmd import (
     DEFAULT_RULE,
     DecompositionError,
     DmdResult,
     TruncationRule,
     ZeroSignalError,
-    amplitudes,
     dmd,
-    eig_modes,
     reconstruct_series,
-    reconstruct_window,
-    reduced_operator,
-    svd_truncated,
 )
 from .mrdmd import (
     DEFAULT_BIN_RULE,
@@ -43,7 +38,6 @@ from .mrdmd import (
     decompose,
     plan,
     screen_slow,
-    slow_reconstruction,
     subsample,
 )
 from .modes import (
@@ -53,10 +47,8 @@ from .modes import (
     classify,
     cluster_sustained,
     dominant_cluster,
-    integral_contribution,
     reports_from_dmd,
     strongest_oscillatory,
-    to_continuous,
 )
 from .siggen import PROFILES, ModeSpec, SignalProfile, generate, generate_profile
 
@@ -74,19 +66,13 @@ __all__ = [
     "default_stack_depth",
     "delay_embed",
     "shifted_pair",
-    "unembed",
     "DEFAULT_RULE",
     "DecompositionError",
     "DmdResult",
     "TruncationRule",
     "ZeroSignalError",
-    "amplitudes",
     "dmd",
-    "eig_modes",
     "reconstruct_series",
-    "reconstruct_window",
-    "reduced_operator",
-    "svd_truncated",
     "DEFAULT_BIN_RULE",
     "BinFit",
     "MrdmdNode",
@@ -96,7 +82,6 @@ __all__ = [
     "decompose",
     "plan",
     "screen_slow",
-    "slow_reconstruction",
     "subsample",
     "DEFAULT_EPS_CRIT",
     "ModeCluster",
@@ -104,10 +89,8 @@ __all__ = [
     "classify",
     "cluster_sustained",
     "dominant_cluster",
-    "integral_contribution",
     "reports_from_dmd",
     "strongest_oscillatory",
-    "to_continuous",
     "PROFILES",
     "ModeSpec",
     "SignalProfile",

@@ -141,7 +141,8 @@ class DmdResult:
     descending |lambda| with the non-negative imaginary member first. Both
     members of a conjugate pair take the pair's larger score, so a pair is
     listed as two adjacent modes, the positive-imaginary member first;
-    :func:`oscidmd.modes.reports_from_dmd` reads pairs from this order.
+    :func:`conjugate_pairs` finds them, and the mode reports and the MR-DMD
+    slow factors read pairs from it.
     The reduced operator and its eigenvectors are not kept: :func:`eig_modes`
     checks the eigen residuals and conditioning when the fit is made.
     """
@@ -316,6 +317,15 @@ def amplitudes(u: np.ndarray, w: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return np.linalg.solve(w, u.T @ x1)
 
 
+def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
+    """Indices k at which modes k and k + 1 are a conjugate pair.
+
+    That is Im(lambda_k) > 0 and lambda_(k+1) = conj(lambda_k) exactly, as
+    dmd() lists a pair: adjacent, the positive-imaginary member first.
+    """
+    return np.flatnonzero((eigenvalues[:-1].imag > 0) & (eigenvalues[1:] == eigenvalues[:-1].conj()))
+
+
 def _powers(eigenvalues: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """lambda ** j as exp(j ln lambda) for each eigenvalue (rows) and exponent (columns).
 
@@ -454,7 +464,7 @@ def dmd(
     # The members of a conjugate pair (adjacent in eig's output) score
     # equally up to rounding; ranking both by the larger score keeps them
     # adjacent, positive-imaginary member first.
-    pair = np.flatnonzero((eigvals[:-1].imag > 0) & (eigvals[1:] == eigvals[:-1].conj()))
+    pair = conjugate_pairs(eigvals)
     score[pair] = score[pair + 1] = np.maximum(score[pair], score[pair + 1])
     order = _mode_order(score, eigvals)
     # The 1-D gathers are new arrays. The modes keep their copy: on a

@@ -1,9 +1,10 @@
 """Loading, validation and normalization of raw measurement data.
 
-Measurements arrive as CSV (optional header, comma delimiter, `.` decimal
-point). Missing samples are marked by an empty cell or a case-insensitive
-``nan`` token; they are kept visible through a boolean mask and filled at
-load time so that every stored value is finite.
+Measurements arrive as UTF-8 CSV (optional byte-order mark, optional
+header, comma delimiter, `.` decimal point). Missing samples are marked by
+an empty cell or a case-insensitive ``nan`` token; they are kept visible
+through a boolean mask and filled at load time so that every stored value
+is finite.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
     # a blank line is a row of one empty cell: in single-column files that
-    # is a missing sample, in wider files the width check rejects it
-    with open(path, newline="") as fh:
+    # is a missing sample, in wider files the width check rejects it.
+    # utf-8-sig drops the byte-order mark that spreadsheet exports lead with.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row if row else [""] for row in csv.reader(fh)]
     if not rows:
         raise IngestError(f"{path}: file holds no data")
@@ -264,21 +266,19 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
     )
 
 
-def write_csv(rec: SignalRecord, path: str | Path, include_time: bool = True) -> None:
-    """Write a record back to CSV; masked samples become empty cells.
+def write_csv(rec: SignalRecord, path: str | Path) -> None:
+    """Write a record back to CSV: a time column ``t``, then one column per channel.
 
-    Values use shortest round-trip formatting, so load -> write -> load
-    reproduces the record exactly (same config).
+    Masked samples become empty cells. Values use shortest round-trip
+    formatting, so reading the file back with the record's dt and
+    ``time_column="t"`` reproduces the record exactly.
     """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = (["t"] if include_time else []) + list(rec.names)
-        writer.writerow(header)
+        writer.writerow(["t", *rec.names])
         for k in range(rec.length):
-            row: list[str] = []
-            if include_time:
-                row.append(repr(rec.t0 + k * rec.dt))
+            row = [repr(rec.t0 + k * rec.dt)]
             for c in range(len(rec.names)):
                 row.append("" if rec.missing_mask[c, k] else repr(float(rec.data[c, k])))
             writer.writerow(row)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdResult
+from .dmd import DmdResult, conjugate_pairs
 
 DAMPING_DECAYING = "decaying"
 DAMPING_CRITICAL = "critical"
@@ -51,15 +51,6 @@ class ModeReport:
     slow: bool | None = None
     damping_class: str | None = None
     dominant_rank: int | None = None
-
-
-def to_continuous(lam: complex, f_sp: float) -> complex:
-    """Map a discrete eigenvalue to the continuous plane: f_sp * ln(lambda)."""
-    if lam == 0:
-        raise ValueError("eigenvalue 0 decays fully within one step and has no continuous image")
-    if not f_sp > 0:
-        raise ValueError("subsample frequency must be positive")
-    return f_sp * cmath.log(lam)
 
 
 def integral_contribution(
@@ -100,10 +91,12 @@ def reports_from_dmd(
     """Collapse a decomposition into mode reports.
 
     dmd() lists a conjugate pair as adjacent modes, positive-imaginary member
-    first: mode k + 1 is k's partner exactly when Im(lambda_k) > 0 and
-    lambda_(k+1) = conj(lambda_k). A pair is one ``pair=True`` row for mode k,
+    first: mode k + 1 is k's partner exactly when k is in
+    ``dmd.conjugate_pairs``. A pair is one ``pair=True`` row for mode k,
     slow when k is in ``slow_set`` (conjugates have bit-identical |ln lambda|,
-    so the screen takes both or neither). Modes with lambda = 0 are omitted.
+    so the screen takes both or neither). Each row's continuous eigenvalue
+    is omega = f_sp * ln(lambda). Modes with lambda = 0 are omitted: they
+    decay fully within one step and have no continuous image.
     """
     if horizon_steps < 1:
         raise ValueError("horizon must be at least one step")
@@ -113,15 +106,14 @@ def reports_from_dmd(
     # Python abs, as integral_contribution takes it: np.abs can differ in the last bit
     envelopes = _envelopes(np.array([abs(lam) for lam in lams]), horizon_steps).tolist()
     amplitude_mags = [abs(b) for b in result.amplitudes.tolist()]
-    last = len(lams) - 1
-    pair = [k < last and lam.imag > 0 and lams[k + 1] == lam.conjugate() for k, lam in enumerate(lams)]
-    kept = [k for k, lam in enumerate(lams) if lam != 0 and not (k > 0 and pair[k - 1])]
+    firsts = set(conjugate_pairs(result.eigenvalues).tolist())
+    kept = [k for k, lam in enumerate(lams) if lam != 0 and k - 1 not in firsts]
     # rows of one contiguous copy give ||Phi_k|| bit for bit as np.linalg.norm does
     cols = np.ascontiguousarray(result.modes.T[kept])
     reports: list[ModeReport] = []
     for k, col in zip(kept, cols):
         lam = lams[k]
-        omega = f_sp * cmath.log(lam)  # to_continuous, its checks made above
+        omega = f_sp * cmath.log(lam)
         re, im = col.real, col.imag
         # positional: keywords cost a frozen dataclass about 1 us more per report
         reports.append(
@@ -134,7 +126,7 @@ def reports_from_dmd(
                 omega.real,  # growth_rate
                 amplitude_mags[k],
                 math.sqrt(re.dot(re) + im.dot(im)) * amplitude_mags[k] * envelopes[k],  # integral_contribution
-                pair[k],
+                k in firsts,  # pair
                 None if slow_set is None else k in slow_set,  # slow
             )
         )

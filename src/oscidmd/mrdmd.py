@@ -57,7 +57,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd
+from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, conjugate_pairs, dmd
 from .dmd import product_antidiagonal_sums
 from .modes import ModeReport, reports_from_dmd
 from .stacking import antidiagonal_counts
@@ -125,11 +125,6 @@ class MrdmdPlan:
     dt_exact: Fraction
     window_duration: Fraction
     per_level: tuple[LevelParams, ...]
-
-    def level(self, l: int) -> LevelParams:
-        if not 1 <= l <= self.termination_level:
-            raise PlanError(f"level {l} outside 1..{self.termination_level}")
-        return self.per_level[l - 1]
 
 
 def plan(
@@ -289,7 +284,8 @@ class SlowModes:
         """The slow set's modes, a conjugate pair folded into one column.
 
         dmd() lists a pair as adjacent modes, positive-imaginary member
-        first, with exactly conjugate eigenvalues and modes. Then
+        first (``dmd.conjugate_pairs``), with exactly conjugate eigenvalues
+        and modes. A pair folds when both members are slow. Then
         Re(phi b z^j + conj(phi) b' conj(z)^j) = Re(phi (b + conj(b')) z^j),
         so the pair keeps its first member's column with amplitude
         b + conj(b'). Members that are not exact conjugates stay apart.
@@ -299,9 +295,10 @@ class SlowModes:
         # fancy indexing copies, so the slow modes hold no view of the fit's Phi
         modes = node_dmd.modes[:, idx]
         amplitudes = node_dmd.amplitudes[idx]
-        first = np.flatnonzero(
-            (lam[:-1].imag > 0) & (idx[1:] == idx[:-1] + 1) & (lam[1:] == lam[:-1].conj())
-        )
+        # positions whose mode starts a pair and whose next slow mode is its partner
+        starts = np.zeros(node_dmd.eigenvalues.size, dtype=bool)
+        starts[conjugate_pairs(node_dmd.eigenvalues)] = True
+        first = np.flatnonzero(starts[idx[:-1]] & (idx[1:] == idx[:-1] + 1))
         first = first[np.all(modes[:, first + 1] == modes[:, first].conj(), axis=0)]
         amplitudes[first] += amplitudes[first + 1].conj()
         keep = np.delete(np.arange(idx.size), first + 1)
@@ -412,9 +409,10 @@ class MrdmdNode:
 
     ``dmd`` is the bin's fit without its mode matrix (None for a bin with
     no signal energy) and ``slow_set`` indexes the fit's slow modes.
-    ``f_sp`` is the bin's subsample rate and ``dt`` the full-resolution
-    column interval. A node holds no m-row array: the bin's slow modes
-    live on the recursion stack only while its descendants are fitted.
+    ``f_sp`` is the bin's subsample rate; the full-resolution column
+    interval is the plan's ``dt``. A node holds no m-row array: the bin's
+    slow modes live on the recursion stack only while its descendants are
+    fitted.
     """
 
     level: int
@@ -424,7 +422,6 @@ class MrdmdNode:
     dmd: BinFit | None
     slow_set: tuple[int, ...]
     f_sp: float
-    dt: float
     children: tuple["MrdmdNode", ...] = ()
 
 
@@ -472,7 +469,7 @@ def _walk(
             if slow:
                 own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
         binfit = None if fit is None else BinFit.of(fit)
-        yield MrdmdNode(level, bin_index, span, cols, binfit, slow, f_sp, dt), fit, own
+        yield MrdmdNode(level, bin_index, span, cols, binfit, slow, f_sp), fit, own
         # This frame lives until both halves are done: free the bin's input
         # first. The fit (Phi) is freed on return, not here: freed ahead of
         # the halves' allocations it let glibc trim the heap and fault it
@@ -514,13 +511,6 @@ class MrdmdResult:
     series: np.ndarray
     data: np.ndarray = field(repr=False)
     rule: TruncationRule
-
-    def _nodes(self) -> Iterator[MrdmdNode]:
-        """Every node, level by level and left to right within a level."""
-        level = [self.root]
-        while level:
-            yield from level
-            level = [child for node in level for child in node.children]
 
     @cached_property
     def total_reconstruction(self) -> np.ndarray:

@@ -41,7 +41,6 @@ class SignalProfile:
     fs: float
     duration: float
     noise_std: float
-    description: str = ""
 
     def dominant_truth(self) -> ModeSpec | None:
         """Highest-amplitude oscillatory mode, the reference for error metrics."""
@@ -101,7 +100,6 @@ _LFO_UDC = SignalProfile(
     fs=2500.0,
     duration=2.0,
     noise_std=0.05,
-    description="DC-link voltage with a sustained 8.6 Hz low-frequency oscillation",
 )
 
 # AC-side surrogate: 50 Hz fundamental amplitude-modulated at 8.6 Hz,
@@ -118,7 +116,6 @@ _AC_IN = SignalProfile(
     fs=2500.0,
     duration=2.0,
     noise_std=0.05,
-    description="grid current with 8.6 Hz sidebands around the 50 Hz fundamental",
 )
 
 PROFILES: dict[str, SignalProfile] = {p.name: p for p in (_LFO_UDC, _AC_IN)}

@@ -83,7 +83,7 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
     A bin's input is ``data[:, cols]`` at its subsample columns less the
     lineage factor it received at ``cols``, as ``decompose`` forms it. Each
     bin's slow modes are built here from its own refit,
-    ``SlowModes.of(refit, node.slow_set, node.col_span, node.dt,
+    ``SlowModes.of(refit, node.slow_set, node.col_span, result.plan.dt,
     node.f_sp)``, and a bin with slow modes passes
     ``lineage_factor(received, slow)`` to its halves, so the lineage is
     independent of the decomposition's. The refit must reproduce the node's
@@ -103,7 +103,7 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
             fit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
             assert np.array_equal(fit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
-            slow = SlowModes.of(fit, node.slow_set, node.col_span, node.dt, node.f_sp)
+            slow = SlowModes.of(fit, node.slow_set, node.col_span, result.plan.dt, node.f_sp)
             yield node, xsub, fit, slow
             if node.slow_set:
                 lineage = lineage_factor(lineage, slow)
@@ -111,6 +111,25 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
             yield from walk(child, lineage)
 
     yield from walk(result.root, None)
+
+
+def one_mode_reports(lam: complex, f_sp: float, horizon_steps: int = 1) -> list:
+    """``reports_from_dmd`` of a one-mode fit with eigenvalue ``lam`` (unit mode and amplitude)."""
+    fit = od.DmdResult(
+        modes=np.ones((1, 1), dtype=complex),
+        eigenvalues=np.array([lam], dtype=complex),
+        amplitudes=np.ones(1, dtype=complex),
+        rank=1,
+        singular_values=np.ones(1),
+        rank_clamped=False,
+    )
+    return od.reports_from_dmd(fit, f_sp, horizon_steps)
+
+
+def continuous_eigenvalue(lam: complex, f_sp: float) -> complex:
+    """The continuous eigenvalue omega that a mode report gives a discrete eigenvalue ``lam``."""
+    (report,) = one_mode_reports(lam, f_sp)
+    return report.omega
 
 
 def series_metrics(record, channel: str, series: np.ndarray) -> tuple[float, float]:

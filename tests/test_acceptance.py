@@ -18,9 +18,11 @@ import pytest
 import oscidmd as od
 from oscidmd.cli import RunConfig, run_compare, run_dmd, run_mrdmd
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
-from oscidmd.dmd import TruncationRule
+from oscidmd.dmd import TruncationRule, reconstruct_window
+from oscidmd.modes import integral_contribution
 from oscidmd.mrdmd import screen_slow
-from conftest import GAP_LENGTH, GAP_START, refit_bins, series_metrics
+from oscidmd.stacking import unembed
+from conftest import GAP_LENGTH, GAP_START, continuous_eigenvalue, refit_bins, series_metrics
 
 
 def _verdict(cid: str, ok: bool, detail: str = "") -> None:
@@ -41,7 +43,7 @@ def timed_lfo_mrdmd():
     plan = od.plan(4000, rec.dt, mu=16, g=4)
     result = od.decompose(hankel[:, :4000], plan, DEFAULT_BIN_RULE)
     reports = od.classify(list(result.all_modes))
-    series = od.unembed(result.total_reconstruction)
+    series = unembed(result.total_reconstruction)
     elapsed = time.perf_counter() - t0
     return gapped, profile, result, reports, series, elapsed
 
@@ -160,7 +162,7 @@ def test_c5_robustness_comparison(timed_lfo_mrdmd):
     dmd_reports = od.classify(
         od.reports_from_dmd(result, f_sp=1.0 / gapped.dt, horizon_steps=x1.shape[1])
     )
-    dmd_series = od.unembed(od.reconstruct_window(result, hankel.shape[1]).real)
+    dmd_series = unembed(reconstruct_window(result, hankel.shape[1]).real)
 
     def dominant_estimate(reports):
         cluster = od.dominant_cluster(reports)
@@ -282,7 +284,7 @@ class TestC6PropertySuites:
             ok &= np.array_equal(total, res.total_reconstruction)
             pairs = [(res.series, res.total_reconstruction), *zip(res.per_level_series, layers)]
             for series, dense in pairs:
-                want = od.unembed(dense)
+                want = unembed(dense)
                 ok &= np.max(np.abs(series - want)) <= 1e-12 * np.max(np.abs(want))
             ok &= np.allclose(placed, total, rtol=0, atol=1e-12)
             if not ok:
@@ -299,7 +301,7 @@ class TestC6PropertySuites:
             omega = complex(growth, 2 * np.pi * freq)
             if abs(omega.imag) / f_sp >= np.pi:
                 continue
-            back = od.to_continuous(cmath.exp(omega / f_sp), f_sp)
+            back = continuous_eigenvalue(cmath.exp(omega / f_sp), f_sp)
             ok &= abs(back - omega) <= 1e-9 * max(1.0, abs(omega))
             if not ok:
                 break
@@ -315,8 +317,8 @@ class TestC6PropertySuites:
             b = complex(rng.normal() + 1j * rng.normal())
             c = complex(rng.uniform(1e-3, 1e3) * cmath.exp(1j * rng.uniform(-np.pi, np.pi)))
             horizon = int(rng.integers(1, 60))
-            base = od.integral_contribution(phi, lam, b, horizon)
-            gauged = od.integral_contribution(c * phi, lam, b / c, horizon)
+            base = integral_contribution(phi, lam, b, horizon)
+            gauged = integral_contribution(c * phi, lam, b / c, horizon)
             ok &= abs(gauged - base) <= 1e-9 * max(base, 1e-30)
             if not ok:
                 break

@@ -686,6 +686,47 @@ class TestFlagsToConfig:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["dmd", "mrdmd", "compare", "generate"])
+    @pytest.mark.parametrize("length", [[], ["--gap-length", "0"]])
+    def test_gap_start_without_gap_length_rejected_before_any_output(self, runner, tmp_path, command, length):
+        out = tmp_path / "x"
+        gap = ["--profile", "lfo_udc", "--gap-start", "2000", *length]
+        if command == "generate":
+            args = ["generate", *gap, "-o", str(out / "g.csv")]
+        else:
+            args = ["analyze", command, *gap, "--stack", "20", "--out", str(out)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == "ValueError"
+        assert err["error"]["message"] == "--gap-start needs a positive --gap-length"
+        assert not out.exists()
+
+    def test_byte_order_mark_input_writes_the_plain_files_outputs(self, runner, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text("t,x\n" + "".join(f"{0.01 * k!r},{float(np.sin(0.3 * k))!r}\n" for k in range(200)))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for data in (plain, bom):
+            out = tmp_path / data.stem
+            result = runner.invoke(
+                cli, ["analyze", "dmd", "--input", str(data), "--time-column", "t", "--stack", "20",
+                      "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # the reports differ only in the input path they name
+        reports = [json.loads((out / "report.json").read_text()) for out in outs]
+        assert [r["source"].pop("name") for r in reports] == [str(plain), str(bom)]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", ["dmd", "mrdmd"])
     def test_hold_fill_holds_an_injected_gap(self, runner, tmp_path, command):
         out = tmp_path / "hold"

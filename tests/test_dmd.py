@@ -24,10 +24,15 @@ from oscidmd.dmd import (
     _mode_order,
     _powers,
     _residuals_within_tol,
+    amplitudes,
+    eig_modes,
     product_antidiagonal_sums,
     reconstruct_series,
+    reconstruct_window,
+    reduced_operator,
+    svd_truncated,
 )
-from oscidmd.stacking import antidiagonal_sums
+from oscidmd.stacking import antidiagonal_sums, unembed
 
 
 def planted_pair(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
@@ -42,12 +47,12 @@ class TestSvdTruncated:
         u = np.linalg.qr(rng.normal(size=(30, 2)))[0]
         v = np.linalg.qr(rng.normal(size=(50, 2)))[0]
         x = 5.0 * np.outer(u[:, 0], v[:, 0]) + 1.0 * np.outer(u[:, 1], v[:, 1])
-        out = od.svd_truncated(x, TruncationRule.energy(0.999))
+        out = svd_truncated(x, TruncationRule.energy(0.999))
         assert out.rank == 2
         np.testing.assert_allclose(out.sigma, [5.0, 1.0], rtol=1e-10)
 
     def test_diagonal_fixed_rank_one(self):
-        out = od.svd_truncated(np.diag([1.0, 0.5, 0.3]), TruncationRule.fixed(1))
+        out = svd_truncated(np.diag([1.0, 0.5, 0.3]), TruncationRule.fixed(1))
         assert out.rank == 1
         np.testing.assert_allclose(out.sigma, [1.0])
 
@@ -64,7 +69,7 @@ class TestSvdTruncated:
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(12, 30))
-        out = od.svd_truncated(x, TruncationRule.energy(0.9))
+        out = svd_truncated(x, TruncationRule.energy(0.9))
         r = out.rank
         assert np.linalg.norm(out.u.T @ out.u - np.eye(r)) <= 1e-10
         assert np.linalg.norm(out.v.T @ out.v - np.eye(r)) <= 1e-10
@@ -74,7 +79,7 @@ class TestSvdTruncated:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(15, 40))
         for frac in (0.5, 0.9, 0.999):
-            out = od.svd_truncated(x, TruncationRule.energy(frac))
+            out = svd_truncated(x, TruncationRule.energy(frac))
             approx = out.u @ np.diag(out.sigma) @ out.v.T
             rel = np.linalg.norm(x - approx) / np.linalg.norm(x)
             s2 = out.singular_values**2
@@ -83,17 +88,17 @@ class TestSvdTruncated:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroSignalError, match="no signal energy"):
-            od.svd_truncated(np.zeros((4, 6)), TruncationRule.fixed(1))
+            svd_truncated(np.zeros((4, 6)), TruncationRule.fixed(1))
 
     def test_rank_clamped_with_flag(self):
         x = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 7.0))  # rank 1
-        out = od.svd_truncated(x, TruncationRule.fixed(3))
+        out = svd_truncated(x, TruncationRule.fixed(3))
         assert out.rank == 1
         assert out.rank_clamped
 
     def test_sv_ratio_rule(self):
         x = np.diag([1.0, 0.1, 1e-5, 1e-9])
-        out = od.svd_truncated(x, TruncationRule.sv_ratio(1e-3))
+        out = svd_truncated(x, TruncationRule.sv_ratio(1e-3))
         assert out.rank == 2
 
     def test_rule_validation(self):
@@ -112,22 +117,22 @@ class TestReducedOperator:
         rng = np.random.default_rng(4)
         col = rng.normal(size=8)
         x = np.tile(col[:, None], (1, 10))
-        out = od.svd_truncated(x, TruncationRule.energy(0.9999))
-        a = od.reduced_operator(out.u, out.sigma, out.v, x)
+        out = svd_truncated(x, TruncationRule.energy(0.9999))
+        a = reduced_operator(out.u, out.sigma, out.v, x)
         assert np.linalg.norm(a - np.eye(out.rank)) <= 1e-10
 
     def test_scalar_contraction(self):
         x = 0.5 ** np.arange(10.0)
         x1, x2 = x[None, :-1], x[None, 1:]
-        out = od.svd_truncated(x1, TruncationRule.fixed(1))
-        a = od.reduced_operator(out.u, out.sigma, out.v, x2)
+        out = svd_truncated(x1, TruncationRule.fixed(1))
+        a = reduced_operator(out.u, out.sigma, out.v, x2)
         np.testing.assert_allclose(a, [[0.5]], rtol=1e-12)
 
     def test_two_mode_eigenvalues_match_closed_form(self):
         modes = [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)]
         (x1, x2), rec = planted_pair(modes)
-        out = od.svd_truncated(x1, TruncationRule.fixed(4))
-        a = od.reduced_operator(out.u, out.sigma, out.v, x2)
+        out = svd_truncated(x1, TruncationRule.fixed(4))
+        a = reduced_operator(out.u, out.sigma, out.v, x2)
         got = np.sort_complex(np.linalg.eigvals(a))
         want = []
         for m in modes:
@@ -136,21 +141,21 @@ class TestReducedOperator:
         np.testing.assert_allclose(got, np.sort_complex(want), rtol=1e-8)
 
     def test_shape_mismatch_rejected(self):
-        out = od.svd_truncated(np.eye(3), TruncationRule.fixed(2))
+        out = svd_truncated(np.eye(3), TruncationRule.fixed(2))
         with pytest.raises(ValueError):
-            od.reduced_operator(out.u, out.sigma, out.v, np.eye(4))
+            reduced_operator(out.u, out.sigma, out.v, np.eye(4))
 
 
 class TestEigModes:
     def test_diagonal_case(self):
-        w, lam, phi = od.eig_modes(np.diag([0.9, 0.5]), np.eye(2))
+        w, lam, phi = eig_modes(np.diag([0.9, 0.5]), np.eye(2))
         assert set(np.round(lam.real, 12)) == {0.9, 0.5}
         np.testing.assert_allclose(np.sort(np.abs(w), axis=0), [[0, 0], [1, 1]], atol=1e-12)
 
     def test_rotation_gives_unit_pair(self):
         theta = 0.3
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        _, lam, _ = od.eig_modes(rot, np.eye(2))
+        _, lam, _ = eig_modes(rot, np.eye(2))
         np.testing.assert_allclose(np.sort_complex(lam), np.sort_complex([np.exp(1j * theta), np.exp(-1j * theta)]), rtol=1e-12)
 
     def test_critically_damped_8p6_hz(self):
@@ -164,14 +169,14 @@ class TestEigModes:
     def test_unit_norm_eigvec_columns(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(5, 5))
-        w, _, phi = od.eig_modes(a, np.eye(5))
+        w, _, phi = eig_modes(a, np.eye(5))
         np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, rtol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(phi, axis=0), 1.0, rtol=1e-12)
 
     def test_eigen_residuals_within_bound(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(6, 6))
-        w, lam, _ = od.eig_modes(a, np.eye(6))
+        w, lam, _ = eig_modes(a, np.eye(6))
         res = np.linalg.norm(a @ w - w * lam[None, :], axis=0)
         assert np.all(res <= 1e-8 * np.linalg.norm(a, 2))
 
@@ -217,7 +222,7 @@ class TestEigModes:
             return norm(x, ord, **kw)
 
         monkeypatch.setattr(np.linalg, "norm", no_two_norm)
-        od.eig_modes(a, np.eye(40))
+        eig_modes(a, np.eye(40))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -258,17 +263,17 @@ class TestEigModes:
             return svd(a, *args, compute_uv=compute_uv, **kw)
 
         monkeypatch.setattr(np.linalg, "svd", no_singular_values)
-        od.eig_modes(np.random.default_rng(7).normal(size=(40, 40)), np.eye(40))
+        eig_modes(np.random.default_rng(7).normal(size=(40, 40)), np.eye(40))
         (x1, x2), rec = planted_pair([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], noise=0.01)
         assert od.dmd(x1, x2, TruncationRule.fixed(30)).rank == 30
 
     def test_defective_operator_rejected(self):
         with pytest.raises(DecompositionError, match="r-1"):
-            od.eig_modes(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+            eig_modes(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            od.eig_modes(np.ones((2, 3)), np.eye(2))
+            eig_modes(np.ones((2, 3)), np.eye(2))
 
 
 class TestAmplitudes:
@@ -276,12 +281,12 @@ class TestAmplitudes:
         rng = np.random.default_rng(8)
         u = np.linalg.qr(rng.normal(size=(10, 3)))[0]
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = od.amplitudes(u, np.eye(3, dtype=complex), u @ c)
+        b = amplitudes(u, np.eye(3, dtype=complex), u @ c)
         np.testing.assert_allclose(b, c, atol=1e-10)
 
     def test_orthogonal_x1_gives_zero(self):
         u = np.eye(4)[:, :2]
-        b = od.amplitudes(u, np.eye(2, dtype=complex), np.array([0.0, 0.0, 0.0, 1.0]))
+        b = amplitudes(u, np.eye(2, dtype=complex), np.array([0.0, 0.0, 0.0, 1.0]))
         np.testing.assert_allclose(b, 0.0, atol=1e-12)
 
     @settings(max_examples=120, deadline=None)
@@ -302,7 +307,7 @@ class TestAmplitudes:
         assert np.linalg.cond(w) < 1e3
         x1 = u @ rng.normal(size=rank) + outside * off_span
         want, *_ = np.linalg.lstsq(u @ w, x1.astype(complex), rcond=None)
-        got = od.amplitudes(u, w, x1)
+        got = amplitudes(u, w, x1)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_wide_hankel_fit_is_the_least_squares_fit(self, lfo_gapped_dmd, lfo_gapped_embedded):
@@ -342,12 +347,12 @@ class TestReconstruct:
         (x1, x2), rec = planted_pair([od.ModeSpec(4.0, -1.0, 1.0)], fs=100, duration=2, depth=20)
         result = od.dmd(x1, x2, TruncationRule.fixed(2))
         np.testing.assert_allclose(
-            od.reconstruct_window(result, 1)[:, 0], result.modes @ result.amplitudes, rtol=1e-12
+            reconstruct_window(result, 1)[:, 0], result.modes @ result.amplitudes, rtol=1e-12
         )
 
     def test_dc_mode_constant(self):
         result = od.dmd(np.full((1, 9), 2.5), np.full((1, 9), 2.5), TruncationRule.fixed(1))
-        window = od.reconstruct_window(result, 50)
+        window = reconstruct_window(result, 50)
         for j in (1, 5, 50):
             np.testing.assert_allclose(window[:, j - 1].real, [2.5], rtol=1e-12)
 
@@ -355,7 +360,7 @@ class TestReconstruct:
         modes = [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)]
         (x1, x2), rec = planted_pair(modes)
         result = od.dmd(x1, x2, od.DEFAULT_RULE)
-        recon = od.reconstruct_window(result, x1.shape[1]).real
+        recon = reconstruct_window(result, x1.shape[1]).real
         rel = np.linalg.norm(recon - x1) / np.linalg.norm(x1)
         assert rel <= 1e-6
 
@@ -363,7 +368,7 @@ class TestReconstruct:
         (x1, x2), rec = planted_pair([od.ModeSpec(4.0, 0.0, 1.0)], fs=100, duration=1, depth=10)
         result = od.dmd(x1, x2, TruncationRule.fixed(2))
         with pytest.raises(ValueError):
-            od.reconstruct_window(result, 0)
+            reconstruct_window(result, 0)
 
 
 class TestDmdComposition:
@@ -392,9 +397,9 @@ class TestDmdComposition:
         result, _ = lfo_clean_dmd
         x1, x2 = od.shifted_pair(lfo_clean_embedded)
         low = _hankel_factor(x1, x2)
-        svd = od.svd_truncated(low[:-1], od.DEFAULT_RULE)
-        a_tilde = od.reduced_operator(svd.u, svd.sigma, svd.v, low[1:])
-        w, lam, _ = od.eig_modes(a_tilde, svd.u)
+        svd = svd_truncated(low[:-1], od.DEFAULT_RULE)
+        a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, low[1:])
+        w, lam, _ = eig_modes(a_tilde, svd.u)
         assert np.array_equal(np.sort_complex(lam), np.sort_complex(result.eigenvalues))
         res = np.linalg.norm(a_tilde @ w - w * lam[None, :], axis=0)
         assert np.all(res <= 1e-8 * np.linalg.norm(a_tilde, 2))
@@ -523,10 +528,10 @@ class TestProperties:
 
 def direct_fit(x1, x2, rule=od.DEFAULT_RULE):
     """The uncompressed composition: SVD of X1 itself, then operator, eig, amplitudes."""
-    svd = od.svd_truncated(x1, rule)
-    a_tilde = od.reduced_operator(svd.u, svd.sigma, svd.v, x2)
-    w, lam, phi = od.eig_modes(a_tilde, svd.u)
-    return svd, a_tilde, lam, phi, od.amplitudes(svd.u, w, x1[:, 0])
+    svd = svd_truncated(x1, rule)
+    a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, x2)
+    w, lam, phi = eig_modes(a_tilde, svd.u)
+    return svd, a_tilde, lam, phi, amplitudes(svd.u, w, x1[:, 0])
 
 
 def assert_direct_fit_bit_for_bit(x1, x2, rank=6):
@@ -625,10 +630,11 @@ class TestHankelCompression:
     def test_dmd_imports_no_scipy(self):
         code = (
             "import sys, numpy as np, oscidmd as od\n"
+            "from oscidmd.dmd import reconstruct_window\n"
             "x = np.sin(0.3 * np.arange(80.0)) + 0.5 * np.cos(2.1 * np.arange(80.0))\n"
             "h = np.lib.stride_tricks.sliding_window_view(x, 71)\n"
             "r = od.dmd(h[:, :-1], h[:, 1:])\n"
-            "od.reconstruct_window(r, 71)\n"
+            "reconstruct_window(r, 71)\n"
             "sys.exit('scipy' in sys.modules)\n"
         )
         src = str(Path(od.__file__).resolve().parent.parent)
@@ -640,7 +646,7 @@ class TestHankelCompression:
 class TestReconstructSeries:
     @staticmethod
     def assert_matches_window(result, n):
-        want = od.unembed(od.reconstruct_window(result, n).real)
+        want = unembed(reconstruct_window(result, n).real)
         got = reconstruct_series(result, n)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -681,7 +687,7 @@ class TestReconstructSeries:
         zeroed = dataclasses.replace(result, eigenvalues=lam)
         for n in (1, 2, 1027):
             self.assert_matches_window(zeroed, n)
-        window = od.reconstruct_window(zeroed, 3)
+        window = reconstruct_window(zeroed, 3)
         np.testing.assert_allclose(
             window[:, 1], zeroed.modes[:, 1:] @ (zeroed.amplitudes[1:] * lam[1:]), rtol=1e-12
         )

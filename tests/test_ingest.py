@@ -33,11 +33,21 @@ class TestLoadCsv:
     def test_5000_row_single_column_with_dt(self, tmp_path, lfo_clean):
         rec, _ = lfo_clean
         path = tmp_path / "single.csv"
-        od.write_csv(rec, path, include_time=False)
+        write_lines(path, ["u_dc", *(repr(float(v)) for v in rec.data[0])])
         loaded = od.load_csv(path, IngestConfig(dt=4e-4))
         assert loaded.length == 5000
         assert loaded.dt == 4e-4
         assert np.array_equal(loaded.data, rec.data)
+
+    @pytest.mark.parametrize("config", [IngestConfig(time_column="t"), IngestConfig(dt=4e-4)])
+    def test_utf8_byte_order_mark_ignored(self, tmp_path, lfo_clean, config):
+        rec, _ = lfo_clean
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        od.write_csv(rec, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        loaded = od.load_csv(bom, config)
+        assert loaded == od.load_csv(plain, config)
+        assert loaded.names[-1] == "u_dc"
 
     def test_two_row_minimal(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -56,8 +66,8 @@ class TestLoadCsv:
         assert rec.missing_mask.sum() == 50
         # oracle: write back and re-read, markers and fills must survive
         back = tmp_path / "back.csv"
-        od.write_csv(rec, back, include_time=False)
-        again = od.load_csv(back, simple_config())
+        od.write_csv(rec, back)
+        again = od.load_csv(back, IngestConfig(dt=rec.dt, time_column="t"))
         assert again == rec
 
     def test_nan_token_case_insensitive(self, tmp_path):

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
-from conftest import refit_bins
+from conftest import continuous_eigenvalue, one_mode_reports, refit_bins
 from oscidmd.modes import (
     DAMPING_CRITICAL,
     DAMPING_DECAYING,
     DAMPING_GROWING,
     ModeReport,
+    integral_contribution,
     retained_oscillatory,
 )
 
@@ -37,20 +38,21 @@ def make_report(level=1, bin_index=0, freq=5.0, growth=0.0, ic=1.0, slow=True, a
     )
 
 
-class TestToContinuous:
+class TestContinuousEigenvalue:
+    """The map omega = f_sp * ln(lambda), as the mode reports apply it."""
+
     def test_dc_maps_to_zero(self):
-        assert od.to_continuous(1.0 + 0j, 123.0) == 0.0
+        assert continuous_eigenvalue(1.0 + 0j, 123.0) == 0.0
 
     def test_round_trip_identity(self):
         f_sp = 80.0
         omega = complex(-3.0, 2 * np.pi * 8.6)
         lam = cmath.exp(omega / f_sp)
-        back = od.to_continuous(lam, f_sp)
+        back = continuous_eigenvalue(lam, f_sp)
         assert abs(back - omega) <= 1e-12 * abs(omega)
 
-    def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(ValueError, match="decays fully"):
-            od.to_continuous(0.0, 10.0)
+    def test_zero_eigenvalue_not_reported(self):
+        assert one_mode_reports(0.0, 10.0) == []
 
     def test_level4_mode_frequency(self, lfo_gapped_mrdmd):
         _, reports = lfo_gapped_mrdmd
@@ -67,18 +69,18 @@ class TestToContinuous:
     def test_round_trip_inside_principal_branch(self, growth, freq, f_sp):
         omega = complex(growth, 2 * np.pi * freq)
         assert abs(omega.imag) / f_sp < np.pi
-        back = od.to_continuous(cmath.exp(omega / f_sp), f_sp)
+        back = continuous_eigenvalue(cmath.exp(omega / f_sp), f_sp)
         assert abs(back - omega) <= 1e-9 * max(1.0, abs(omega))
 
 
 class TestIntegralContribution:
     def test_unexcited_mode_is_zero(self):
-        assert od.integral_contribution(np.ones(4), 0.9 + 0.1j, 0.0, 16) == 0.0
+        assert integral_contribution(np.ones(4), 0.9 + 0.1j, 0.0, 16) == 0.0
 
     def test_neutral_mode_closed_form(self):
         phi = np.array([1.0, 0.0, 0.0])
         lam = cmath.exp(0.4j)
-        assert od.integral_contribution(phi, lam, 2.5, 20) == pytest.approx(2.5 * 20, rel=1e-12)
+        assert integral_contribution(phi, lam, 2.5, 20) == pytest.approx(2.5 * 20, rel=1e-12)
 
     def test_dominant_ranking_matches_generator(self, lfo_gapped_mrdmd):
         # mirrors the integral-contribution chart: the planted 8.6 Hz mode
@@ -92,13 +94,13 @@ class TestIntegralContribution:
         rng = np.random.default_rng(0)
         phi = rng.normal(size=6) + 1j * rng.normal(size=6)
         lam, b = 0.97 * cmath.exp(0.31j), 1.3 - 0.4j
-        a = od.integral_contribution(phi, lam, b, 16)
-        b_ = od.integral_contribution(np.conj(phi), np.conj(lam), np.conj(b), 16)
+        a = integral_contribution(phi, lam, b, 16)
+        b_ = integral_contribution(np.conj(phi), np.conj(lam), np.conj(b), 16)
         assert a == pytest.approx(b_, rel=1e-12)
 
     def test_horizon_below_one_rejected(self):
         with pytest.raises(ValueError):
-            od.integral_contribution(np.ones(2), 1.0, 1.0, 0)
+            integral_contribution(np.ones(2), 1.0, 1.0, 0)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -110,8 +112,8 @@ class TestIntegralContribution:
         phi = rng.normal(size=5) + 1j * rng.normal(size=5)
         lam, b = 0.99 * cmath.exp(0.2j), 0.7 + 0.2j
         c = scale * cmath.exp(1j * phase)
-        base = od.integral_contribution(phi, lam, b, 12)
-        gauged = od.integral_contribution(c * phi, lam, b / c, 12)
+        base = integral_contribution(phi, lam, b, 12)
+        gauged = integral_contribution(c * phi, lam, b / c, 12)
         assert gauged == pytest.approx(base, rel=1e-9)
 
 
@@ -192,6 +194,16 @@ class TestClassify:
 
 
 class TestReportsFromDmd:
+    @pytest.mark.parametrize("f_sp", [0.0, -80.0, float("nan")])
+    def test_subsample_frequency_not_positive_rejected(self, f_sp):
+        with pytest.raises(ValueError, match="subsample frequency must be positive"):
+            one_mode_reports(0.9 + 0.1j, f_sp)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be at least one step"):
+            one_mode_reports(0.9 + 0.1j, 80.0, horizon)
+
     def test_conjugate_pairs_collapse_with_nonnegative_frequency(self, lfo_clean_dmd):
         result, reports = lfo_clean_dmd
         assert all(r.frequency_hz >= 0 for r in reports)
@@ -260,7 +272,7 @@ class TestReportsFromDmd:
                 first.setdefault(complex(lam), k)
             for r in od.reports_from_dmd(fit, f_sp=100.0, horizon_steps=horizon):
                 k = first[r.eigenvalue]
-                want = od.integral_contribution(
+                want = integral_contribution(
                     fit.modes[:, k], complex(fit.eigenvalues[k]), complex(fit.amplitudes[k]), horizon
                 )
                 assert r.integral_contribution == want

@@ -179,12 +179,12 @@ class TestScreenSlow:
     def test_level4_mode_at_8p6_hz_is_slow(self):
         # level 4 of the mu=16 plan on the 1.6 s window: f_sp = 80 Hz
         plan = od.plan(4000, 4e-4, mu=16, g=4)
-        f_sp = float(plan.level(4).f_sp)
+        f_sp = float(plan.per_level[3].f_sp)
         lam = cmath.exp(2j * math.pi * 8.6 / f_sp)
         assert list(screen_slow(fake_result([lam]), plan.rho)) == [0]
         # but not slow at levels 1..3
         for level in (1, 2, 3):
-            f = float(plan.level(level).f_sp)
+            f = float(plan.per_level[level - 1].f_sp)
             lam_l = cmath.exp(2j * math.pi * 8.6 / f)
             assert list(screen_slow(fake_result([lam_l]), plan.rho)) == []
 
@@ -209,7 +209,10 @@ class TestScreenSlow:
     def test_takes_both_members_of_a_pair_or_neither(self, lfo_gapped_mrdmd):
         result, _ = lfo_gapped_mrdmd
         slow_pairs = 0
-        for node in result._nodes():
+        stack = [result.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
             if node.dmd is None:
                 continue
             lam = node.dmd.eigenvalues
@@ -376,7 +379,7 @@ class TestFoldedPairs:
             pairs += self.check_pairs(fit)
             if node.slow_set:
                 idx = np.array(node.slow_set)
-                folded += self.check_fold(fit, idx, node.col_span, node.dt, node.f_sp)
+                folded += self.check_fold(fit, idx, node.col_span, res.plan.dt, node.f_sp)
         assert pairs > 1000 and folded > 0
 
     def test_single_window_fit_folds_exactly(self, lfo_gapped, lfo_gapped_dmd):

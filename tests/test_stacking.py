@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
+from oscidmd.stacking import unembed
 
 
 def record_from(values, dt=1.0):
@@ -103,12 +104,12 @@ def test_unembed_inverts_embedding():
     rng = np.random.default_rng(7)
     values = rng.normal(size=80)
     hankel = od.delay_embed(record_from(values), "x", 16)
-    np.testing.assert_allclose(od.unembed(hankel), values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(unembed(hankel), values, rtol=1e-12, atol=1e-12)
 
 
 def test_unembed_rejects_empty():
     with pytest.raises(ValueError):
-        od.unembed(np.empty((0, 0)))
+        unembed(np.empty((0, 0)))
 
 
 def test_snapshot_matrix_immutable(lfo_clean_embedded):
