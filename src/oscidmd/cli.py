@@ -6,8 +6,11 @@ CSV datasets, ``analyze dmd`` runs a single-window decomposition,
 the parameter planner, and ``analyze compare`` both methods side by side
 against generator ground truth.
 
-All numeric CSV cells use fixed 17-significant-digit scientific notation,
-so identical configuration and seed yield byte-identical files. Module
+Every float CSV cell is byte-equal to ``'%.16e' % x`` (17 significant
+digits), so identical configuration and seed yield byte-identical files.
+CSV files are written in blocks of rows whose cells ``csvtext`` formats at
+once: series files fill together, 4096 rows at a time, sharing each
+block's time cells; the mode table goes 32 rows at a time. Module
 rejections exit nonzero after printing a single JSON error line on
 stderr.
 """
@@ -18,13 +21,15 @@ import configparser
 import json
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, csvtext
 from .dmd import DEFAULT_RULE, DecompositionError, DmdResult, TruncationRule, dmd, reconstruct_series
 from .ingest import FILL_ZERO, IngestConfig, SignalRecord, inject_gap, load_csv, write_csv
 from .modes import (
@@ -44,11 +49,6 @@ from .stacking import delay_embed, shifted_pair
 # Unused here, but bench/spans.py wraps these names on this module by getattr.
 from .dmd import reconstruct_window  # noqa: F401
 from .stacking import unembed  # noqa: F401
-
-
-def _fmt(x: float) -> str:
-    """Fixed 17-significant-digit scientific notation (round-trip exact)."""
-    return f"{x:.16e}"
 
 
 def _num(x) -> float | None:
@@ -196,33 +196,34 @@ _MODE_HEADER = [
     "pair",
 ]
 _MODE_TAGS = ["level", "bin", "slow"]
+# A mode row's float cells, read in one pass as 8 float64s (eigenvalue and omega are complex).
+_MODE_FLOATS = attrgetter("eigenvalue", "omega", "frequency_hz", "growth_rate", "amplitude_mag",
+                          "integral_contribution")
+_MODE_DTYPE = np.dtype("c16,c16,f8,f8,f8,f8")
+# Rows per block. A block's cells and row bytes are the writer's working
+# memory: about 0.2 KB per series row and 1 KB per mode row (14 cells), so
+# about 1 MB for a series block and 32 KB for a mode block.
+_SERIES_BLOCK = 4096
+_MODE_BLOCK = 32
 
-# One row of the mode table: the _MODE_HEADER columns, each number as _fmt writes it.
-_MODE_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%s,%.16e,%.16e,%s,%s\n"
 
-
-def _mode_lines(reports: list[ModeReport], tagged: bool) -> Iterator[str]:
-    """The mode table's rows, formatted one at a time as they are written.
+def _mode_blocks(reports: list[ModeReport], tagged: bool) -> Iterator[bytes]:
+    """The mode table's rows (the _MODE_HEADER columns), one block of _MODE_BLOCK rows at a time.
 
     ``tagged`` leads each row with level, bin and slow flag (_MODE_TAGS).
     """
-    row = "%s,%s,%s," + _MODE_ROW if tagged else _MODE_ROW
-    for r in reports:
-        tags = (r.level, r.bin_index, "1" if r.slow else "0") if tagged else ()
-        yield row % (
-            *tags,
-            r.eigenvalue.real,
-            r.eigenvalue.imag,
-            r.omega.real,
-            r.omega.imag,
-            r.frequency_hz,
-            r.growth_rate,
-            r.damping_class or "",
-            r.amplitude_mag,
-            r.integral_contribution,
-            "" if r.dominant_rank is None else r.dominant_rank,
-            "1" if r.pair else "0",
-        )
+    for start in range(0, len(reports), _MODE_BLOCK):
+        block = reports[start : start + _MODE_BLOCK]
+        numbers = np.fromiter(map(_MODE_FLOATS, block), _MODE_DTYPE, len(block)).view(float)
+        cells = csvtext.floats(numbers).reshape(len(block), 8, -1)
+        # the integer and text cells, each run of them one text cell
+        tags, classes, tails = zip(*(
+            (f"{r.level},{r.bin_index},{1 if r.slow else 0}", r.damping_class or "",
+             f"{'' if r.dominant_rank is None else r.dominant_rank},{1 if r.pair else 0}")
+            for r in block
+        ))
+        groups = [cells[:, :6], csvtext.text(classes), cells[:, 6:], csvtext.text(tails)]
+        yield csvtext.rows([csvtext.text(tags), *groups] if tagged else groups)
 
 
 # (LevelParams attribute, plan.csv and report.json column, `analyze plan` format)
@@ -243,28 +244,42 @@ def _plan_levels(mrdmd_plan: MrdmdPlan) -> list[dict]:
     return [{col: v if isinstance(v, int) else float(v) for col, v in row.items()} for row in rows]
 
 
-def _write_lines(path: Path, header: list[str], lines: Iterable[str]) -> None:
-    """Write a header row and then each of ``lines`` (newline-terminated) as it comes."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+def _header(header: list[str]) -> bytes:
+    return (",".join(header) + "\n").encode()
+
+
+def _write_table(path: Path, header: list[str], blocks: Iterable[bytes]) -> None:
+    """Write a header row and then each block of rows as it comes."""
+    with open(path, "wb") as fh:
+        fh.write(_header(header))
+        fh.writelines(blocks)
 
 
 def _write_plan_csv(path: Path, levels: list[dict]) -> None:
-    cells = ([str(v) if isinstance(v, int) else _fmt(v) for v in row.values()] for row in levels)
-    _write_lines(path, [col for _, col, _ in _PLAN_FIELDS], (",".join(row) + "\n" for row in cells))
+    columns = [[row[col] for row in levels] for _, col, _ in _PLAN_FIELDS]
+    cells = [csvtext.text([str(v) for v in c]) if all(isinstance(v, int) for v in c) else csvtext.floats(c)
+             for c in columns]
+    _write_table(path, [col for _, col, _ in _PLAN_FIELDS], [csvtext.rows(cells)])
 
 
-def _time_cells(record: SignalRecord, count: int) -> list[str]:
-    """Formatted sample times t0 + k * dt for k < count, shared by every series file."""
-    t0, dt = record.t0, record.dt
-    return [_fmt(t0 + k * dt) for k in range(count)]
+def _write_series(out: Path, record: SignalRecord, count: int,
+                  files: dict[str, tuple[list[str], tuple[np.ndarray, ...]]]) -> None:
+    """Write series files ``{name: (header, columns)}``, rows k < count: t0 + k * dt, then the columns.
 
-
-def _series_lines(times: list[str], *columns: np.ndarray) -> Iterator[str]:
-    """A series file's rows, one per time cell: the cell, then each column's value as _fmt writes it."""
-    row = "%s" + ",%.16e" * len(columns) + "\n"
-    return (row % cells for cells in zip(times, *columns))
+    The files fill together, one block of _SERIES_BLOCK rows at a time, so
+    each block's time cells are formatted once, for every file.
+    """
+    with ExitStack() as stack:
+        handles = [(stack.enter_context(open(out / name, "wb")), header, columns)
+                   for name, (header, columns) in files.items()]
+        for fh, header, _ in handles:
+            fh.write(_header(header))
+        for start in range(0, count, _SERIES_BLOCK):
+            stop = min(start + _SERIES_BLOCK, count)
+            times = csvtext.floats(record.t0 + np.arange(start, stop) * record.dt)
+            for fh, _, columns in handles:
+                cells = csvtext.floats(np.stack([c[start:stop] for c in columns], axis=1))
+                fh.write(csvtext.rows([times, cells]))
 
 
 def _dominant(reports: list[ModeReport], eps_crit: float) -> tuple[ModeCluster | None, ModeReport | None]:
@@ -346,12 +361,11 @@ def _write_run(
     if cfg.emit_eigenvalues:
         header = _MODE_TAGS + _MODE_HEADER if tagged else _MODE_HEADER
         path = out / ("modes.csv" if tagged else "eigenvalues.csv")
-        _write_lines(path, header, _mode_lines(reports, tagged))
-    times = _time_cells(record, min(series.size, record.length))
-    _write_lines(out / "reconstruction.csv", ["t", "measured", "reconstructed"],
-                 _series_lines(times, record.channel(channel), series))
+        _write_table(path, header, _mode_blocks(reports, tagged))
+    files = {"reconstruction.csv": (["t", "measured", "reconstructed"], (record.channel(channel), series))}
     for l, level_series in enumerate(levels, start=1):
-        _write_lines(out / f"level_{l}.csv", ["t", "reconstructed"], _series_lines(times, level_series))
+        files[f"level_{l}.csv"] = (["t", "reconstructed"], (level_series,))
+    _write_series(out, record, min(series.size, record.length), files)
     if cfg.emit_report:
         cluster, best = _dominant(reports, cfg.eps_crit)
         payload = {

@@ -1,0 +1,184 @@
+"""Exact CSV text for blocks of numbers: ``'%.16e' % x`` for every float, in numpy.
+
+``floats`` gives the bytes that Python's ``'%.16e' % x`` gives, for a whole
+array at once. |x| is scaled by 10^(16 - e) as a double-double: Dekker's
+TwoProduct (Numer. Math. 18, 1971) with the power of ten taken from exact
+integers. The 17-digit integer is then rounded half-even from the low
+word, the correctly rounded digit rule of Ryu (Adams, PLDI 2018), and its
+digits come from lookup tables. Values this cannot decide go through ``%``
+itself: non-finite values, |x| outside [1e-280, 1e280], values whose low
+word lies within 2^-30 of a rounding tie when the power of ten is inexact,
+and the few that round up to 10^(e+1) (within 5e-18 below it).
+
+A cell is a run of 4-byte words padded with NUL bytes, so a block of rows
+is one uint32 matrix; ``rows`` joins the cells with commas and newlines
+and drops the padding in one pass.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+
+_RANGE = (1e-280, 1e280)
+_TIE = 2.0**-30
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+_E15, _E16, _E17 = 10**15, 10**16, 10**17
+_EXP0 = 300  # row of e = 0 in _EXPONENT, and column of 10^0 in _POWERS
+
+
+def _words(*columns: np.ndarray) -> np.ndarray:
+    """One uint32 word per row from four byte columns (0 is padding)."""
+    return np.stack(columns, axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digit(k: np.ndarray, place: int) -> np.ndarray:
+    return k // place % 10 + 48
+
+
+_k = np.arange(10_000)
+_DIGITS4 = _words(*(_digit(_k, p) for p in (1000, 100, 10, 1)))  # "0042" for 42
+_k = np.arange(1000)
+_DIGITS3E = _words(*(_digit(_k, p) for p in (100, 10, 1)), np.full(1000, ord("e")))  # "042e"
+_k = np.arange(200)
+# [sign] d "." d: the first two digits, with a minus sign from row 100 on
+_HEAD = _words(np.where(_k >= 100, ord("-"), 0), _digit(_k, 10), np.full(200, ord(".")), _digit(_k, 1))
+_k = np.abs(np.arange(2 * _EXP0) - _EXP0)
+# sign and at least two digits of the exponent e, in row e + _EXP0: "+05", "-123"
+_EXPONENT = _words(np.where(np.arange(2 * _EXP0) < _EXP0, ord("-"), ord("+")),
+                   np.where(_k < 100, 0, _digit(_k, 100)), _digit(_k, 10), _digit(_k, 1))
+del _k
+_COMMA, _NEWLINE = _words(np.array([44, 10]), *np.zeros((3, 2), int))
+
+# 10^k in column k + _EXP0: hi, lo (the correctly rounded remainder) and hi's
+# Veltkamp halves; a column is filled the first time a block needs it
+_POWERS = np.zeros((4, 2 * _EXP0))
+_BUILT = np.zeros(2 * _EXP0, bool)
+
+
+def _build_power(col: int) -> None:
+    k = col - _EXP0
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int true division rounds correctly
+    n, d = hi.as_integer_ratio()
+    head = _SPLIT * hi - (_SPLIT * hi - hi)
+    _POWERS[:, col] = hi, (num * d - n * den) / (den * d), head, hi - head
+    _BUILT[col] = True
+
+
+def _scaled(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, exact): hi + lo is v * 10^(16 - e) to about 2^-100 relative, exactly where ``exact``."""
+    col = (16 + _EXP0) - e
+    for c in set(col[~_BUILT[col]].tolist()):
+        _build_power(c)
+    p_hi, p_lo, p_head, p_tail = np.take(_POWERS, col, axis=1)
+    hi = v * p_hi
+    v_head = _SPLIT * v
+    v_head -= v_head - v
+    v_tail = v - v_head
+    # Dekker's TwoProduct: hi + err == v * p_hi exactly
+    err = v_head * p_head - hi
+    err += v_head * p_tail
+    err += v_tail * p_head
+    err += v_tail * p_tail
+    err += v * p_lo
+    return hi, err, p_lo == 0
+
+
+def _digits(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d, sure, hi, lo) for the product v * 10^(16 - e) = hi + lo.
+
+    d is the product rounded half-even to an int64; ``sure`` is False where
+    that rounding may be wrong: within 2^-30 of a tie under an inexact power.
+    """
+    hi, lo, exact = _scaled(v, e)
+    near = np.rint(lo)
+    sure = exact | (np.abs(lo - near) < 0.5 - _TIE)
+    # hi >= 1e16 > 2^53 is an even integer, so rounding lo alone rounds hi + lo half-even
+    d = hi.astype(np.int64)
+    d += near.astype(np.int64)
+    return d, sure, hi, lo
+
+
+def _settle(v, e, d, sure, hi, lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, sure) for values whose product lies next to 10^16 or 10^17.
+
+    There log10 may have put e one off, which the unrounded product shows.
+    A product that rounds up to 10^17, an 18th digit, is left to ``%``.
+    """
+    step = ((hi - 1e17) + lo >= 0).astype(np.int64) - ((hi - 1e16) + lo < 0)
+    off = np.flatnonzero(step)
+    if off.size:
+        e[off] += step[off]
+        d[off], sure[off], _, _ = _digits(v[off], e[off])
+    return d, e, sure & (d >= _E16) & (d < _E17)
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, sure) with v ~ d * 10^(e - 16) and 10^16 <= d < 10^17, for v in _RANGE."""
+    e = np.floor(np.log10(v)).astype(np.int64)
+    d, sure, hi, lo = _digits(v, e)
+    # |lo| < 24, so a product 64 inside [10^16, 10^17] needs no second look
+    edge = np.flatnonzero((hi < 1e16 + 64) | (hi > 1e17 - 64))
+    if edge.size:
+        d[edge], e[edge], sure[edge] = _settle(v[edge], e[edge], d[edge], sure[edge], hi[edge], lo[edge])
+    return d, e, sure
+
+
+def floats(values) -> np.ndarray:
+    """``'%.16e' % x`` for each x of ``values``: uint32 cells of 6 words, shape ``values.shape + (6,)``."""
+    x = np.asarray(values, dtype=float)
+    flat = x.ravel()
+    out = np.empty((flat.size, 6), np.uint32)
+    if not flat.size:
+        return out.reshape(x.shape + (6,))
+    v = np.abs(flat)
+    zero = v == 0
+    fast = (v >= _RANGE[0]) & (v <= _RANGE[1])  # False for inf and nan
+    np.putmask(v, ~fast, 2.0)  # a placeholder far from a power of ten
+    d, e, sure = _decimal(v)
+    fast &= sure
+    slow = ~fast
+    np.putmask(d, slow, 0)  # zero, and placeholders for the cells written by % below
+    np.putmask(e, slow, 0)
+    # the 17 digits d0 "." d1 ... d16 as words (d0 "." d1) (d2-d5) (d6-d9) (d10-d13) (d14-d16 "e")
+    head, rest = np.divmod(d, _E15)
+    out[:, 0] = _HEAD[head + 100 * np.signbit(flat)]
+    for col, place in ((1, 10**11), (2, 10**7), (3, 1000)):
+        group, rest = np.divmod(rest, place)
+        out[:, col] = _DIGITS4[group]
+    out[:, 4] = _DIGITS3E[rest]
+    out[:, 5] = _EXPONENT[e + _EXP0]
+    slow &= ~zero
+    if slow.any():
+        by_byte = out.view(np.uint8)
+        for i in np.flatnonzero(slow):
+            cell = ("%.16e" % flat[i]).encode()
+            by_byte[i] = 0
+            by_byte[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return out.reshape(x.shape + (6,))
+
+
+def text(strings: Sequence[str]) -> np.ndarray:
+    """ASCII ``strings`` as (n, w) uint32 cells: integer, class and blank cells."""
+    words = max(1, -(-max(map(len, strings), default=0) // 4))
+    return np.array(strings, dtype=f"S{4 * words}").view(np.uint32).reshape(len(strings), words)
+
+
+def rows(groups: Sequence[np.ndarray]) -> bytes:
+    """CSV rows from cells: commas between, a newline after each row, no NULs.
+
+    Each group is one column of (n, w) cells or k columns of (n, k, w).
+    """
+    groups = [g if g.ndim == 3 else g[:, None] for g in groups]
+    block = np.empty((groups[0].shape[0], sum(g.shape[1] * (g.shape[2] + 1) for g in groups)), np.uint32)
+    at = 0
+    for g in groups:
+        _, k, w = g.shape
+        columns = block[:, at : at + k * (w + 1)].reshape(-1, k, w + 1)
+        columns[..., :w] = g
+        columns[..., w] = _COMMA
+        at += k * (w + 1)
+    block[:, -1] = _NEWLINE
+    return block.tobytes().translate(None, b"\0")

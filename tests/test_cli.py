@@ -18,18 +18,17 @@ from oscidmd.cli import (
     RunConfig,
     _analyze_dmd_core,
     _analyze_mrdmd_core,
-    _fmt,
     _load_record,
-    _series_lines,
-    _time_cells,
-    _write_lines,
+    _plan_levels,
     _write_run,
+    _write_series,
     cli,
     run_dmd,
     run_mrdmd,
 )
 from oscidmd.ingest import IngestConfig
 from oscidmd.modes import ModeReport
+from oscidmd.mrdmd import plan
 
 
 @pytest.fixture(scope="module")
@@ -221,17 +220,22 @@ class TestAnalyzeMrdmd:
         assert "mu=5000" in err["error"]["message"]
 
 
+def fmt(x: float) -> str:
+    """The CSV cell of a float: Python's own 17-significant-digit format, the oracle of every writer test."""
+    return f"{x:.16e}"
+
+
 def per_cell_csv(header: list[str], rows: int, t0: float, dt: float, *columns) -> str:
-    """A series file formatted cell by cell with ``_fmt``."""
+    """A series file formatted cell by cell with ``fmt``."""
     lines = [",".join(header) + "\n"]
     for k in range(rows):
-        cells = [_fmt(t0 + k * dt), *(_fmt(float(col[k])) for col in columns)]
+        cells = [fmt(t0 + k * dt), *(fmt(float(col[k])) for col in columns)]
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
 
 
 class TestSeriesFiles:
-    """Shared time cells and one %-format row per line give the per-cell bytes."""
+    """Row blocks that share their time cells across files give the per-cell bytes."""
 
     def test_mrdmd_series_files_equal_per_cell_format(self, tmp_path):
         cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, gap_start=1000,
@@ -264,11 +268,9 @@ class TestSeriesFiles:
         values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308,
                            1e-300, 0.1, -2.5])
         record = tiny_record(values.size)
-        path = tmp_path / "edge.csv"
-        times = _time_cells(record, values.size)
-        _write_lines(path, ["t", "v", "w"], _series_lines(times, values, values[::-1]))
+        _write_series(tmp_path, record, values.size, {"edge.csv": (["t", "v", "w"], (values, values[::-1]))})
         want = per_cell_csv(["t", "v", "w"], values.size, 0.0, 1e-3, values, values[::-1])
-        assert path.read_text() == want
+        assert (tmp_path / "edge.csv").read_text() == want
 
     def test_long_series_written_in_bounded_memory(self, tmp_path):
         rows = 204_817
@@ -277,30 +279,28 @@ class TestSeriesFiles:
             missing_mask=np.zeros((1, rows), dtype=bool),
         )
         values = np.random.default_rng(3).normal(size=rows)
-        times = _time_cells(record, rows)
-        path = tmp_path / "series.csv"
         tracemalloc.start()
         try:
-            _write_lines(path, ["t", "v"], _series_lines(times, values))
+            _write_series(tmp_path, record, rows, {"series.csv": (["t", "v"], (values,))})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        text = path.read_text()
+        text = (tmp_path / "series.csv").read_text()
         assert_same_lines(text, per_cell_csv(["t", "v"], rows, 0.5, 1e-4, values))
-        # the file is about 10 MB; the writer holds one row and the file buffer
+        # the file is about 10 MB; the writer holds one block of rows and the file buffer
         assert len(text) > 8 * peak
 
 
 def per_cell_mode_table(reports, tagged: bool) -> str:
-    """A mode table formatted cell by cell with ``_fmt``."""
+    """A mode table formatted cell by cell with ``fmt``."""
     header = ["lambda_re", "lambda_im", "omega_re", "omega_im", "frequency_hz", "growth_rate_per_s",
               "damping_class", "amplitude_mag", "integral_contribution", "dominant_rank", "pair"]
     lines = [",".join((["level", "bin", "slow"] if tagged else []) + header) + "\n"]
     for r in reports:
         tags = [str(r.level), str(r.bin_index), "1" if r.slow else "0"] if tagged else []
-        cells = [_fmt(r.eigenvalue.real), _fmt(r.eigenvalue.imag), _fmt(r.omega.real), _fmt(r.omega.imag),
-                 _fmt(r.frequency_hz), _fmt(r.growth_rate), r.damping_class or "", _fmt(r.amplitude_mag),
-                 _fmt(r.integral_contribution), "" if r.dominant_rank is None else str(r.dominant_rank),
+        cells = [fmt(r.eigenvalue.real), fmt(r.eigenvalue.imag), fmt(r.omega.real), fmt(r.omega.imag),
+                 fmt(r.frequency_hz), fmt(r.growth_rate), r.damping_class or "", fmt(r.amplitude_mag),
+                 fmt(r.integral_contribution), "" if r.dominant_rank is None else str(r.dominant_rank),
                  "1" if r.pair else "0"]
         lines.append(",".join(tags + cells) + "\n")
     return "".join(lines)
@@ -327,7 +327,7 @@ def write_mode_table(tmp_path: Path, reports, tagged: bool) -> Path:
 
 
 class TestModeTables:
-    """Mode rows, each formatted by one %-format as it is written, give the per-cell bytes."""
+    """Mode rows, formatted and written one small block at a time, give the per-cell bytes."""
 
     def test_mode_tables_equal_per_cell_format(self, tmp_path):
         cfg = RunConfig(profile="lfo_udc", seed=2, stack_depth=200, gap_start=1000,
@@ -357,6 +357,24 @@ class TestModeTables:
         path = write_mode_table(tmp_path, reports, tagged)
         assert path.read_text() == per_cell_mode_table(reports, tagged)
 
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_wide_integer_and_blank_cells_equal_per_cell_format(self, tmp_path, tagged):
+        # ranks past 10^5, levels past 10 and bins past 10^6 widen the integer cells;
+        # a None class and rank leave blank cells, and a None slow flag writes 0
+        rng = np.random.default_rng(11)
+        reports = [
+            ModeReport(10 + k % 7, 2**20 + 37 * k, complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
+                       float(rng.random()), float(rng.normal()), float(rng.random()), float(rng.random()),
+                       bool(k % 2), slow=None if k % 5 == 0 else bool(k % 3),
+                       damping_class=None if k % 4 == 0 else "critical",
+                       dominant_rank=None if k % 3 == 0 else 10**5 + 999_983 * k)
+            for k in range(100)
+        ]
+        path = write_mode_table(tmp_path, reports, tagged)
+        text = path.read_text()
+        assert text == per_cell_mode_table(reports, tagged)
+        assert ",,1\n" in text or ",,0\n" in text
+
     def test_mode_rows_written_in_bounded_memory(self, tmp_path):
         rng = np.random.default_rng(4)
         reports = [
@@ -373,7 +391,27 @@ class TestModeTables:
             tracemalloc.stop()
         text = path.read_text()
         assert_same_lines(text, per_cell_mode_table(reports, tagged=True))
-        # the file is about 9 MB; the writer holds one row and the file buffer
+        # the file is about 9 MB; the writer holds one block of rows and the file buffer
+        assert len(text) > 100 * peak
+
+    def test_eigenvalue_rows_written_in_bounded_memory(self, tmp_path):
+        # the single-window table: rows without tags, wide exponents and blank ranks
+        rng = np.random.default_rng(5)
+        reports = [
+            ModeReport(0, 0, complex(*rng.normal(size=2) * 1e150), complex(*rng.normal(size=2) * 1e-150),
+                       float(rng.random()), float(rng.normal()), float(rng.random()), float(rng.random()),
+                       bool(k % 2), damping_class="growing" if k % 2 else None,
+                       dominant_rank=None if k % 2 else 10**6 + k)
+            for k in range(40_000)
+        ]
+        tracemalloc.start()
+        try:
+            path = write_mode_table(tmp_path, reports, tagged=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert_same_lines(text, per_cell_mode_table(reports, tagged=False))
         assert len(text) > 100 * peak
 
 
@@ -434,6 +472,18 @@ class TestPlanCommand:
         assert "levels=7" in result.output
         cols = read_csv_columns(out / "plan.csv")
         assert float(cols["f_m_hz"][0]) == 15.625
+
+    def test_plan_csv_equals_per_cell_format(self, runner, tmp_path):
+        # counts are plain integers, every exact fraction a 17-digit float cell
+        result = runner.invoke(cli, ["analyze", "plan", "--n", "40000", "--dt", "3e-4", "--mu", "7",
+                                     "--g", "3", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        levels = _plan_levels(plan(40000, 3e-4, mu=7, g="3"))
+        assert len(levels) >= 10
+        want = [",".join(levels[0]) + "\n"]
+        for row in levels:
+            want.append(",".join(str(v) if isinstance(v, int) else fmt(v) for v in row.values()) + "\n")
+        assert (tmp_path / "plan.csv").read_text() == "".join(want)
 
     def test_invalid_plan_rejected(self, runner):
         result = runner.invoke(cli, ["analyze", "plan", "--n", "10", "--dt", "0.1", "--mu", "50"])

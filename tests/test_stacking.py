@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
-from oscidmd.stacking import unembed
+from oscidmd.stacking import antidiagonal_sums, unembed
 
 
 def record_from(values, dt=1.0):
@@ -105,6 +105,19 @@ def test_unembed_inverts_embedding():
     values = rng.normal(size=80)
     hankel = od.delay_embed(record_from(values), "x", 16)
     np.testing.assert_allclose(unembed(hankel), values, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (257, 3), (600, 300), (1000, 999), (513, 512)])
+def test_tall_sums_equal_wide_sums_bit_for_bit(shape):
+    # a tall matrix is summed through its tiled transpose, in the same order
+    # as the same matrix stored wide, and against a per-diagonal reference
+    tall = np.random.default_rng(shape[0]).normal(size=shape)
+    wide = np.ascontiguousarray(tall.T)
+    assert np.array_equal(antidiagonal_sums(tall), antidiagonal_sums(wide))
+    assert np.array_equal(antidiagonal_sums(tall), antidiagonal_sums(tall.T))
+    flipped = tall[::-1]
+    want = [np.diagonal(flipped, offset=k - shape[0] + 1).sum() for k in range(sum(shape) - 1)]
+    np.testing.assert_allclose(antidiagonal_sums(tall), want, rtol=1e-12, atol=1e-12)
 
 
 def test_unembed_rejects_empty():
