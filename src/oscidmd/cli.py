@@ -10,9 +10,10 @@ Every float CSV cell is byte-equal to ``'%.16e' % x`` (17 significant
 digits), so identical configuration and seed yield byte-identical files.
 CSV files are written in blocks of rows whose cells ``csvtext`` formats at
 once: series files fill together, 4096 rows at a time, sharing each
-block's time cells; the mode table goes 32 rows at a time. Module
-rejections exit nonzero after printing a single JSON error line on
-stderr.
+block's time cells; the mode table goes 64 rows at a time. ``csvtext`` is
+imported by the first CSV write, not with this module, so ``--version``
+and ``--help`` do not build its tables. Module rejections exit nonzero
+after printing a single JSON error line on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, csvtext
+from . import __version__
 from .dmd import DEFAULT_RULE, DecompositionError, DmdResult, TruncationRule, dmd, reconstruct_series
 from .ingest import FILL_ZERO, IngestConfig, SignalRecord, inject_gap, load_csv, write_csv
 from .modes import (
@@ -202,28 +203,32 @@ _MODE_FLOATS = attrgetter("eigenvalue", "omega", "frequency_hz", "growth_rate", 
 _MODE_DTYPE = np.dtype("c16,c16,f8,f8,f8,f8")
 # Rows per block. A block's cells and row bytes are the writer's working
 # memory: about 0.2 KB per series row and 1 KB per mode row (14 cells), so
-# about 1 MB for a series block and 32 KB for a mode block.
+# about 1 MB for a series block and 64 KB for a mode block.
 _SERIES_BLOCK = 4096
-_MODE_BLOCK = 32
+_MODE_BLOCK = 64
 
 
 def _mode_blocks(reports: list[ModeReport], tagged: bool) -> Iterator[bytes]:
     """The mode table's rows (the _MODE_HEADER columns), one block of _MODE_BLOCK rows at a time.
 
     ``tagged`` leads each row with level, bin and slow flag (_MODE_TAGS).
+    Every block's float cells go into one buffer.
     """
+    from . import csvtext
+
+    buffer = np.empty((_MODE_BLOCK, 8, 6), np.uint32)
     for start in range(0, len(reports), _MODE_BLOCK):
         block = reports[start : start + _MODE_BLOCK]
         numbers = np.fromiter(map(_MODE_FLOATS, block), _MODE_DTYPE, len(block)).view(float)
-        cells = csvtext.floats(numbers).reshape(len(block), 8, -1)
-        # the integer and text cells, each run of them one text cell
-        tags, classes, tails = zip(*(
+        cells = csvtext.floats(numbers.reshape(len(block), 8), out=buffer[: len(block)])
+        # the integer and text cells, each run of them one text cell (their strings are not kept)
+        tags, classes, tails = map(csvtext.text, zip(*(
             (f"{r.level},{r.bin_index},{1 if r.slow else 0}", r.damping_class or "",
              f"{'' if r.dominant_rank is None else r.dominant_rank},{1 if r.pair else 0}")
             for r in block
-        ))
-        groups = [cells[:, :6], csvtext.text(classes), cells[:, 6:], csvtext.text(tails)]
-        yield csvtext.rows([csvtext.text(tags), *groups] if tagged else groups)
+        )))
+        groups = [cells[:, :6], classes, cells[:, 6:], tails]
+        yield csvtext.rows([tags, *groups] if tagged else groups)
 
 
 # (LevelParams attribute, plan.csv and report.json column, `analyze plan` format)
@@ -256,6 +261,8 @@ def _write_table(path: Path, header: list[str], blocks: Iterable[bytes]) -> None
 
 
 def _write_plan_csv(path: Path, levels: list[dict]) -> None:
+    from . import csvtext
+
     columns = [[row[col] for row in levels] for _, col, _ in _PLAN_FIELDS]
     cells = [csvtext.text([str(v) for v in c]) if all(isinstance(v, int) for v in c) else csvtext.floats(c)
              for c in columns]
@@ -269,6 +276,8 @@ def _write_series(out: Path, record: SignalRecord, count: int,
     The files fill together, one block of _SERIES_BLOCK rows at a time, so
     each block's time cells are formatted once, for every file.
     """
+    from . import csvtext
+
     with ExitStack() as stack:
         handles = [(stack.enter_context(open(out / name, "wb")), header, columns)
                    for name, (header, columns) in files.items()]

@@ -72,16 +72,19 @@ def _scaled(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     col = (16 + _EXP0) - e
     for c in set(col[~_BUILT[col]].tolist()):
         _build_power(c)
-    p_hi, p_lo, p_head, p_tail = np.take(_POWERS, col, axis=1)
-    hi = v * p_hi
+    hi_row, lo_row, head_row, tail_row = _POWERS
+    # each power row is gathered where it is used, so no two are held at once
+    hi = v * hi_row[col]
     v_head = _SPLIT * v
     v_head -= v_head - v
     v_tail = v - v_head
     # Dekker's TwoProduct: hi + err == v * p_hi exactly
-    err = v_head * p_head - hi
-    err += v_head * p_tail
-    err += v_tail * p_head
-    err += v_tail * p_tail
+    err = v_head * head_row[col] - hi
+    err += v_head * tail_row[col]
+    err += v_tail * head_row[col]
+    err += v_tail * tail_row[col]
+    del v_head, v_tail
+    p_lo = lo_row[col]
     err += v * p_lo
     return hi, err, p_lo == 0
 
@@ -126,38 +129,50 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, e, sure
 
 
-def floats(values) -> np.ndarray:
-    """``'%.16e' % x`` for each x of ``values``: uint32 cells of 6 words, shape ``values.shape + (6,)``."""
+def floats(values, out: np.ndarray | None = None) -> np.ndarray:
+    """``'%.16e' % x`` for each x of ``values``: uint32 cells of 6 words, shape ``values.shape + (6,)``.
+
+    The cells are written into ``out`` when it is given (a C-contiguous
+    uint32 array of that shape, such as a slice of a buffer the caller
+    reuses for every block), which is then returned.
+    """
     x = np.asarray(values, dtype=float)
     flat = x.ravel()
-    out = np.empty((flat.size, 6), np.uint32)
+    if out is None:
+        out = np.empty(x.shape + (6,), np.uint32)
+    elif out.shape != x.shape + (6,) or out.dtype != np.uint32 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous uint32 array of shape {x.shape + (6,)}")
+    cells = out.reshape(flat.size, 6)
     if not flat.size:
-        return out.reshape(x.shape + (6,))
+        return out
     v = np.abs(flat)
-    zero = v == 0
     fast = (v >= _RANGE[0]) & (v <= _RANGE[1])  # False for inf and nan
     np.putmask(v, ~fast, 2.0)  # a placeholder far from a power of ten
     d, e, sure = _decimal(v)
+    del v
     fast &= sure
     slow = ~fast
     np.putmask(d, slow, 0)  # zero, and placeholders for the cells written by % below
     np.putmask(e, slow, 0)
-    # the 17 digits d0 "." d1 ... d16 as words (d0 "." d1) (d2-d5) (d6-d9) (d10-d13) (d14-d16 "e")
-    head, rest = np.divmod(d, _E15)
-    out[:, 0] = _HEAD[head + 100 * np.signbit(flat)]
+    # the 17 digits d0 "." d1 ... d16 as words (d0 "." d1) (d2-d5) (d6-d9) (d10-d13) (d14-d16 "e"),
+    # split off in place: d keeps the digits not yet written
+    group = np.empty_like(d)
+    np.divmod(d, _E15, out=(group, d))
+    group += 100 * np.signbit(flat)
+    cells[:, 0] = _HEAD[group]
     for col, place in ((1, 10**11), (2, 10**7), (3, 1000)):
-        group, rest = np.divmod(rest, place)
-        out[:, col] = _DIGITS4[group]
-    out[:, 4] = _DIGITS3E[rest]
-    out[:, 5] = _EXPONENT[e + _EXP0]
-    slow &= ~zero
+        np.divmod(d, place, out=(group, d))
+        cells[:, col] = _DIGITS4[group]
+    cells[:, 4] = _DIGITS3E[d]
+    cells[:, 5] = _EXPONENT[e + _EXP0]
+    slow &= flat != 0
     if slow.any():
-        by_byte = out.view(np.uint8)
+        by_byte = cells.view(np.uint8)
         for i in np.flatnonzero(slow):
             cell = ("%.16e" % flat[i]).encode()
             by_byte[i] = 0
             by_byte[i, : len(cell)] = np.frombuffer(cell, np.uint8)
-    return out.reshape(x.shape + (6,))
+    return out
 
 
 def text(strings: Sequence[str]) -> np.ndarray:
@@ -181,4 +196,6 @@ def rows(groups: Sequence[np.ndarray]) -> bytes:
         columns[..., w] = _COMMA
         at += k * (w + 1)
     block[:, -1] = _NEWLINE
-    return block.tobytes().translate(None, b"\0")
+    data = block.tobytes()
+    del block, columns  # not held beside its bytes and their translation
+    return data.translate(None, b"\0")

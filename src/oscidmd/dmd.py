@@ -25,6 +25,13 @@ A fit keeps what its readers use: the ordered modes, eigenvalues and
 amplitudes, the rank and the singular values. The reduced operator and
 its eigenvectors are checked in :func:`eig_modes` and then dropped.
 
+Conjugate pairs. The reduced operator is real, so its complex eigenvalues
+come in conjugate pairs with conjugate eigenvectors. :func:`eig_modes`
+lifts and checks only the first member of each pair (and each real
+eigenvalue), and writes the partner's mode as the exact conjugate of its
+first member's, so the two members are conjugate by construction, on any
+BLAS build and thread count.
+
 The eigenvector check rejects W when sigma_min(W) <= 1e-12 sigma_max(W).
 It is decided by a certificate: a Cholesky factorization of W^H W - tau I
 that completes proves sigma_min(W) far above that bound (Demmel, LAPACK
@@ -35,7 +42,9 @@ the singular values decide, so every decision is the singular-value
 rule's.
 
 Both analyses build their series with :func:`product_antidiagonal_sums`,
-one FFT convolution of each mode shape with its coefficient sequence.
+one FFT convolution of each mode shape with its coefficient sequence. A
+conjugate pair is folded into its first member first (:func:`fold_pairs`),
+so it takes one convolution.
 
 All functions are pure; results are immutable and safe to share across
 threads. Linear-algebra kernels may use threaded BLAS internally, which is
@@ -141,8 +150,10 @@ class DmdResult:
     descending |lambda| with the non-negative imaginary member first. Both
     members of a conjugate pair take the pair's larger score, so a pair is
     listed as two adjacent modes, the positive-imaginary member first;
-    :func:`conjugate_pairs` finds them, and the mode reports and the MR-DMD
-    slow factors read pairs from it.
+    :func:`conjugate_pairs` finds them, and the mode reports, the series and
+    the MR-DMD slow factors read pairs from it. The second member's mode is
+    the exact conjugate of the first's (its amplitude need not be), so
+    :func:`reconstruct_series` takes one convolution per pair.
     The reduced operator and its eigenvectors are not kept: :func:`eig_modes`
     checks the eigen residuals and conditioning when the fit is made.
     """
@@ -215,12 +226,18 @@ def reduced_operator(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, x2: np.nda
 
 
 def eig_modes(a_tilde: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose the reduced operator and lift modes as Phi = U W.
+    """Eigendecompose the real reduced operator and lift modes as Phi = U W (U real).
 
     Eigenvector columns are normalized to unit 2-norm before projection.
-    A defective (non-diagonalizable) operator is rejected with a hint to
-    lower the truncation rank by one: a zero eigenvector, a numerically
-    singular W (sigma_min(W) <= 1e-12 sigma_max(W), decided by
+    eig lists a conjugate pair of a real operator as adjacent columns with
+    exactly conjugate eigenvalues and eigenvectors, positive-imaginary
+    member first (:func:`conjugate_pairs`). Only real eigenvalues and first
+    members are lifted and checked, in one real product each on their
+    columns' float view (:func:`_real_times`); a partner's mode is written
+    as the exact conjugate of its first member's, and its residual is its
+    first member's. A defective (non-diagonalizable) operator is rejected
+    with a hint to lower the truncation rank by one: a zero eigenvector, a
+    numerically singular W (sigma_min(W) <= 1e-12 sigma_max(W), decided by
     :func:`_eigenvectors_independent`), or an eigen residual above
     1e-8 ||A~||_2.
     """
@@ -229,6 +246,8 @@ def eig_modes(a_tilde: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError("reduced operator must be square")
     if u.shape[1] != a_tilde.shape[0]:
         raise ValueError("U columns must match the reduced operator size")
+    if np.iscomplexobj(a_tilde) or np.iscomplexobj(u):
+        raise ValueError("the reduced operator and U must be real")
     try:
         eigvals, w = np.linalg.eig(a_tilde)
     except np.linalg.LinAlgError as exc:
@@ -249,14 +268,30 @@ def eig_modes(a_tilde: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
             "reduced operator appears defective (eigenvector matrix is singular); "
             "retry with truncation rank r-1"
         )
-    residuals = np.linalg.norm(a_tilde @ w - w * eigvals[None, :], axis=0)
+    pair = conjugate_pairs(eigvals)
+    first = np.delete(np.arange(eigvals.size), pair + 1)
+    w_first = w[:, first]
+    residuals = np.linalg.norm(_real_times(a_tilde, w_first) - w_first * eigvals[first], axis=0)
     if not _residuals_within_tol(a_tilde, residuals):
         raise DecompositionError(
             "reduced operator appears defective (eigen residual "
             f"{residuals.max():.3e} exceeds {_EIG_RESIDUAL_RTOL:.0e} * ||A~||); "
             "retry with truncation rank r-1"
         )
-    return w, eigvals, u @ w
+    phi = np.empty((u.shape[0], eigvals.size), dtype=complex)
+    phi[:, first] = _real_times(u, w_first)
+    phi[:, pair + 1] = phi[:, pair].conj()
+    return w, eigvals, phi
+
+
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for real a and complex z, as one real product on the float view of z's rows.
+
+    The view interleaves each column's real and imaginary parts, so the
+    product needs no complex copy of a and half the multiplications of a
+    complex product.
+    """
+    return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def _eigenvectors_independent(w: np.ndarray) -> bool:
@@ -326,6 +361,28 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
     return np.flatnonzero((eigenvalues[:-1].imag > 0) & (eigenvalues[1:] == eigenvalues[:-1].conj()))
 
 
+def fold_pairs(
+    eigenvalues: np.ndarray, amplitudes: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The modes ``idx`` (ascending) with each conjugate pair folded into its first member.
+
+    Returns the indices of the modes kept and their amplitudes. A pair with
+    both members in ``idx`` keeps its first member, with amplitude
+    b + conj(b'): dmd() writes the partner's mode as the exact conjugate
+    of the first's, so Re(phi b z^j + conj(phi) b' conj(z)^j) =
+    Re(phi (b + conj(b')) z^j), whether or not b' = conj(b). Every other
+    mode keeps its own amplitude.
+    """
+    starts = np.zeros(eigenvalues.size, dtype=bool)
+    starts[conjugate_pairs(eigenvalues)] = True
+    # positions in idx whose mode starts a pair and whose next mode in idx is its partner
+    first = np.flatnonzero(starts[idx[:-1]] & (idx[1:] == idx[:-1] + 1))
+    b = amplitudes[idx]
+    b[first] += b[first + 1].conj()
+    keep = np.delete(np.arange(idx.size), first + 1)
+    return idx[keep], b[keep]
+
+
 def _powers(eigenvalues: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """lambda ** j as exp(j ln lambda) for each eigenvalue (rows) and exponent (columns).
 
@@ -387,13 +444,17 @@ def reconstruct_series(result: DmdResult, n_columns: int) -> np.ndarray:
 
     Equals ``unembed(reconstruct_window(result, n_columns).real)`` up to
     rounding, without forming the m x n window: the sums are
-    :func:`product_antidiagonal_sums` over the sequences b_k lambda_k^j.
+    :func:`product_antidiagonal_sums` over the sequences b_k lambda_k^j,
+    with each conjugate pair folded into one mode (:func:`fold_pairs`), so
+    a pair takes one row of powers and one convolution.
     """
     if n_columns < 1:
         raise ValueError("need at least one column")
     j = np.arange(n_columns)
+    keep, b = fold_pairs(result.eigenvalues, result.amplitudes, np.arange(result.eigenvalues.size))
+    lam = result.eigenvalues[keep]
     sums = product_antidiagonal_sums(
-        result.modes, lambda k: result.amplitudes[k, None] * _powers(result.eigenvalues[k], j), n_columns
+        result.modes[:, keep], lambda k: b[k, None] * _powers(lam[k], j), n_columns
     )
     return sums / antidiagonal_counts(result.modes.shape[0], n_columns)
 

@@ -57,7 +57,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, conjugate_pairs, dmd
+from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd, fold_pairs
 from .dmd import product_antidiagonal_sums
 from .modes import ModeReport, reports_from_dmd
 from .stacking import antidiagonal_counts
@@ -281,32 +281,22 @@ class SlowModes:
         dt: float,
         f_sp: float,
     ) -> "SlowModes":
-        """The slow set's modes, a conjugate pair folded into one column.
+        """The slow set's modes, a conjugate pair folded into one column (``dmd.fold_pairs``).
 
         dmd() lists a pair as adjacent modes, positive-imaginary member
-        first (``dmd.conjugate_pairs``), with exactly conjugate eigenvalues
-        and modes. A pair folds when both members are slow. Then
-        Re(phi b z^j + conj(phi) b' conj(z)^j) = Re(phi (b + conj(b')) z^j),
-        so the pair keeps its first member's column with amplitude
-        b + conj(b'). Members that are not exact conjugates stay apart.
+        first (``dmd.conjugate_pairs``), and writes the partner's mode as
+        the exact conjugate of the first's. A pair folds when both members
+        are slow: it keeps its first member's column with amplitude
+        b + conj(b').
         """
         idx = np.asarray(slow_set, dtype=int)
-        lam = node_dmd.eigenvalues[idx]
-        # fancy indexing copies, so the slow modes hold no view of the fit's Phi
-        modes = node_dmd.modes[:, idx]
-        amplitudes = node_dmd.amplitudes[idx]
-        # positions whose mode starts a pair and whose next slow mode is its partner
-        starts = np.zeros(node_dmd.eigenvalues.size, dtype=bool)
-        starts[conjugate_pairs(node_dmd.eigenvalues)] = True
-        first = np.flatnonzero(starts[idx[:-1]] & (idx[1:] == idx[:-1] + 1))
-        first = first[np.all(modes[:, first + 1] == modes[:, first].conj(), axis=0)]
-        amplitudes[first] += amplitudes[first + 1].conj()
-        keep = np.delete(np.arange(idx.size), first + 1)
+        keep, amplitudes = fold_pairs(node_dmd.eigenvalues, node_dmd.amplitudes, idx)
         return cls(
             col_span=col_span,
-            modes=modes[:, keep],
-            amplitudes=amplitudes[keep],
-            omega=f_sp * np.log(lam[keep]),
+            # fancy indexing copies, so the slow modes hold no view of the fit's Phi
+            modes=node_dmd.modes[:, keep],
+            amplitudes=amplitudes,
+            omega=f_sp * np.log(node_dmd.eigenvalues[keep]),
             dt=dt,
         )
 

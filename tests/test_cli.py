@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -14,6 +17,9 @@ import pytest
 from click.testing import CliRunner
 
 import oscidmd as od
+# The CLI imports csvtext when it first writes a CSV. Imported here, its tables are
+# built before any memory test starts tracing, so those tests measure the writers alone.
+from oscidmd import csvtext  # noqa: F401
 from oscidmd.cli import (
     RunConfig,
     _analyze_dmd_core,
@@ -324,6 +330,15 @@ def write_mode_table(tmp_path: Path, reports, tagged: bool) -> Path:
     cfg = RunConfig(out_dir=tmp_path, emit_report=False)
     _write_run(cfg, tiny_record(), 2, od.DEFAULT_RULE, reports, np.zeros(8), {}, tagged=tagged)
     return tmp_path / ("modes.csv" if tagged else "eigenvalues.csv")
+
+
+def test_cli_import_leaves_csvtext_unloaded():
+    """``import oscidmd.cli`` does not build the CSV tables; the first CSV write does."""
+    src = str(Path(od.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, oscidmd.cli\nsys.exit('oscidmd.csvtext' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 class TestModeTables:

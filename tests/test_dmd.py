@@ -25,6 +25,7 @@ from oscidmd.dmd import (
     _powers,
     _residuals_within_tol,
     amplitudes,
+    conjugate_pairs,
     eig_modes,
     product_antidiagonal_sums,
     reconstruct_series,
@@ -464,6 +465,41 @@ class TestDmdComposition:
             assert k > 0 and lam[k - 1] == np.conj(lam[k])
 
 
+def assert_partners_exact(result) -> None:
+    """Each pair's second mode is the exact conjugate of its first, with the same ||phi|| bit for bit."""
+    pair = conjugate_pairs(result.eigenvalues)
+    assert pair.size > 0
+    assert np.array_equal(result.modes[:, pair + 1], result.modes[:, pair].conj())
+    norms = np.linalg.norm(result.modes, axis=0)
+    assert np.array_equal(norms[pair + 1], norms[pair])
+
+
+class TestConjugatePartners:
+    def test_direct_tall_fit(self):
+        (x1, x2), _ = planted_pair(
+            [od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], duration=0.1, noise=0.01
+        )
+        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the direct path runs
+        assert_partners_exact(od.dmd(x1, x2))
+
+    def test_hankel_wide_fit(self, lfo_gapped_dmd):
+        assert_partners_exact(lfo_gapped_dmd[0])
+
+    def test_lift_is_the_complex_product(self):
+        """Phi from the real product on the first members equals U @ W to rounding, pairs conjugate."""
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(rng.normal(size=(30, 9)))[0]
+        w, lam, phi = eig_modes(rng.normal(size=(9, 9)), u)
+        pair = conjugate_pairs(lam)
+        assert pair.size > 0
+        assert np.max(np.abs(phi - u @ w)) <= 1e-14
+        assert np.array_equal(phi[:, pair + 1], phi[:, pair].conj())
+
+    def test_complex_operator_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            eig_modes(np.eye(2) * (1 + 1j), np.eye(2))
+
+
 class TestProperties:
     def test_shift_invariance_sanity(self):
         """Planted diagonalizable dynamics are recovered to 1e-8 relative."""
@@ -691,6 +727,39 @@ class TestReconstructSeries:
         np.testing.assert_allclose(
             window[:, 1], zeroed.modes[:, 1:] @ (zeroed.amplitudes[1:] * lam[1:]), rtol=1e-12
         )
+
+    @staticmethod
+    def pair_fit(case: str) -> od.DmdResult:
+        """A small fit with conjugate pairs, changed as ``case`` says."""
+        if case == "real spectrum":
+            t = np.arange(300.0)
+            x = 1.0 * 0.99**t + 0.5 * 0.95**t + 0.3 * (-0.9) ** t
+            h = np.lib.stride_tricks.sliding_window_view(x, 280)
+            fit = od.dmd(h[:, :-1], h[:, 1:], TruncationRule.fixed(3))
+            assert np.all(fit.eigenvalues.imag == 0)
+            return fit
+        (x1, x2), _ = planted_pair(
+            [od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.3, 0.5)], fs=500.0, duration=1.0,
+            depth=40, dc=1.0, noise=0.01,
+        )
+        fit = od.dmd(x1, x2, TruncationRule.fixed(12))
+        pair = conjugate_pairs(fit.eigenvalues)
+        assert pair.size >= 3
+        if case == "unconjugate amplitudes":
+            b = fit.amplitudes.copy()
+            b[pair + 1] = b[pair].conj() * (1 + np.random.default_rng(13).normal(size=pair.size) * (0.5 + 0.5j))
+            return dataclasses.replace(fit, amplitudes=b)
+        lam = fit.eigenvalues.copy()
+        lam[np.flatnonzero(lam.imag == 0)[0]] = 0.0
+        zeroed = dataclasses.replace(fit, eigenvalues=lam)
+        assert np.array_equal(conjugate_pairs(lam), pair)
+        return zeroed
+
+    @pytest.mark.parametrize("case", ["unconjugate amplitudes", "real spectrum", "zero eigenvalue"])
+    @pytest.mark.parametrize("n", [1, 2, 1027])
+    def test_folded_pairs_match_the_window(self, case, n):
+        """One convolution per pair gives the window's series, whether or not b' = conj(b)."""
+        self.assert_matches_window(self.pair_fit(case), n)
 
     def test_powers_match_integer_powers(self):
         lam = np.array([0.0, 1.0, -0.5, 0.9 + 0.3j, 1.02 - 0.1j, 1e-3j])

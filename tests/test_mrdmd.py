@@ -17,7 +17,7 @@ import oscidmd as od
 import oscidmd.mrdmd as mrdmd_module
 from conftest import refit_bins
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
-from oscidmd.dmd import TruncationRule, _fast_length
+from oscidmd.dmd import TruncationRule, _fast_length, conjugate_pairs
 from oscidmd.mrdmd import (
     _TILE,
     PlanError,
@@ -257,14 +257,19 @@ class TestSlowReconstruction:
 
 
 def random_fit(rows, eigenvalues, seed):
-    """A fit with random complex mode shapes and amplitudes."""
+    """A fit with random complex mode shapes and amplitudes.
+
+    As dmd() writes them, the second member of a conjugate pair has the
+    exact conjugate of its first member's mode; the amplitudes are not
+    conjugate.
+    """
     rng = np.random.default_rng(seed)
     r = len(eigenvalues)
-    return replace(
-        fake_result(eigenvalues),
-        modes=rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r)),
-        amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r),
-    )
+    fit = fake_result(eigenvalues)
+    modes = rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
+    pair = conjugate_pairs(fit.eigenvalues)
+    modes[:, pair + 1] = modes[:, pair].conj()
+    return replace(fit, modes=modes, amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r))
 
 
 EIGENVALUE_CASES = {
@@ -353,6 +358,8 @@ class TestFoldedPairs:
         assert np.array_equal(np.flatnonzero(lam.imag != 0), np.sort(np.concatenate([first, first + 1])))
         assert np.array_equal(lam[first + 1], lam[first].conj())
         assert np.array_equal(fit.modes[:, first + 1], fit.modes[:, first].conj())
+        norms = np.linalg.norm(fit.modes, axis=0)
+        assert np.array_equal(norms[first + 1], norms[first])
         return first.size
 
     @staticmethod
@@ -389,10 +396,19 @@ class TestFoldedPairs:
         idx = np.flatnonzero(fit.eigenvalues != 0)
         assert self.check_fold(fit, idx, (0, 500), rec.dt, 1.0 / rec.dt) > 0
 
-    def test_pair_that_is_not_exactly_conjugate_stays_apart(self):
-        fit = random_fit(5, EIGENVALUE_CASES["decaying"], seed=4)
-        slow = SlowModes.of(fit, [0, 1, 2], (0, 9), 0.01, 100.0)
-        assert np.array_equal(slow.amplitudes, fit.amplitudes)
+    @pytest.mark.parametrize("case", ["decaying", "growing"])
+    def test_pair_folds_whatever_its_amplitudes(self, case):
+        """A pair folds into b + conj(b') when b' is not conj(b), and evaluates as both members do."""
+        fit = random_fit(5, EIGENVALUE_CASES[case], seed=4)
+        idx = np.arange(fit.eigenvalues.size)
+        pair = conjugate_pairs(fit.eigenvalues)
+        assert np.all(fit.amplitudes[pair + 1] != fit.amplitudes[pair].conj())
+        slow = SlowModes.of(fit, idx, (0, 9), 0.01, 100.0)
+        kept = np.delete(idx, pair + 1)
+        want = fit.amplitudes[kept]
+        want[np.searchsorted(kept, pair)] += fit.amplitudes[pair + 1].conj()
+        assert np.array_equal(slow.amplitudes, want)
+        assert self.check_fold(fit, idx, (0, 9), 0.01, 100.0) == pair.size
 
 
 class TestSlowAtTiles:
