@@ -7,19 +7,35 @@ Phi = U W, and fits amplitudes b = W^{-1} U^T x1, the least-squares fit
 of Phi b to x1 (U has orthonormal columns). The full m x m operator is
 never formed. Reconstruction: x_j = Phi L^{j-1} b.
 
-Hankel compression. When X1 and X2 are the one-step shifted pair of the
-Hankel matrix of one series and the pair is wide (n > m + 1), the pair
-has only m + 1 distinct rows H = [X1; last row of X2], and H is a
-read-only view of that series (m + n samples). A QR factorization
-H^T = Q R of the view gives L = R^T with X1 = L[:m] Q^T and
-X2 = L[1:] Q^T. Exact DMD depends only on the pair and is unchanged by the
-orthonormal change of basis Q^T on the right (Tu et al., J. Comput. Dyn.
-2014), so the SVD, operator and eigen-steps run on the m x (m+1) pair
-(L[:m], L[1:]) and Q is never formed. U, the singular values, A~ and the
-modes agree with the direct fit to rounding. Householder QR is backward
-stable, unlike the Gram matrix X1 X1^T, which would square the condition
-number. Tall pairs (every MR-DMD bin) and pairs that are not the Hankel
-pair of one series are fitted directly.
+Hankel pairs. When X1 and X2 are the one-step shifted pair of the
+Hankel matrix of one series s and the pair is wide (n > m + 1), X1 X1^T
+and X2 X1^T are blocks of the (m+1) x (m+1) lagged Gram matrix
+G[i, j] = sum_k s[i+k] s[j+k] of the pair's m + 1 distinct rows (the
+method of snapshots, Sirovich, Q. Appl. Math. 1987; the lagged covariance
+of singular spectrum analysis, Vautard & Ghil, Physica D 1989). G costs
+O(m n + m^2): its first row is one correlation of the series, and each
+later row follows from the one above it down the diagonals,
+G[i, j] = G[i-1, j-1] + s[i-1+n] s[j-1+n] - s[i-1] s[j-1]. Then
+eigh(G[:m, :m]) = U S^2 U^T gives X1's left singular vectors and squared
+singular values, and A~ = U_r^T G[1:, :m] U_r S_r^-2 is exact DMD's
+operator, with no m x n product, QR or SVD (:func:`_gram_projection`).
+Squaring the condition number is harmless while sigma_r stays well above
+G's rounding: the computed eigenpairs are exact for X1 X1^T + E with
+||E||_2 of a few eps sigma_1^2, which moves A~ by about
+||E||_2 / sigma_r^2. So the Gram route is taken only when the requested
+rank keeps sigma_r > sqrt(4 eps / 1e-8) sigma_1 = 3.0e-4 sigma_1, where
+that move is below 1e-8, the eigen-residual tolerance of
+:func:`eig_modes`. Otherwise (a rank near m, noise-free input, an
+all-zero window) the fit takes the QR route: a Householder QR
+H^T = Q R of the m + 1 rows, read as a view of the series, gives
+L = R^T with X1 = L[:m] Q^T and X2 = L[1:] Q^T, and the SVD, operator
+and eigen-steps run on the m x (m+1) pair (L[:m], L[1:]). Exact DMD is
+unchanged by the orthonormal change of basis Q^T on the right (Tu et al.,
+J. Comput. Dyn. 2014), and Householder QR is backward stable, so that
+route resolves every singular value to about eps sigma_1. Both routes
+agree with the direct fit up to rounding, which the Gram route amplifies
+by up to (sigma_1 / sigma_r)^2. Tall pairs (every MR-DMD bin) and
+pairs that are not the Hankel pair of one series are fitted directly.
 
 A fit keeps what its readers use: the ordered modes, eigenvalues and
 amplitudes, the rank and the singular values. The reduced operator and
@@ -33,11 +49,13 @@ first member's, so the two members are conjugate by construction, on any
 BLAS build and thread count.
 
 The eigenvector check rejects W when sigma_min(W) <= 1e-12 sigma_max(W).
-It is decided by a certificate: a Cholesky factorization of W^H W - tau I
-that completes proves sigma_min(W) far above that bound (Demmel, LAPACK
-Working Note 14, 1989; Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, section 10.1), at about a third of the cost of the
-singular values from rank 50 up. When the factorization breaks down,
+It is decided by a certificate in real arithmetic: W of a real operator
+has the singular values of the real matrix Y with W's real columns and
+sqrt(2) Re w, sqrt(2) Im w for each conjugate pair, and a Cholesky
+factorization of Y^T Y - tau I that completes proves sigma_min(W) far
+above that bound (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, section 10.1), at a fraction
+of the cost of the singular values. When the factorization breaks down,
 the singular values decide, so every decision is the singular-value
 rule's.
 
@@ -55,6 +73,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +85,11 @@ _SV_ABS_FLOOR = 1e-300
 _SV_RATIO_FLOOR = 1e-12
 
 _EIG_RESIDUAL_RTOL = 1e-8
+
+# The Gram route keeps a rank r only when sigma_r^2 > _GRAM_CUT_SQ * sigma_1^2
+# (sigma_r > 3.0e-4 sigma_1): G's rounding, at most about 4 eps sigma_1^2, then
+# moves A~ by at most about 1e-8, the eigen-residual tolerance (see _gram_projection).
+_GRAM_CUT_SQ = 4 * np.finfo(float).eps / _EIG_RESIDUAL_RTOL
 
 # Modes transformed together by product_antidiagonal_sums. The two spectra
 # of a block are 2 * 64 * 16 bytes per FFT point (10 MB on a 1000 x 4001
@@ -156,6 +180,11 @@ class DmdResult:
     :func:`reconstruct_series` takes one convolution per pair.
     The reduced operator and its eigenvectors are not kept: :func:`eig_modes`
     checks the eigen residuals and conditioning when the fit is made.
+    singular_values is X1's whole spectrum. On the Gram route of a wide
+    Hankel pair (:func:`dmd`) it comes from sigma^2, so sigma_k is resolved
+    to about 2 eps sigma_1^2 / sigma_k: the retained ones to better than
+    2e-12 sigma_1, the ones far below the cut only to about
+    sqrt(eps) sigma_1.
     """
 
     modes: np.ndarray
@@ -171,11 +200,12 @@ class DmdResult:
             arr.setflags(write=False)
 
 
-def _requested_rank(s: np.ndarray, rule: TruncationRule) -> int:
+def _requested_rank(s: np.ndarray, rule: TruncationRule, s2: np.ndarray | None = None) -> int:
+    """The rank a rule asks of the descending singular values s; the energy rule reads s2 = s^2 when given."""
     if rule.kind == TRUNC_FIXED:
         return int(rule.value)
     if rule.kind == TRUNC_ENERGY:
-        energy = np.cumsum(s * s)
+        energy = np.cumsum(s * s if s2 is None else s2)
         return int(np.searchsorted(energy, rule.value * energy[-1], side="left")) + 1
     return max(int(np.sum(s > rule.value * s[0])), 1)
 
@@ -185,7 +215,10 @@ def svd_truncated(x: np.ndarray, rule: TruncationRule = DEFAULT_RULE) -> SvdTrun
 
     Singular directions below the relative floor 1e-12 never count as
     available; a rule demanding more than the available rank is clamped
-    and flagged. An all-zero matrix is rejected.
+    and flagged. An all-zero matrix is rejected. :func:`dmd` calls this
+    for every pair but a wide Hankel pair whose requested rank is resolved
+    from its lagged Gram matrix; there the singular values below the cut
+    are resolved only to about sqrt(eps) sigma_1 (see :class:`DmdResult`).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
@@ -263,12 +296,12 @@ def eig_modes(a_tilde: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
             "reduced operator appears defective (zero eigenvector); retry with truncation rank r-1"
         )
     w = w / norms[None, :]
-    if not _eigenvectors_independent(w):
+    pair = conjugate_pairs(eigvals)
+    if not _eigenvectors_independent(w, pair):
         raise DecompositionError(
             "reduced operator appears defective (eigenvector matrix is singular); "
             "retry with truncation rank r-1"
         )
-    pair = conjugate_pairs(eigvals)
     first = np.delete(np.arange(eigvals.size), pair + 1)
     w_first = w[:, first]
     residuals = np.linalg.norm(_real_times(a_tilde, w_first) - w_first * eigvals[first], axis=0)
@@ -294,27 +327,37 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def _eigenvectors_independent(w: np.ndarray) -> bool:
-    """Whether sigma_min(W) > 1e-12 * sigma_max(W), for W with unit-norm columns.
+def _eigenvectors_independent(w: np.ndarray, pair: np.ndarray) -> bool:
+    """Whether sigma_min(W) > 1e-12 * sigma_max(W), for eig's W of a real operator with unit-norm columns.
 
-    Certificate first: with tau = 100 (r + 1)^2 eps, Cholesky-factor
-    G = fl(W^H W) - tau I. Forming G and factoring it are backward stable
-    (Higham, 2002, Lemma 3.5 and Theorem 10.3, with the sqrt(2) of complex
-    arithmetic), so a factorization that completes with finite pivots gives
-    W^H W - tau I + E = R^H R, positive semidefinite, with
-    ||E||_2 <= 3 r (r + 3) eps < tau / 25, since ||W||_F^2 = r. The unit
-    columns also give sigma_max(W)^2 <= r. Hence
+    Columns k and k + 1 for k in ``pair`` are exact conjugates, and every
+    other column is real, as eig gives them. W has the singular values of
+    the real matrix Y that keeps each real column and puts sqrt(2) Re w_k
+    and sqrt(2) Im w_k in place of a pair's columns: with w_k = a + ib,
+    [w_k, conj(w_k)] = [sqrt(2) a, sqrt(2) b] T with T = [[1, 1], [i, -i]] / sqrt(2)
+    unitary. ||Y||_F^2 = ||W||_F^2 = r, so sigma_max(W)^2 <= r.
+
+    Certificate first, in real arithmetic: with tau = 100 (r + 1)^2 eps,
+    Cholesky-factor G = fl(Y^T Y) - tau I. Forming G and factoring it are
+    backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Lemma 3.5 and Theorem 10.3; ||Y||_F^2 = r bounds
+    both terms), so a factorization that completes with finite pivots gives
+    Y^T Y - tau I + E = R^T R, positive semidefinite, with
+    ||E||_2 <= 2 r (r + 3) eps < tau / 25. Hence
 
         sigma_min(W)^2 >= tau - ||E||_2 >= tau / 2 = 50 (r + 1)^2 eps,
         sigma_min(W) / sigma_max(W) >= sqrt(50 eps) (r + 1) / sqrt(r) > 2e-7,
 
     five orders of magnitude above the 1e-12 bound and above the computed
     singular values' own error, so the singular-value rule accepts too. A
-    factorization that breaks down proves nothing, and then the computed
+    factorization that breaks down proves nothing, and then W's computed
     singular values decide, as they do without the certificate.
     """
     r = w.shape[1]
-    gram = w.conj().T @ w
+    y = w.real.copy()
+    y[:, pair] *= np.sqrt(2.0)
+    y[:, pair + 1] = np.sqrt(2.0) * w[:, pair].imag
+    gram = y.T @ y
     gram.flat[:: r + 1] -= 100.0 * (r + 1) ** 2 * np.finfo(float).eps
     try:
         # a NaN pivot does not make LAPACK report a breakdown
@@ -459,21 +502,125 @@ def reconstruct_series(result: DmdResult, n_columns: int) -> np.ndarray:
     return sums / antidiagonal_counts(result.modes.shape[0], n_columns)
 
 
-def _hankel_factor(x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
-    """Lower-triangular L with X1 = L[:m] Q^T and X2 = L[1:] Q^T, or None.
+def _hankel_series(x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
+    """The series s with X1[i, k] = s[i + k] and X2[i, k] = s[i + k + 1], or None.
 
-    L is the transposed R factor of the QR factorization of the pair's
-    m + 1 distinct rows, [X1; X2[-1]]^T, read as a view of the series the
-    pair embeds, so no copy of the rows is made before the QR. None unless
-    the pair is wide (n > m + 1) and that view equals X1 and X2 exactly.
+    None unless the pair is wide (n > m + 1) and is exactly the one-step
+    shifted Hankel pair of one series. The rows are compared a block at a
+    time, so the comparison holds about (m + 1)^2 bytes, not m n.
     """
     m, n = x1.shape
     if n <= m + 1:
         return None
-    rows = sliding_window_view(np.concatenate([x1[0], x1[1:, -1], x2[-1, -1:]]), n)
-    if not (np.array_equal(rows[:-1], x1) and np.array_equal(rows[1:], x2)):
+    series = np.concatenate([x1[0], x1[1:, -1], x2[-1, -1:]])
+    rows = sliding_window_view(series, n)
+    step = max(1, (m + 1) ** 2 // n)
+    for lo in range(0, m, step):
+        block = slice(lo, lo + step)
+        if not (np.array_equal(rows[:-1][block], x1[block]) and np.array_equal(rows[1:][block], x2[block])):
+            return None
+    return series
+
+
+def _hankel_factor(series: np.ndarray, n: int) -> np.ndarray:
+    """Lower-triangular L with X1 = L[:m] Q^T and X2 = L[1:] Q^T for the Hankel pair of ``series``.
+
+    L is the transposed R factor of the QR factorization of the pair's
+    m + 1 distinct rows, [X1; X2[-1]]^T, read as a view of the series, so
+    no copy of the rows is made before the QR.
+    """
+    return np.linalg.qr(sliding_window_view(series, n).T, mode="r").T
+
+
+def _lagged_gram(series: np.ndarray, n: int) -> np.ndarray:
+    """G[i, j] = sum_{k < n} s[i + k] s[j + k] for i, j <= m = len(s) - n: the Gram matrix H H^T of the rows.
+
+    The first row is one correlation of the series with its first n
+    samples. Row i then follows from row i - 1 down the diagonals,
+    G[i, j] = G[i-1, j-1] + s[i-1+n] s[j-1+n] - s[i-1] s[j-1], and each
+    row is copied into its column, so G is filled in one array. Entry
+    (i, j) takes i of these updates, each of them a difference of two
+    products of samples, so its rounding error is at most about
+    (n + 2 m) eps n max|s|^2.
+    """
+    m = series.size - n
+    g = np.empty((m + 1, m + 1))
+    g[0] = np.correlate(series, series[:n], "valid")
+    g[1:, 0] = g[0, 1:]
+    head, tail = series[:m], series[n:]
+    for i in range(1, m + 1):
+        g[i, i:] = g[i - 1, i - 1 : -1] + (tail[i - 1] * tail[i - 1 :] - head[i - 1] * head[i - 1 :])
+        g[i + 1 :, i] = g[i, i + 1 :]
+    return g
+
+
+class _Projection(NamedTuple):
+    """A fit's reduced space: X1's r retained left singular vectors U, the operator A~ on them, and X1's spectrum."""
+
+    u: np.ndarray
+    a_tilde: np.ndarray
+    singular_values: np.ndarray
+    rank: int
+    rank_clamped: bool
+
+
+def _svd_projection(y1: np.ndarray, y2: np.ndarray, rule: TruncationRule) -> _Projection:
+    """The truncated SVD of y1 and the operator U^T y2 V S^-1."""
+    svd = svd_truncated(y1, rule)
+    a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, y2)
+    return _Projection(svd.u, a_tilde, svd.singular_values, svd.rank, svd.rank_clamped)
+
+
+def _gram_projection(series: np.ndarray, n: int, rule: TruncationRule) -> _Projection | None:
+    """The Hankel pair's projection from its lagged Gram matrix, or None when sigma_r is not resolved.
+
+    eigh(G[:m, :m]) = U S^2 U^T, the rule reads the rank from S^2, and
+    A~ = U_r^T G[1:, :m] U_r S_r^-2 = U_r^T X2 V_r S_r^-1 with
+    V_r = X1^T U_r S_r^-1. Forming G (:func:`_lagged_gram`) and eigh are
+    backward stable, so the computed S^2 and U are exact for X1 X1^T + E
+    with ||E||_2 <= c eps sigma_1^2 for a small c: against the QR route's
+    sigma^2, c read 0.7 to 4.0 on the gapped benchmark LFO record at
+    m = 1000, 2000 and 4000. So sigma_k^2 is resolved to about
+    4 eps sigma_1^2, and sigma_k to a relative 2 eps (sigma_1 / sigma_k)^2:
+    a singular value near sqrt(eps) sigma_1 = 1.5e-8 sigma_1 or below is
+    not resolved at all. The projection moves A~ by about
+    ||E||_2 / sigma_r^2 <= 4 eps (sigma_1 / sigma_r)^2. None, and so the QR
+    route, unless sigma_r^2 > (4 eps / 1e-8) sigma_1^2
+    (sigma_r > 3.0e-4 sigma_1), where that move is below 1e-8, the
+    eigen-residual tolerance of :func:`eig_modes`; also None for a rank
+    above m, a G that is not finite, and a sigma_r^2 below the smallest
+    normal float, such as an all-zero window.
+    The Gram route never clamps: every kept sigma_r is far above the 1e-12
+    floor.
+    """
+    # samples near sqrt(max float) overflow G, and then the QR route fits
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _lagged_gram(series, n)
+    if not np.isfinite(g).all():
         return None
-    return np.linalg.qr(rows.T, mode="r").T
+    m = g.shape[0] - 1
+    s2, vecs = np.linalg.eigh(g[:m, :m])
+    s2 = np.maximum(s2[::-1], 0.0)
+    s = np.sqrt(s2)
+    rank = _requested_rank(s, rule, s2)
+    if rank > m or not s2[rank - 1] > _GRAM_CUT_SQ * s2[0] >= np.finfo(float).tiny:
+        return None
+    u = np.ascontiguousarray(vecs[:, ::-1][:, :rank])
+    a_tilde = (u.T @ (g[1:, :m] @ u)) / s2[None, :rank]
+    return _Projection(u, a_tilde, s, rank, False)
+
+
+def _projection(x1: np.ndarray, x2: np.ndarray, rule: TruncationRule) -> _Projection:
+    """The projection dmd() fits from: the Gram or QR route for a wide Hankel pair, else the direct SVD."""
+    series = _hankel_series(x1, x2)
+    if series is None:
+        return _svd_projection(x1, x2, rule)
+    n = x1.shape[1]
+    fit = _gram_projection(series, n, rule)
+    if fit is None:
+        low = _hankel_factor(series, n)
+        fit = _svd_projection(low[:-1], low[1:], rule)
+    return fit
 
 
 def _mode_order(score: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
@@ -499,14 +646,15 @@ def dmd(
     and amplitude fitting. The eigenvalues are per snapshot step.
 
     A wide pair (n > m + 1) that is the one-step shifted Hankel pair of one
-    series is first compressed to the m x (m+1) pair L[:m], L[1:] with
-    [X1; X2[-1]]^T = Q L^T, the QR taken on a view of that series. Exact
-    DMD is invariant under the orthonormal change of basis Q on the right,
-    so this gives the same rank, spectrum, operator and modes as the direct
-    fit up to rounding, from an SVD of m x (m+1) instead of m x n. The
-    amplitudes are fitted to the original first snapshot X1[:, 0], in the
-    reduced space (:func:`amplitudes`). Every other pair is fitted directly.
-    Both paths order the modes by the one pair rule of :class:`DmdResult`.
+    series is fitted from the (m+1) x (m+1) lagged Gram matrix of its rows
+    (:func:`_gram_projection`), or, when the requested rank's sigma_r is too
+    small to resolve from sigma^2, from the QR factor of its rows
+    (:func:`_hankel_factor`). Both are exact DMD of the pair in another
+    basis, so they give the rank, spectrum and modes of the direct fit up
+    to rounding. The amplitudes are fitted to the original first snapshot
+    X1[:, 0], in the reduced space (:func:`amplitudes`). Every other pair,
+    every tall one included, is fitted directly. All routes order the modes
+    by the one pair rule of :class:`DmdResult`.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -515,11 +663,9 @@ def dmd(
     if x1.shape != x2.shape:
         raise ValueError(f"snapshot pair shapes differ: {x1.shape} vs {x2.shape}")
 
-    low = _hankel_factor(x1, x2)
-    y1, y2 = (x1, x2) if low is None else (low[:-1], low[1:])
-    svd = svd_truncated(y1, rule)
-    w, eigvals, phi = eig_modes(reduced_operator(svd.u, svd.sigma, svd.v, y2), svd.u)
-    b = amplitudes(svd.u, w, x1[:, 0])
+    fit = _projection(x1, x2, rule)
+    w, eigvals, phi = eig_modes(fit.a_tilde, fit.u)
+    b = amplitudes(fit.u, w, x1[:, 0])
 
     score = np.abs(b) * np.linalg.norm(phi, axis=0)
     # The members of a conjugate pair (adjacent in eig's output) score
@@ -535,7 +681,7 @@ def dmd(
         modes=phi[:, order].copy(),
         eigenvalues=eigvals[order],
         amplitudes=b[order],
-        rank=svd.rank,
-        singular_values=svd.singular_values.copy(),
-        rank_clamped=svd.rank_clamped,
+        rank=fit.rank,
+        singular_values=fit.singular_values.copy(),
+        rank_clamped=fit.rank_clamped,
     )

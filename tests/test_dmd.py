@@ -20,9 +20,13 @@ from oscidmd.dmd import (
     TruncationRule,
     ZeroSignalError,
     _eigenvectors_independent,
+    _gram_projection,
     _hankel_factor,
+    _hankel_series,
+    _lagged_gram,
     _mode_order,
     _powers,
+    _projection,
     _residuals_within_tol,
     amplitudes,
     conjugate_pairs,
@@ -229,31 +233,44 @@ class TestEigModes:
     @given(
         seed=st.integers(0, 2**32 - 1),
         r=st.integers(1, 64),
-        kind=st.sampled_from(["random", "unitary", "eigenvectors", "duplicate", "angle"]),
+        kind=st.sampled_from(["random", "orthogonal", "eigenvectors", "duplicate", "angle"]),
         angle_exponent=st.integers(3, 15),
     )
     @example(seed=1, r=400, kind="eigenvectors", angle_exponent=3)
     @example(seed=2, r=400, kind="angle", angle_exponent=9)
     def test_certificate_decides_as_the_singular_value_rule(self, seed, r, kind, angle_exponent):
-        """The Cholesky certificate accepts W exactly when sigma_min(W) > 1e-12 sigma_max(W)."""
+        """The real certificate accepts W exactly when sigma_min(W) > 1e-12 sigma_max(W).
+
+        W is drawn as eig gives it for a real operator: real columns, and
+        conjugate pairs [a + ib, a - ib] made from two columns a, b of a real
+        matrix. Near-singular W comes from two of those real columns at a
+        small angle, or equal.
+        """
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        if kind == "unitary":
-            w = np.linalg.qr(w)[0]
-        elif kind == "eigenvectors":
-            w = np.linalg.eig(rng.normal(size=(r, r)))[1].astype(complex)
+        if kind == "eigenvectors":
+            lam, w = np.linalg.eig(rng.normal(size=(r, r)))
+            w, pair = w.astype(complex), conjugate_pairs(lam.astype(complex))
+        else:
+            real = rng.normal(size=(r, r))
+            if kind == "orthogonal":  # W unitary: pairs (a + ib) / sqrt(2) of orthonormal a, b
+                real = np.linalg.qr(real)[0]
+            if r > 1 and kind in ("duplicate", "angle"):
+                i, j = rng.choice(r, size=2, replace=False)
+                a = real[:, i] / np.linalg.norm(real[:, i])
+                if kind == "duplicate":
+                    real[:, j] = real[:, i]
+                else:  # column j at angle 10^-angle_exponent from column i
+                    v = real[:, j] - (a @ real[:, j]) * a
+                    theta = 10.0**-angle_exponent
+                    real[:, j] = np.cos(theta) * a + np.sin(theta) * v / np.linalg.norm(v)
+            n_pairs = int(rng.integers(0, r // 2 + 1))
+            pair = int(rng.integers(0, r - 2 * n_pairs + 1)) + 2 * np.arange(n_pairs)
+            w = real.astype(complex)
+            w[:, pair] = real[:, pair] + 1j * real[:, pair + 1]
+            w[:, pair + 1] = w[:, pair].conj()
         w /= np.linalg.norm(w, axis=0)
-        if r > 1 and kind in ("duplicate", "angle"):
-            i, j = rng.choice(r, size=2, replace=False)
-            if kind == "duplicate":
-                w[:, j] = w[:, i]
-            else:  # column j at angle 10^-angle_exponent from column i
-                v = w[:, j] - (w[:, i].conj() @ w[:, j]) * w[:, i]
-                theta = 10.0**-angle_exponent
-                w[:, j] = np.cos(theta) * w[:, i] + np.sin(theta) * v / np.linalg.norm(v)
-                w[:, j] /= np.linalg.norm(w[:, j])
         wsv = np.linalg.svd(w, compute_uv=False)
-        assert _eigenvectors_independent(w) == (wsv[-1] > 1e-12 * wsv[0])
+        assert _eigenvectors_independent(w, pair) == (wsv[-1] > 1e-12 * wsv[0])
 
     def test_typical_fit_skips_the_eigenvector_svd(self, monkeypatch):
         """Well-conditioned eigenvectors are accepted by the certificate, without singular values."""
@@ -297,8 +314,22 @@ class TestAmplitudes:
         extra=st.integers(0, 40),
         outside=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
     )
+    # x1 almost wholly off span(U): ||x1|| = 1000, ||want|| = 2.7e-4
+    @example(seed=474, rank=1, extra=0, outside=1000.0)
     def test_reduced_solve_is_the_least_squares_fit_on_phi(self, seed, rank, extra, outside):
-        """W b = U^T x1 minimizes ||U W b - x1||, also with x1 off span(U)."""
+        """W b = U^T x1 minimizes ||U W b - x1||, also with x1 off span(U).
+
+        Both solves are backward stable: each is exact for data perturbed by
+        a relative eps_b <= 4 m r eps (Householder least squares and the
+        product U^T x1 with an LU solve; Higham, 2002, Theorems 9.4 and
+        20.3). The least-squares perturbation bound (Higham, 2002, Theorem
+        20.1) then puts each within kappa eps_b (2 ||b|| + (kappa + 1) ||res|| / ||U W||)
+        of the exact b, with kappa = cond(U W) = cond(W), the residual
+        ||res|| <= ||x1|| and ||U W||_2 >= 1 (unit columns). So the two differ
+        by at most 8 m r eps kappa (2 ||want|| + (kappa + 1) ||x1||). A bound
+        relative to ||want|| alone fails when x1 lies almost wholly off
+        span(U): both solves then err on the scale of eps ||x1||.
+        """
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.normal(size=(rank + 1 + extra, rank + 1)))[0]
         u, off_span = q[:, :rank], q[:, rank]
@@ -309,7 +340,9 @@ class TestAmplitudes:
         x1 = u @ rng.normal(size=rank) + outside * off_span
         want, *_ = np.linalg.lstsq(u @ w, x1.astype(complex), rcond=None)
         got = amplitudes(u, w, x1)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        m, kappa = u.shape[0], np.linalg.cond(w)
+        bound = 8 * m * rank * np.finfo(float).eps * kappa
+        assert np.linalg.norm(got - want) <= bound * (2 * np.linalg.norm(want) + (kappa + 1) * np.linalg.norm(x1))
 
     def test_wide_hankel_fit_is_the_least_squares_fit(self, lfo_gapped_dmd, lfo_gapped_embedded):
         result, _ = lfo_gapped_dmd
@@ -394,13 +427,18 @@ class TestDmdComposition:
             od.dmd(np.empty((3, 0)), np.empty((3, 0)), od.DEFAULT_RULE)
 
     def test_retained_operator_satisfies_eigen_residual(self, lfo_clean_dmd, lfo_clean_embedded):
-        """The eigenpairs of the fit's reduced operator, from eig_modes, meet 1e-8 * ||A~||_2."""
+        """The eigenpairs of the fit's reduced operator, from eig_modes, meet 1e-8 * ||A~||_2.
+
+        The operator is rebuilt through the route dmd() takes (the lagged
+        Gram here), so its eigenvalues are the fit's bit for bit.
+        """
         result, _ = lfo_clean_dmd
         x1, x2 = od.shifted_pair(lfo_clean_embedded)
-        low = _hankel_factor(x1, x2)
-        svd = svd_truncated(low[:-1], od.DEFAULT_RULE)
-        a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, low[1:])
-        w, lam, _ = eig_modes(a_tilde, svd.u)
+        fit = _projection(x1, x2, od.DEFAULT_RULE)
+        gram = _gram_projection(_hankel_series(x1, x2), x1.shape[1], od.DEFAULT_RULE)
+        assert gram is not None and all(np.array_equal(a, b) for a, b in zip(fit, gram))
+        a_tilde = fit.a_tilde
+        w, lam, _ = eig_modes(a_tilde, fit.u)
         assert np.array_equal(np.sort_complex(lam), np.sort_complex(result.eigenvalues))
         res = np.linalg.norm(a_tilde @ w - w * lam[None, :], axis=0)
         assert np.all(res <= 1e-8 * np.linalg.norm(a_tilde, 2))
@@ -562,24 +600,39 @@ class TestProperties:
                 prev = res
 
 
-def direct_fit(x1, x2, rule=od.DEFAULT_RULE):
-    """The uncompressed composition: SVD of X1 itself, then operator, eig, amplitudes."""
+def direct_fit(x1, x2, rule=od.DEFAULT_RULE, first=None):
+    """The composition on the pair itself: SVD of x1, then operator, eig, and amplitudes of ``first`` (x1[:, 0])."""
     svd = svd_truncated(x1, rule)
     a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, x2)
     w, lam, phi = eig_modes(a_tilde, svd.u)
-    return svd, a_tilde, lam, phi, amplitudes(svd.u, w, x1[:, 0])
+    return svd, a_tilde, lam, phi, amplitudes(svd.u, w, x1[:, 0] if first is None else first)
 
 
-def assert_direct_fit_bit_for_bit(x1, x2, rank=6):
-    """dmd() of the pair is direct_fit, mode for mode in dmd's order."""
-    result = od.dmd(x1, x2, TruncationRule.fixed(rank))
-    svd, _, lam, phi, b = direct_fit(x1, x2, TruncationRule.fixed(rank))
+def assert_fit_bit_for_bit(result, y1, y2, first, rank):
+    """result is direct_fit(y1, y2) at a fixed rank with amplitudes of ``first``, mode for mode in dmd's order."""
+    svd, _, lam, phi, b = direct_fit(y1, y2, TruncationRule.fixed(rank), first)
     order = [int(np.flatnonzero(lam == v)[0]) for v in result.eigenvalues]
-    assert sorted(order) == list(range(rank))
+    assert sorted(order) == list(range(svd.rank))
+    assert (result.rank, result.rank_clamped) == (svd.rank, svd.rank_clamped)
     assert np.array_equal(result.singular_values, svd.singular_values)
     assert np.array_equal(result.eigenvalues, lam[order])
     assert np.array_equal(result.modes, phi[:, order])
     assert np.array_equal(result.amplitudes, b[order])
+
+
+def assert_direct_fit_bit_for_bit(x1, x2, rank=6):
+    """dmd() of the pair is direct_fit, mode for mode in dmd's order."""
+    assert_fit_bit_for_bit(od.dmd(x1, x2, TruncationRule.fixed(rank)), x1, x2, x1[:, 0], rank)
+
+
+def qr_route(x1, x2, rule=od.DEFAULT_RULE):
+    """The QR route of a wide Hankel pair as a DmdResult, modes in eig's order (pairs adjacent)."""
+    low = _hankel_factor(_hankel_series(x1, x2), x1.shape[1])
+    svd, _, lam, phi, b = direct_fit(low[:-1], low[1:], rule, x1[:, 0])
+    return od.DmdResult(
+        modes=phi, eigenvalues=lam, amplitudes=b, rank=svd.rank,
+        singular_values=svd.singular_values, rank_clamped=svd.rank_clamped,
+    )
 
 
 def random_hankel_pair(seed=5, length=400, depth=30):
@@ -588,20 +641,34 @@ def random_hankel_pair(seed=5, length=400, depth=30):
     return hankel[:, :-1], hankel[:, 1:]
 
 
+def hankel_source(source, request):
+    """The shifted pair of a random series, or of an embedded fixture."""
+    if source == "random":
+        return random_hankel_pair()
+    return od.shifted_pair(request.getfixturevalue(source))
+
+
 class TestHankelCompression:
     @pytest.mark.parametrize("source", ["lfo_clean_embedded", "lfo_gapped_embedded", "random"])
     def test_matches_direct_fit(self, source, request):
-        if source == "random":
-            x1, x2 = random_hankel_pair()
-        else:
-            x1, x2 = od.shifted_pair(request.getfixturevalue(source))
+        """The wide Hankel fit is the direct fit of the m x n pair to rounding.
+
+        The retained singular values agree to 1e-12 sigma_1. The tail comes
+        from sigma^2 on the Gram route, exact for X1 X1^T + E with
+        ||E||_2 <= m eps sigma_1^2. Weyl's bound |s~_k^2 - s_k^2| <= ||E||_2
+        then gives |s~_k - s_k| <= sqrt(m eps) sigma_1 for every k, since
+        |a - b| <= sqrt(|a^2 - b^2|) for a, b >= 0.
+        """
+        x1, x2 = hankel_source(source, request)
         assert x1.shape[1] > x1.shape[0] + 1  # wide, so the compressed path runs
         result = od.dmd(x1, x2, od.DEFAULT_RULE)
         svd, _, lam, phi, b = direct_fit(x1, x2)
 
         assert result.rank == svd.rank
-        s = svd.singular_values
-        assert np.max(np.abs(result.singular_values - s)) <= 1e-12 * s[0]
+        s, r = svd.singular_values, svd.rank
+        assert np.max(np.abs(result.singular_values[:r] - s[:r])) <= 1e-12 * s[0]
+        weyl = np.sqrt(x1.shape[0] * np.finfo(float).eps) * s[0]
+        assert np.max(np.abs(result.singular_values - s)) <= weyl
         got, want = np.sort_complex(result.eigenvalues), np.sort_complex(lam)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
         dominant = np.max(np.abs(b) * np.linalg.norm(phi, axis=0))
@@ -613,42 +680,28 @@ class TestHankelCompression:
         x1, x2 = rng.normal(size=(6, 40)), rng.normal(size=(6, 40))
         assert_direct_fit_bit_for_bit(x1, x2)
 
-    @pytest.mark.parametrize("kind", ["rows of no one series", "x2 off the shift"])
+    @pytest.mark.parametrize("kind", ["rows of no one series", "x2 off the shift", "x1 off the view in its last row"])
     def test_wide_pair_that_is_not_one_series_is_the_direct_fit_bit_for_bit(self, kind):
         """Only the Hankel pair of one series is compressed; anything else is fitted directly."""
         rng = np.random.default_rng(9)
         if kind == "rows of no one series":  # X2[:-1] equals X1[1:]
             rows = rng.normal(size=(7, 40))
             x1, x2 = rows[:-1], rows[1:]
-        else:  # X1 is a Hankel view, X2 differs from its shift in one entry
+        elif kind == "x2 off the shift":  # X1 is a Hankel view, X2 differs from its shift in one entry
             x1, x2 = random_hankel_pair(seed=9, length=46, depth=6)
             x2 = x2.copy()
             x2[2, 5] += 1.0
-        assert _hankel_factor(x1, x2) is None
+        else:  # rows are compared in blocks; the last block differs
+            x1, x2 = random_hankel_pair(seed=9, length=400, depth=30)
+            x1 = x1.copy()
+            x1[-1, 3] += 1.0
+        assert _hankel_series(x1, x2) is None
         assert_direct_fit_bit_for_bit(x1, x2)
 
     def test_factor_of_the_view_is_the_factor_of_the_stacked_rows(self):
         x1, x2 = random_hankel_pair()
         want = np.linalg.qr(np.vstack([x1, x2[-1:]]).T, mode="r").T
-        assert np.array_equal(_hankel_factor(x1, x2), want)
-
-    def test_hankel_fit_holds_one_copy_of_the_rows(self, lfo_gapped_embedded):
-        """numpy's tracked peak: one working copy of the m + 1 rows plus the triangular factor.
-
-        The QR copies its input once, and np.linalg.qr builds the (m+1) x (m+1)
-        factor while that copy is alive. A second copy of the rows, such as
-        stacking them before the QR, exceeds the bound.
-        """
-        x1, x2 = od.shifted_pair(lfo_gapped_embedded)
-        m, n = x1.shape
-        rows_bytes, factor_bytes = (m + 1) * n * 8, (m + 1) ** 2 * 8
-        tracemalloc.start()
-        try:
-            od.dmd(x1, x2, od.DEFAULT_RULE)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.2 * rows_bytes + factor_bytes
+        assert np.array_equal(_hankel_factor(_hankel_series(x1, x2), x1.shape[1]), want)
 
     def test_hankel_fit_lists_positive_imaginary_member_first(self, lfo_gapped_dmd):
         result, _ = lfo_gapped_dmd
@@ -677,6 +730,100 @@ class TestHankelCompression:
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr.decode()
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("source", ["lfo_gapped_embedded", "random"])
+    def test_lagged_gram_is_the_gram_of_the_rows(self, source, request):
+        """G equals H H^T of the stacked m + 1 rows within 2 (m + n) eps n max|s|^2.
+
+        Each entry of G takes at most m diagonal updates after its first-row
+        correlation, so it errs by at most about (n + 2 m) eps n max|s|^2;
+        the reference product errs by at most n eps n max|s|^2.
+        """
+        x1, x2 = hankel_source(source, request)
+        m, n = x1.shape
+        series = _hankel_series(x1, x2)
+        rows = np.vstack([x1, x2[-1:]])
+        g = _lagged_gram(series, n)
+        bound = 2 * (m + n) * np.finfo(float).eps * n * np.max(np.abs(series)) ** 2
+        assert np.max(np.abs(g - rows @ rows.T)) <= bound
+        assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("source", ["lfo_gapped_embedded", "random"])
+    def test_matches_qr_route(self, source, request):
+        """The Gram route gives the QR route's rank, its retained sigma to 1e-12 sigma_1,
+        its eigenvalues to 1e-9 relative and its series to 1e-9 x max."""
+        x1, x2 = hankel_source(source, request)
+        n = x1.shape[1]
+        assert _gram_projection(_hankel_series(x1, x2), n, od.DEFAULT_RULE) is not None
+        result, want = od.dmd(x1, x2, od.DEFAULT_RULE), qr_route(x1, x2)
+        r = want.rank
+        assert result.rank == r and not result.rank_clamped and not want.rank_clamped
+        s = want.singular_values
+        assert np.max(np.abs(result.singular_values[:r] - s[:r])) <= 1e-12 * s[0]
+        got, lam = np.sort_complex(result.eigenvalues), np.sort_complex(want.eigenvalues)
+        assert np.max(np.abs(got - lam) / np.abs(lam)) <= 1e-9
+        series, reference = reconstruct_series(result, n), reconstruct_series(want, n)
+        assert np.max(np.abs(series - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("case", ["noise-free above the signal rank", "squares overflow"])
+    def test_unresolved_gram_takes_the_qr_route_bit_for_bit(self, case):
+        """When sigma_r is not resolved from sigma^2, the fit is the QR route's, bit for bit.
+
+        Noise-free input at a rank above its signal rank has sigma_r at
+        rounding level, and the fit is clamped. Samples near 1e160 overflow
+        G but not the QR.
+        """
+        if case == "noise-free above the signal rank":
+            (x1, x2), _ = planted_pair([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], dc=1.0)
+            rank = 8
+        else:
+            x1, x2 = (1e160 * x for x in random_hankel_pair())
+            rank = 6
+        assert x1.shape[1] > x1.shape[0] + 1
+        series = _hankel_series(x1, x2)
+        assert _gram_projection(series, x1.shape[1], TruncationRule.fixed(rank)) is None
+        result = od.dmd(x1, x2, TruncationRule.fixed(rank))
+        assert result.rank_clamped == (case == "noise-free above the signal rank")
+        low = _hankel_factor(series, x1.shape[1])
+        assert_fit_bit_for_bit(result, low[:-1], low[1:], x1[:, 0], rank)
+
+    def test_rank_above_depth_takes_the_qr_route(self):
+        x1, x2 = random_hankel_pair()
+        assert _gram_projection(_hankel_series(x1, x2), x1.shape[1], TruncationRule.fixed(31)) is None
+        result = od.dmd(x1, x2, TruncationRule.fixed(31))
+        assert result.rank_clamped and result.rank == 30
+
+    def test_all_zero_window_raises(self):
+        """A window that a gap covers entirely (compare's gap-covering case) has no signal."""
+        hankel = np.lib.stride_tricks.sliding_window_view(np.zeros(600), 501)
+        with pytest.raises(ZeroSignalError):
+            od.dmd(hankel[:, :-1], hankel[:, 1:])
+
+    def test_gram_fit_peak_does_not_grow_with_n(self):
+        """numpy's tracked peak of a Gram fit is set by m, not by the record length n.
+
+        At one depth m and a small rank, a record ten times longer raises
+        the peak by less than two copies of its extra samples (the series
+        is copied once), and the peak stays under 4 (m+1)^2 8 bytes: G and
+        eigh's eigenvectors. An m x n copy of the rows, as the QR route
+        makes, exceeds both.
+        """
+        m, rule, peaks = 200, TruncationRule.fixed(20), []
+        for length in (4 * m, 40 * m):
+            series = np.random.default_rng(3).normal(size=length)
+            hankel = np.lib.stride_tricks.sliding_window_view(series, length - m + 1)
+            x1, x2 = hankel[:, :-1], hankel[:, 1:]
+            assert _gram_projection(_hankel_series(x1, x2), x1.shape[1], rule) is not None
+            tracemalloc.start()
+            try:
+                od.dmd(x1, x2, rule)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 8 * 36 * m
+        assert max(peaks) < 4 * (m + 1) ** 2 * 8
 
 
 class TestReconstructSeries:
