@@ -34,12 +34,24 @@ unchanged by the orthonormal change of basis Q^T on the right (Tu et al.,
 J. Comput. Dyn. 2014), and Householder QR is backward stable, so that
 route resolves every singular value to about eps sigma_1. Both routes
 agree with the direct fit up to rounding, which the Gram route amplifies
-by up to (sigma_1 / sigma_r)^2. Tall pairs (every MR-DMD bin) and
-pairs that are not the Hankel pair of one series are fitted directly.
+by up to (sigma_1 / sigma_r)^2.
 
-A fit keeps what its readers use: the ordered modes, eigenvalues and
-amplitudes, the rank and the singular values. The reduced operator and
-its eigenvectors are checked in :func:`eig_modes` and then dropped.
+Shifted pairs. Any other pair whose X2 is X1 moved by one column (every
+MR-DMD bin) takes the R route (:func:`_shift_projection`): the thin
+Householder QR [X1 | X2[:, -1]] = Q R gives X1 = Q R[:, :-1] and
+X2 = Q R[:, 1:], and the fit runs on the mu-sized pair
+(R[:, :-1], R[:, 1:]), with U^T x1 = U_R^T R[:, 0]. It is exact DMD in
+another orthonormal basis, and the QR is backward stable, so it is the
+direct fit up to rounding at eps sigma_1. Its modes stay factored,
+Phi = Q (U_R W), and a bin lifts through Q (never through X1 V S^-1,
+which amplifies rounding by sigma_1 / sigma_r) only the columns it
+reads (:meth:`DmdResult.lifted`). Other pairs are fitted directly.
+
+A fit keeps what its readers use: the modes, eigenvalues and amplitudes,
+the rank and the singular values. The reduced operator and its
+eigenvectors are checked in :func:`eig_modes` and then dropped. Every
+mode has unit norm (orthonormal U, or Q U_R, times unit W columns), so
+the mode order and the mode reports read no m-row array.
 
 Conjugate pairs. The reduced operator is real, so its complex eigenvalues
 come in conjugate pairs with conjugate eigenvectors. :func:`eig_modes`
@@ -73,6 +85,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -167,10 +180,12 @@ class SvdTruncation:
 class DmdResult:
     """Outcome of one decomposition.
 
-    modes holds the projected mode columns Phi = U W (unit-norm W columns),
-    eigenvalues the per-step multipliers, amplitudes the
-    least-squares fit of the first snapshot, solved as W b = U^T x1. Modes
-    are ordered by descending score |b_k| * ||Phi_k||, ties broken by
+    The unit-norm modes are Phi = basis @ coefficients: on the R route the
+    pair's thin Q times U_R W, lifted to m rows only on request
+    (:meth:`lifted`, :attr:`modes`); elsewhere ``basis`` is None and
+    ``coefficients`` are Phi = U W. eigenvalues are the per-step
+    multipliers, amplitudes the least-squares fit of the first snapshot,
+    solved as W b = U^T x1. Modes are ordered by descending score |b_k|, ties broken by
     descending |lambda| with the non-negative imaginary member first. Both
     members of a conjugate pair take the pair's larger score, so a pair is
     listed as two adjacent modes, the positive-imaginary member first;
@@ -187,17 +202,33 @@ class DmdResult:
     sqrt(eps) sigma_1.
     """
 
-    modes: np.ndarray
+    coefficients: np.ndarray
     eigenvalues: np.ndarray
     amplitudes: np.ndarray
     rank: int
     singular_values: np.ndarray
     rank_clamped: bool
+    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for field in ("modes", "eigenvalues", "amplitudes", "singular_values"):
-            arr = getattr(self, field)
-            arr.setflags(write=False)
+        for field in ("coefficients", "eigenvalues", "amplitudes", "singular_values", "basis"):
+            if (arr := getattr(self, field)) is not None:
+                arr.setflags(write=False)
+
+    def lifted(self, idx: np.ndarray) -> np.ndarray:
+        """Phi's columns ``idx`` at full rows: basis @ coefficients[:, idx], one real product."""
+        cols = self.coefficients[:, idx]
+        return cols if self.basis is None else _real_times(self.basis, cols)
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """Phi at full rows, each partner the exact conjugate of its first member; lifted on first use."""
+        if self.basis is None:
+            return self.coefficients
+        phi, pair = self.lifted(slice(None)), conjugate_pairs(self.eigenvalues)
+        phi[:, pair + 1] = phi[:, pair].conj()
+        phi.setflags(write=False)
+        return phi
 
 
 def _requested_rank(s: np.ndarray, rule: TruncationRule, s2: np.ndarray | None = None) -> int:
@@ -259,7 +290,7 @@ def reduced_operator(u: np.ndarray, sigma: np.ndarray, v: np.ndarray, x2: np.nda
 
 
 def eig_modes(a_tilde: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose the real reduced operator and lift modes as Phi = U W (U real).
+    """Eigendecompose the real reduced operator and lift modes as Phi = U W (U real; U_R on the R route).
 
     Eigenvector columns are normalized to unit 2-norm before projection.
     eig lists a conjugate pair of a real operator as adjacent columns with
@@ -496,10 +527,9 @@ def reconstruct_series(result: DmdResult, n_columns: int) -> np.ndarray:
     j = np.arange(n_columns)
     keep, b = fold_pairs(result.eigenvalues, result.amplitudes, np.arange(result.eigenvalues.size))
     lam = result.eigenvalues[keep]
-    sums = product_antidiagonal_sums(
-        result.modes[:, keep], lambda k: b[k, None] * _powers(lam[k], j), n_columns
-    )
-    return sums / antidiagonal_counts(result.modes.shape[0], n_columns)
+    modes = result.lifted(keep)
+    sums = product_antidiagonal_sums(modes, lambda k: b[k, None] * _powers(lam[k], j), n_columns)
+    return sums / antidiagonal_counts(modes.shape[0], n_columns)
 
 
 def _hankel_series(x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
@@ -555,13 +585,17 @@ def _lagged_gram(series: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Projection(NamedTuple):
-    """A fit's reduced space: X1's r retained left singular vectors U, the operator A~ on them, and X1's spectrum."""
+    """A fit's reduced space: X1's r retained left singular vectors U, the operator A~ on them, and X1's spectrum.
+
+    On the R route U and ``first`` (X1[:, 0]) are in the coordinates of ``basis`` Q."""
 
     u: np.ndarray
     a_tilde: np.ndarray
     singular_values: np.ndarray
     rank: int
     rank_clamped: bool
+    basis: np.ndarray | None = None
+    first: np.ndarray | None = None
 
 
 def _svd_projection(y1: np.ndarray, y2: np.ndarray, rule: TruncationRule) -> _Projection:
@@ -610,10 +644,21 @@ def _gram_projection(series: np.ndarray, n: int, rule: TruncationRule) -> _Proje
     return _Projection(u, a_tilde, s, rank, False)
 
 
+def _shift_projection(x1: np.ndarray, x2: np.ndarray, rule: TruncationRule) -> _Projection:
+    """A shifted pair's projection from the thin QR [X1 | X2[:, -1]] = Q R: the SVD route on (R[:, :-1], R[:, 1:]).
+
+    The columns are stacked in Fortran order, which LAPACK takes without a transposing copy.
+    """
+    q, r = np.linalg.qr(np.concatenate([x1.T, x2[:, -1:].T]).T)
+    return _svd_projection(r[:, :-1], r[:, 1:], rule)._replace(basis=q, first=r[:, 0])
+
+
 def _projection(x1: np.ndarray, x2: np.ndarray, rule: TruncationRule) -> _Projection:
-    """The projection dmd() fits from: the Gram or QR route for a wide Hankel pair, else the direct SVD."""
+    """The projection dmd() fits from: Gram or QR route (wide Hankel pair), R route (shifted pair) or direct SVD."""
     series = _hankel_series(x1, x2)
     if series is None:
+        if np.array_equal(x1[:, 1:], x2[:, :-1]):
+            return _shift_projection(x1, x2, rule)
         return _svd_projection(x1, x2, rule)
     n = x1.shape[1]
     fit = _gram_projection(series, n, rule)
@@ -649,12 +694,13 @@ def dmd(
     series is fitted from the (m+1) x (m+1) lagged Gram matrix of its rows
     (:func:`_gram_projection`), or, when the requested rank's sigma_r is too
     small to resolve from sigma^2, from the QR factor of its rows
-    (:func:`_hankel_factor`). Both are exact DMD of the pair in another
-    basis, so they give the rank, spectrum and modes of the direct fit up
-    to rounding. The amplitudes are fitted to the original first snapshot
-    X1[:, 0], in the reduced space (:func:`amplitudes`). Every other pair,
-    every tall one included, is fitted directly. All routes order the modes
-    by the one pair rule of :class:`DmdResult`.
+    (:func:`_hankel_factor`). Any other shifted pair, every tall one
+    included, takes the R route (:func:`_shift_projection`). All three are
+    exact DMD of the pair in another basis, so they give the rank, spectrum
+    and modes of the direct fit up to rounding. The amplitudes are fitted
+    to the original first snapshot X1[:, 0], in the reduced space
+    (:func:`amplitudes`). Every other pair is fitted directly. All routes
+    order the modes by the one pair rule of :class:`DmdResult`.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -664,24 +710,22 @@ def dmd(
         raise ValueError(f"snapshot pair shapes differ: {x1.shape} vs {x2.shape}")
 
     fit = _projection(x1, x2, rule)
-    w, eigvals, phi = eig_modes(fit.a_tilde, fit.u)
-    b = amplitudes(fit.u, w, x1[:, 0])
+    w, eigvals, coefficients = eig_modes(fit.a_tilde, fit.u)
+    b = amplitudes(fit.u, w, x1[:, 0] if fit.basis is None else fit.first)
 
-    score = np.abs(b) * np.linalg.norm(phi, axis=0)
-    # The members of a conjugate pair (adjacent in eig's output) score
-    # equally up to rounding; ranking both by the larger score keeps them
-    # adjacent, positive-imaginary member first.
+    # ||phi_k|| = 1, so |b_k| is the score. The members of a conjugate pair
+    # (adjacent in eig's output) score equally up to rounding; ranking both
+    # by the larger score keeps them adjacent, positive-imaginary member first.
+    score = np.abs(b)
     pair = conjugate_pairs(eigvals)
     score[pair] = score[pair + 1] = np.maximum(score[pair], score[pair + 1])
     order = _mode_order(score, eigvals)
-    # The 1-D gathers are new arrays. The modes keep their copy: on a
-    # 1000-row MR-DMD run, dropping it (or gathering with np.take) doubled
-    # the minor page faults and cost more time than the copy.
     return DmdResult(
-        modes=phi[:, order].copy(),
+        coefficients=coefficients[:, order],
         eigenvalues=eigvals[order],
         amplitudes=b[order],
         rank=fit.rank,
         singular_values=fit.singular_values.copy(),
         rank_clamped=fit.rank_clamped,
+        basis=fit.basis,
     )

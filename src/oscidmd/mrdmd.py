@@ -14,13 +14,14 @@ The implementation is matrix-free. A bin's fit reads only its mu
 subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts its
 ancestors' slow modes evaluated there, in one product; no residual is
-formed at full resolution. Each bin's slow modes are factored once
-(``SlowModes``: the mode shapes, amplitudes and continuous eigenvalues,
-one column per conjugate pair). A bin with slow modes appends them to the
-lineage factor it received (``lineage_factor``: one ``SlowModes`` holding
-every ancestor's slow columns, amplitudes re-based to the bin's start)
-and passes the result to both halves. The factor and the fit's m x r mode
-matrix are freed when the bin's subtree is done, so at most one of each
+formed at full resolution. A bin is fitted in the R factor of its
+columns (``dmd``'s R route), and only its slow modes are lifted to m
+rows, once (``SlowModes``: the mode shapes, amplitudes and continuous
+eigenvalues, one column per conjugate pair). A bin with slow modes
+appends them to the lineage factor it received (``lineage_factor``: one
+``SlowModes`` holding every ancestor's slow columns, amplitudes re-based
+to the bin's start) and passes the result to both halves. The factor and the fit's m x mu
+basis are freed when the bin's subtree is done, so at most one of each
 per level is alive at a time. The node keeps only the bin's
 geometry, its fit as a ``BinFit`` (eigenvalues, amplitudes, rank and
 singular values) and its slow set: no m-row array. A bin's contribution to
@@ -41,9 +42,9 @@ bins of nominal size S = n / B over a window of duration N = n * dt:
     capturable ceiling  f_m = f_sp / 2 = 2^(l-2) * mu / N
     slow-mode ceiling   f_slow_max = f_m / g
 
-The recursion is embarrassingly parallel across sibling bins; this
-implementation runs depth-first sequentially, which is the reference
-ordering any parallel variant must reproduce.
+The walk runs depth-first and sequentially. Two threads over level-3
+subtrees took ``ac_long_mrdmd``'s decompose from 1.48 to 1.27 s wall but
+from 1.47 to 1.99 s CPU (the GIL), so the benchmark's ``cpu_s`` would regress.
 """
 
 from __future__ import annotations
@@ -70,11 +71,18 @@ _MAX_DT_DENOMINATOR = 10**9
 DEFAULT_BIN_RULE = TruncationRule(TRUNC_RATIO, 1e-4)
 
 # BLAS products round the columns of a partial output tile differently from
-# the rest. Evaluating a lineage factor in whole tiles of this many columns
-# keeps each bin's input bit-identical to the data less the factor's
-# full-span product, on builds whose column tile divides it; noise-only
-# bins amplify any last-bit difference.
+# the rest, and differently again on their small-matrix path. Evaluating a
+# lineage factor in whole tiles of this many columns keeps each bin's input
+# bit-identical to the data less the factor's full-span product, on builds
+# whose column tile divides it (measured on OpenBLAS's SkylakeX dgemm);
+# noise-only bins amplify any last-bit difference.
 _TILE = 8
+
+
+# A residual of at most this fraction of its bin data's norm is rounding,
+# and its bin a zero-signal bin: a noise-free constant record's bins read up
+# to 28 ulps below level 1, the noisy lfo_udc and ac_in profiles 2.9e-4 or more.
+_ROUNDING_FLOOR = 1000 * np.finfo(float).eps
 
 
 class PlanError(ValueError):
@@ -232,7 +240,7 @@ def screen_slow(result: DmdResult | BinFit, rho: float) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class BinFit:
-    """A bin's fit without its mode matrix: every ``DmdResult`` field but ``modes``.
+    """A bin's fit without its modes: every ``DmdResult`` field but ``coefficients`` and ``basis``.
 
     The arrays are the fit's own read-only arrays, not copies.
     """
@@ -281,7 +289,7 @@ class SlowModes:
         dt: float,
         f_sp: float,
     ) -> "SlowModes":
-        """The slow set's modes, a conjugate pair folded into one column (``dmd.fold_pairs``).
+        """The slow set's modes at m rows, a conjugate pair folded into one column (``dmd.fold_pairs``).
 
         dmd() lists a pair as adjacent modes, positive-imaginary member
         first (``dmd.conjugate_pairs``), and writes the partner's mode as
@@ -293,8 +301,8 @@ class SlowModes:
         keep, amplitudes = fold_pairs(node_dmd.eigenvalues, node_dmd.amplitudes, idx)
         return cls(
             col_span=col_span,
-            # fancy indexing copies, so the slow modes hold no view of the fit's Phi
-            modes=node_dmd.modes[:, keep],
+            # the lift (or a basis-free fit's fancy index) copies: no view of the fit is held
+            modes=node_dmd.lifted(keep),
             amplitudes=amplitudes,
             omega=f_sp * np.log(node_dmd.eigenvalues[keep]),
             dt=dt,
@@ -305,35 +313,21 @@ class SlowModes:
         return self.col_span[1] - self.col_span[0]
 
     def at_offsets(self, offsets: np.ndarray) -> np.ndarray:
-        """The slow reconstruction at column offsets from the bin start."""
+        """The slow reconstruction at column offsets: Re(modes @ C) as one real product on the modes' float view."""
         tau = self.dt * np.asarray(offsets)
         coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
-        return (self.modes @ coeff).real
+        real = np.stack((coeff.real, -coeff.imag), axis=1).reshape(2 * coeff.shape[0], coeff.shape[1])
+        return np.ascontiguousarray(self.modes).view(float) @ real
 
     def at(self, cols: np.ndarray) -> np.ndarray:
         """The slow reconstruction at absolute snapshot columns inside the bin.
 
-        Columns in whole ``_TILE``-column tiles of the bin are evaluated in
-        one product padded to whole tiles, followed by the bin's own last,
-        partial tile when a requested column lies in it, so each column
-        takes the same BLAS kernel path as in the full-width product and
-        comes out bit for bit the same.
+        One product padded to whole ``_TILE``-column tiles: no column lies in
+        a partial tile, so each is bit for bit the full-span product's.
         """
         offsets = np.asarray(cols) - self.col_span[0]
-        width = self.width
-        tail = width - width % _TILE
-        in_tail = offsets >= tail
-        head = offsets[~in_tail]
-        pad = -head.size % _TILE
-        if not in_tail.any():
-            return self.at_offsets(np.concatenate([head, np.zeros(pad, dtype=int)]))[:, : head.size]
-        values = self.at_offsets(
-            np.concatenate([head, np.zeros(pad, dtype=int), np.arange(tail, width)])
-        )
-        where = np.empty(offsets.size, dtype=int)
-        where[~in_tail] = np.arange(head.size)
-        where[in_tail] = head.size + pad + offsets[in_tail] - tail
-        return values[:, where]
+        padded = np.concatenate([offsets, np.zeros(-offsets.size % _TILE, dtype=int)])
+        return self.at_offsets(padded)[:, : offsets.size]
 
     def antidiagonal_sums(self) -> np.ndarray:
         """Anti-diagonal sums of the slow reconstruction over the whole bin.
@@ -397,8 +391,8 @@ def slow_reconstruction(
 class MrdmdNode:
     """One (level, bin) analysis unit of the recursion.
 
-    ``dmd`` is the bin's fit without its mode matrix (None for a bin with
-    no signal energy) and ``slow_set`` indexes the fit's slow modes.
+    ``dmd`` is the bin's fit without its modes (None for a zero-signal
+    bin) and ``slow_set`` indexes the fit's slow modes.
     ``f_sp`` is the bin's subsample rate; the full-resolution column
     interval is the plan's ``dt``. A node holds no m-row array: the bin's
     slow modes live on the recursion stack only while its descendants are
@@ -424,12 +418,12 @@ def _walk(
     gather the bin's mu subsample columns, subtract the lineage factor it
     received evaluated at those columns (one product for all ancestors),
     decompose, screen slow modes, then yield ``(node, fit, slow_modes)``:
-    the bin's childless node, its fit (None when it has no signal energy
-    left) and its slow modes (None when it has none). Bins of odd width
+    the bin's childless node, its fit (None when nothing above rounding is
+    left, ``_ROUNDING_FLOOR``) and its slow modes (None when it has none). Bins of odd width
     split with the larger half first. A bin with slow modes appends them
     to its factor (``lineage_factor``), built once and shared by both
     halves; a bin without passes its factor on unchanged. A bin's factor
-    and its fit, with the fit's m x r mode matrix, are freed when the
+    and its fit, with the fit's m x mu basis, are freed when the
     bin's subtree is done, so at most one of each per level is alive at a
     time unless the consumer holds them. The same input gives the same
     fits, bit for bit, on every walk.
@@ -445,12 +439,15 @@ def _walk(
         cols = subsample(span, mu)
         f_sp = mu / (width * dt)
         xsub = data[:, cols]
+        floor = _ROUNDING_FLOOR * np.linalg.norm(xsub)
         if lineage is not None:
             xsub -= lineage.at(cols)
-        try:
-            fit = dmd(xsub[:, :-1], xsub[:, 1:], rule)
-        except ZeroSignalError:
-            fit = None
+        fit = None
+        if np.linalg.norm(xsub) > floor:
+            try:
+                fit = dmd(xsub[:, :-1], xsub[:, 1:], rule)
+            except ZeroSignalError:
+                pass
         slow: tuple[int, ...] = ()
         own = None
         if fit is not None:
@@ -461,9 +458,10 @@ def _walk(
         binfit = None if fit is None else BinFit.of(fit)
         yield MrdmdNode(level, bin_index, span, cols, binfit, slow, f_sp), fit, own
         # This frame lives until both halves are done: free the bin's input
-        # first. The fit (Phi) is freed on return, not here: freed ahead of
-        # the halves' allocations it let glibc trim the heap and fault it
-        # back in for every bin (3x the page faults on a 1000 x 4000 input).
+        # first. The fit (its basis Q) is freed on return, not here: m-row
+        # arrays freed ahead of the halves' allocations let glibc trim the
+        # heap and fault it back in for every bin (3x the page faults on a
+        # 1000 x 4000 input, measured when fits held their lifted modes).
         del xsub
         if level < level_count:
             # a bin without slow modes subtracts nothing more from its descendants
@@ -554,7 +552,7 @@ def decompose(
     and its mode reports to the mode list. No bin's slow modes or mode
     matrix outlive its subtree; its node keeps the fit only as a
     ``BinFit``. The node tree is built from the pre-order node list. When a
-    bin has no signal energy left (fully explained upstream) it contributes
+    bin has no signal left (fully explained upstream) it contributes
     zeros and an empty mode list and the recursion continues.
 
     The result keeps the snapshot matrix for its dense view: a read-only

@@ -241,7 +241,7 @@ class TestC6PropertySuites:
                 lam[rng.integers(0, count)] = 0.0
             rho = float(rng.uniform(0.05, 3.0))
             fake = od.DmdResult(
-                modes=np.eye(max(count, 1), count, dtype=complex),
+                coefficients=np.eye(max(count, 1), count, dtype=complex),
                 eigenvalues=lam.astype(complex),
                 amplitudes=np.ones(count, dtype=complex),
                 rank=count,
@@ -317,8 +317,9 @@ class TestC6PropertySuites:
             b = complex(rng.normal() + 1j * rng.normal())
             c = complex(rng.uniform(1e-3, 1e3) * cmath.exp(1j * rng.uniform(-np.pi, np.pi)))
             horizon = int(rng.integers(1, 60))
-            base = integral_contribution(phi, lam, b, horizon)
-            gauged = integral_contribution(c * phi, lam, b / c, horizon)
+            # IC is defined on unit-norm modes: normalized, every gauge scores the same
+            base = integral_contribution(lam, np.linalg.norm(phi) * b, horizon)
+            gauged = integral_contribution(lam, np.linalg.norm(c * phi) * (b / c), horizon)
             ok &= abs(gauged - base) <= 1e-9 * max(base, 1e-30)
             if not ok:
                 break

@@ -215,6 +215,26 @@ class TestAnalyzeMrdmd:
         assert dom["level"] == 4
         assert dom["frequency_hz"] == pytest.approx(8.6, abs=0.2)
 
+    @pytest.mark.parametrize("dc", [0.01, 1.0, 3.3, 170.0])
+    def test_noise_free_constant_record_runs(self, runner, tmp_path, dc):
+        """A constant 2 s record: every bin below level 1 has only rounding left and is a zero-signal bin.
+
+        Fitted, such a residual can give a defective operator: at DC 1.0 and
+        170 the run used to exit 1 with a singular eigenvector matrix.
+        """
+        data = tmp_path / "dc.csv"
+        od.write_csv(od.generate([], dc=dc, fs=2500.0, duration=2.0), data)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["analyze", "mrdmd", "--input", str(data), "--time-column", "t", "--mu", "16",
+                  "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["stability"]["verdict"] != "sustained-oscillation"
+        levels = {row.split(",")[0] for row in (out / "modes.csv").read_text().splitlines()[1:]}
+        assert levels == {"1"}
+
     def test_mu_exceeding_columns_rejected(self, runner, tmp_path):
         result = runner.invoke(
             cli, ["analyze", "mrdmd", "--profile", "lfo_udc", "--mu", "5000",

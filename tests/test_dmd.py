@@ -37,6 +37,7 @@ from oscidmd.dmd import (
     reduced_operator,
     svd_truncated,
 )
+from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.stacking import antidiagonal_sums, unembed
 
 
@@ -491,10 +492,10 @@ class TestDmdComposition:
             else:
                 k += 1
 
-    def test_direct_fit_lists_positive_imaginary_member_first(self):
+    def test_tall_fit_lists_positive_imaginary_member_first(self):
         h = np.lib.stride_tricks.sliding_window_view(np.random.default_rng(5).normal(size=100), 60).T
         x1, x2 = h[:, :-1], h[:, 1:]
-        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the direct path runs
+        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the R route runs
         lam = od.dmd(x1, x2).eigenvalues
         assert np.sum(lam.imag > 0) >= 10
         for k in np.flatnonzero(lam.imag > 0):
@@ -513,11 +514,11 @@ def assert_partners_exact(result) -> None:
 
 
 class TestConjugatePartners:
-    def test_direct_tall_fit(self):
+    def test_tall_fit(self):
         (x1, x2), _ = planted_pair(
             [od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], duration=0.1, noise=0.01
         )
-        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the direct path runs
+        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the R route runs
         assert_partners_exact(od.dmd(x1, x2))
 
     def test_hankel_wide_fit(self, lfo_gapped_dmd):
@@ -630,7 +631,7 @@ def qr_route(x1, x2, rule=od.DEFAULT_RULE):
     low = _hankel_factor(_hankel_series(x1, x2), x1.shape[1])
     svd, _, lam, phi, b = direct_fit(low[:-1], low[1:], rule, x1[:, 0])
     return od.DmdResult(
-        modes=phi, eigenvalues=lam, amplitudes=b, rank=svd.rank,
+        coefficients=phi, eigenvalues=lam, amplitudes=b, rank=svd.rank,
         singular_values=svd.singular_values, rank_clamped=svd.rank_clamped,
     )
 
@@ -730,6 +731,101 @@ class TestHankelCompression:
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr.decode()
+
+
+def shifted_trajectory(seed, m, mu, signal_rank, noise):
+    """An m x mu snapshot matrix of a random linear system of ``signal_rank`` states seen through m rows, plus noise."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(signal_rank, signal_rank)))[0]
+    a = q @ np.diag(rng.uniform(0.6, 1.0, size=signal_rank)) @ q.T
+    a = a @ np.linalg.qr(rng.normal(size=(signal_rank, signal_rank)))[0]  # rotations give complex pairs
+    states = np.empty((signal_rank, mu))
+    states[:, 0] = rng.normal(size=signal_rank)
+    for j in range(1, mu):
+        states[:, j] = a @ states[:, j - 1]
+    return rng.normal(size=(m, signal_rank)) @ states + noise * rng.normal(size=(m, mu))
+
+
+class TestShiftRoute:
+    """A shifted pair that is not a wide Hankel pair is fitted from the R factor of its columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["m = mu", "m >> mu", "m < mu"]),
+        mu=st.sampled_from([8, 16]),
+        noise=st.sampled_from([0.0, 1e-3, 1e-1]),
+    )
+    def test_matches_the_direct_fit(self, seed, shape, mu, noise):
+        """Rank, clamping, sigma, eigenvalues and lifted modes of the direct m-row fit, to its conditioning.
+
+        Householder QR and the SVDs are backward stable: each fit is exact
+        for the pair perturbed by E with ||E|| <= delta = m mu eps ||X||_F,
+        X = [X1 | x_last]. Weyl's bound puts each singular value within
+        2 delta. The truncated projection moves A~ by at most
+        eps_A = 2 delta (1 + ||A~||_2) (1 / sigma_r + 1 / (sigma_r - sigma_r+1)),
+        the second term bounding the rotation of the retained subspace; the
+        two A~ differ besides by a diagonal sign similarity, which moves no
+        eigenvalue. Bauer-Fike then bounds each eigenvalue's move by
+        kappa(W) eps_A, and each unit eigenvector's, after its phase is
+        aligned, by 2 r kappa(W) eps_A / gap_k, with gap_k the distance to
+        the nearest other eigenvalue; the lift adds m eps. Noise-free input
+        is fitted at a fixed rank above the signal rank, so both fits clamp.
+        """
+        m = {"m = mu": mu, "m >> mu": 60 * mu, "m < mu": mu // 2}[shape]
+        signal_rank = min(4, m, mu - 2)
+        x = shifted_trajectory(seed, m, mu, signal_rank, noise)
+        x1, x2 = x[:, :-1], x[:, 1:]
+        rule = TruncationRule.fixed(signal_rank + 2) if noise == 0 else DEFAULT_BIN_RULE
+        assert _projection(x1, x2, rule).basis is not None  # the R route runs
+        result = od.dmd(x1, x2, rule)
+        svd, a_tilde, lam, phi, _ = direct_fit(x1, x2, rule)
+
+        assert (result.rank, result.rank_clamped) == (svd.rank, svd.rank_clamped)
+        assert result.rank_clamped == (noise == 0)
+        eps, r, s = np.finfo(float).eps, svd.rank, svd.singular_values
+        delta = m * mu * eps * np.linalg.norm(x)
+        assert np.max(np.abs(result.singular_values[:r] - s[:r])) <= 2 * delta
+        below = s[r] if r < s.size else 0.0
+        eps_a = 2 * delta * (1 + np.linalg.norm(a_tilde, 2)) * (1 / s[r - 1] + 1 / (s[r - 1] - below))
+        w = np.linalg.eig(a_tilde)[1]
+        kappa = np.linalg.cond(w)
+        phi_r = result.modes
+        for k, value in enumerate(result.eigenvalues):
+            j = int(np.argmin(np.abs(lam - value)))
+            assert abs(lam[j] - value) <= kappa * eps_a
+            gap = np.min(np.abs(np.delete(lam, j) - lam[j])) if r > 1 else 1.0
+            inner = np.vdot(phi[:, j], phi_r[:, k])
+            aligned = phi[:, j] * inner / abs(inner)
+            assert np.linalg.norm(phi_r[:, k] - aligned) <= 2 * r * kappa * eps_a / gap + m * eps
+
+    @pytest.mark.parametrize("m", [16, 960])
+    def test_all_zero_input_has_no_signal(self, m):
+        x = np.zeros((m, 16))
+        with pytest.raises(ZeroSignalError):
+            od.dmd(x[:, :-1], x[:, 1:], DEFAULT_BIN_RULE)
+
+    def test_modes_have_unit_norm(self):
+        """Phi = Q U_R W: orthonormal Q and U_R and unit W columns, so ||phi_k|| = 1 to rounding."""
+        x = shifted_trajectory(3, 1000, 16, 6, 0.05)
+        result = od.dmd(x[:, :-1], x[:, 1:], DEFAULT_BIN_RULE)
+        norms = np.linalg.norm(result.modes, axis=0)
+        assert np.max(np.abs(norms - 1)) <= 100 * np.finfo(float).eps
+
+    def test_lifted_columns_are_the_modes(self):
+        """A slow set's lift, one real product on its coefficient columns, is those columns of Phi.
+
+        Each entry is a sum of k = mu products of Q's entries with the
+        coefficients, all at most 1 in magnitude, so any two BLAS orders of
+        it agree to 2 k eps; the products' columns sit in different output
+        tiles, so bits may differ.
+        """
+        x = shifted_trajectory(4, 500, 16, 6, 0.05)
+        result = od.dmd(x[:, :-1], x[:, 1:], DEFAULT_BIN_RULE)
+        pair = conjugate_pairs(result.eigenvalues)
+        idx = np.delete(np.arange(result.rank), pair + 1)[::2]
+        assert np.max(np.abs(result.lifted(idx) - result.modes[:, idx])) <= 2 * 16 * np.finfo(float).eps
+        assert np.array_equal(result.modes[:, pair + 1], result.modes[:, pair].conj())
 
 
 class TestGramRoute:

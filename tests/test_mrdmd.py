@@ -156,7 +156,7 @@ def fake_result(eigenvalues):
     lam = np.asarray(eigenvalues, dtype=complex)
     r = lam.size
     return od.DmdResult(
-        modes=np.eye(max(r, 1), r, dtype=complex),
+        coefficients=np.eye(max(r, 1), r, dtype=complex),
         eigenvalues=lam,
         amplitudes=np.ones(r, dtype=complex),
         rank=r,
@@ -269,7 +269,7 @@ def random_fit(rows, eigenvalues, seed):
     modes = rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
     pair = conjugate_pairs(fit.eigenvalues)
     modes[:, pair + 1] = modes[:, pair].conj()
-    return replace(fit, modes=modes, amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r))
+    return replace(fit, coefficients=modes, amplitudes=rng.normal(size=r) + 1j * rng.normal(size=r))
 
 
 EIGENVALUE_CASES = {
