@@ -212,15 +212,13 @@ def _mode_blocks(reports: list[ModeReport], tagged: bool) -> Iterator[bytes]:
     """The mode table's rows (the _MODE_HEADER columns), one block of _MODE_BLOCK rows at a time.
 
     ``tagged`` leads each row with level, bin and slow flag (_MODE_TAGS).
-    Every block's float cells go into one buffer.
     """
     from . import csvtext
 
-    buffer = np.empty((_MODE_BLOCK, 8, 6), np.uint32)
     for start in range(0, len(reports), _MODE_BLOCK):
         block = reports[start : start + _MODE_BLOCK]
         numbers = np.fromiter(map(_MODE_FLOATS, block), _MODE_DTYPE, len(block)).view(float)
-        cells = csvtext.floats(numbers.reshape(len(block), 8), out=buffer[: len(block)])
+        cells = csvtext.floats(numbers.reshape(len(block), 8))
         # the integer and text cells, each run of them one text cell (their strings are not kept)
         tags, classes, tails = map(csvtext.text, zip(*(
             (f"{r.level},{r.bin_index},{1 if r.slow else 0}", r.damping_class or "",
@@ -229,6 +227,8 @@ def _mode_blocks(reports: list[ModeReport], tagged: bool) -> Iterator[bytes]:
         )))
         groups = [cells[:, :6], classes, cells[:, 6:], tails]
         yield csvtext.rows([tags, *groups] if tagged else groups)
+        # not held while the next block's cells are made
+        del cells, groups
 
 
 # (LevelParams attribute, plan.csv and report.json column, `analyze plan` format)

@@ -8,7 +8,9 @@ word, the correctly rounded digit rule of Ryu (Adams, PLDI 2018), and its
 digits come from lookup tables. Values this cannot decide go through ``%``
 itself: non-finite values, |x| outside [1e-280, 1e280], values whose low
 word lies within 2^-30 of a rounding tie when the power of ten is inexact,
-and the few that round up to 10^(e+1) (within 5e-18 below it).
+and values whose unrounded product is below 10^16 or rounds to 10^17 or
+more (log10 put e one off, or the rounding carries into an 18th digit:
+values within a few ulps below a power of ten).
 
 A cell is a run of 4-byte words padded with NUL bytes, so a block of rows
 is one uint32 matrix; ``rows`` joins the cells with commas and newlines
@@ -24,7 +26,7 @@ import numpy as np
 _RANGE = (1e-280, 1e280)
 _TIE = 2.0**-30
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
-_E15, _E16, _E17 = 10**15, 10**16, 10**17
+_E15, _E17 = 10**15, 10**17
 _EXP0 = 300  # row of e = 0 in _EXPONENT, and column of 10^0 in _POWERS
 
 
@@ -89,59 +91,34 @@ def _scaled(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return hi, err, p_lo == 0
 
 
-def _digits(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(d, sure, hi, lo) for the product v * 10^(16 - e) = hi + lo.
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, sure) with v ~ d * 10^(e - 16), for v in _RANGE.
 
-    d is the product rounded half-even to an int64; ``sure`` is False where
-    that rounding may be wrong: within 2^-30 of a tie under an inexact power.
+    d is the product v * 10^(16 - e) = hi + lo rounded half-even to an int64.
+    ``sure`` is False where d may be wrong or not 17 digits long: within
+    2^-30 of a tie under an inexact power, or a product outside
+    [10^16, 10^17), where log10 put e one off or the rounding carried into
+    an 18th digit (hi - 1e16 is exact near 10^16, so its sign is right).
     """
+    e = np.floor(np.log10(v)).astype(np.int64)
     hi, lo, exact = _scaled(v, e)
     near = np.rint(lo)
     sure = exact | (np.abs(lo - near) < 0.5 - _TIE)
     # hi >= 1e16 > 2^53 is an even integer, so rounding lo alone rounds hi + lo half-even
     d = hi.astype(np.int64)
     d += near.astype(np.int64)
-    return d, sure, hi, lo
-
-
-def _settle(v, e, d, sure, hi, lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, e, sure) for values whose product lies next to 10^16 or 10^17.
-
-    There log10 may have put e one off, which the unrounded product shows.
-    A product that rounds up to 10^17, an 18th digit, is left to ``%``.
-    """
-    step = ((hi - 1e17) + lo >= 0).astype(np.int64) - ((hi - 1e16) + lo < 0)
-    off = np.flatnonzero(step)
-    if off.size:
-        e[off] += step[off]
-        d[off], sure[off], _, _ = _digits(v[off], e[off])
-    return d, e, sure & (d >= _E16) & (d < _E17)
-
-
-def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, e, sure) with v ~ d * 10^(e - 16) and 10^16 <= d < 10^17, for v in _RANGE."""
-    e = np.floor(np.log10(v)).astype(np.int64)
-    d, sure, hi, lo = _digits(v, e)
-    # |lo| < 24, so a product 64 inside [10^16, 10^17] needs no second look
-    edge = np.flatnonzero((hi < 1e16 + 64) | (hi > 1e17 - 64))
-    if edge.size:
-        d[edge], e[edge], sure[edge] = _settle(v[edge], e[edge], d[edge], sure[edge], hi[edge], lo[edge])
+    sure &= ((hi - 1e16) + lo >= 0) & (d < _E17)
     return d, e, sure
 
 
-def floats(values, out: np.ndarray | None = None) -> np.ndarray:
+def floats(values) -> np.ndarray:
     """``'%.16e' % x`` for each x of ``values``: uint32 cells of 6 words, shape ``values.shape + (6,)``.
 
-    The cells are written into ``out`` when it is given (a C-contiguous
-    uint32 array of that shape, such as a slice of a buffer the caller
-    reuses for every block), which is then returned.
+    Cells the numpy kernel cannot prove exact are written by ``%``, one at a time.
     """
     x = np.asarray(values, dtype=float)
     flat = x.ravel()
-    if out is None:
-        out = np.empty(x.shape + (6,), np.uint32)
-    elif out.shape != x.shape + (6,) or out.dtype != np.uint32 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous uint32 array of shape {x.shape + (6,)}")
+    out = np.empty(x.shape + (6,), np.uint32)
     cells = out.reshape(flat.size, 6)
     if not flat.size:
         return out

@@ -231,11 +231,8 @@ def screen_slow(result: DmdResult | BinFit, rho: float) -> np.ndarray:
     A zero eigenvalue (fully decayed numerical mode) has |ln 0| = inf and
     is never slow.
     """
-    lams = result.eigenvalues
-    mags = np.full(lams.shape, np.inf)
-    nz = lams != 0
-    mags[nz] = np.abs(np.log(lams[nz]))
-    return np.flatnonzero(mags < rho)
+    with np.errstate(divide="ignore"):
+        return np.flatnonzero(np.abs(np.log(result.eigenvalues)) < rho)
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,9 +48,6 @@ def shifted_pair(hankel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hankel[:, :-1], hankel[:, 1:]
 
 
-_TRANSPOSE_TILE = 256
-
-
 def antidiagonal_counts(m: int, n: int) -> np.ndarray:
     """Number of entries on each of the m + n - 1 anti-diagonals of an m x n matrix."""
     k = np.arange(m + n - 1)
@@ -62,14 +59,11 @@ def antidiagonal_sums(matrix: np.ndarray) -> np.ndarray:
 
     Loops over the shorter side: row i of the (transposed if taller than
     wide) matrix adds into ``out[i : i + cols]``. A transpose is copied to
-    contiguous rows first, _TRANSPOSE_TILE source rows at a time; one
-    whole strided copy, or adding its strided rows, was 3x slower.
+    contiguous rows first.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.shape[0] > mat.shape[1]:
-        tall, mat = mat, np.empty(mat.shape[::-1])
-        for start in range(0, tall.shape[0], _TRANSPOSE_TILE):
-            mat[:, start : start + _TRANSPOSE_TILE] = tall[start : start + _TRANSPOSE_TILE].T
+        mat = np.ascontiguousarray(mat.T)
     rows, cols = mat.shape
     out = np.zeros(rows + cols - 1)
     for i, row in enumerate(mat):

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import oscidmd as od
 # The CLI imports csvtext when it first writes a CSV. Imported here, its tables are
 # built before any memory test starts tracing, so those tests measure the writers alone.
-from oscidmd import csvtext  # noqa: F401
+from oscidmd import csvtext
 from oscidmd.cli import (
     RunConfig,
     _analyze_dmd_core,
@@ -338,6 +338,39 @@ def assert_same_lines(got: str, want: str) -> None:
     first = next((k for k, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
     assert first is None, f"line {first}: {got_lines[first]!r} != {want_lines[first]!r}"
     assert len(got_lines) == len(want_lines)
+
+
+def float_cells(out: Path) -> np.ndarray:
+    """The value of every float cell in the CSV files of ``out``; integer and text cells are skipped."""
+    values = []
+    for path in sorted(out.glob("*.csv")):
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    continue
+                if not cell.isdigit():
+                    values.append(x)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "dmd", "--profile", "lfo_udc", "--gap-start", "2000", "--gap-length", "250"],
+    ["analyze", "mrdmd", "--profile", "lfo_udc", "--gap-start", "2000", "--gap-length", "250"],
+    ["analyze", "mrdmd", "--profile", "ac_in", "--stack", "200", "--mu", "50"],
+], ids=["lfo-gap-dmd", "lfo-gap-mrdmd", "ac-mrdmd"])
+def test_output_cells_take_the_fast_path(runner, tmp_path, args):
+    """Ordinary outputs are formatted by numpy alone: no finite nonzero cell is left to ``%``."""
+    result = runner.invoke(cli, [*args, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    values = np.abs(float_cells(tmp_path))
+    values = values[np.isfinite(values) & (values != 0)]
+    assert values.size > 10_000
+    lo, hi = csvtext._RANGE
+    assert ((values >= lo) & (values <= hi)).all()
+    _, _, sure = csvtext._decimal(values)
+    assert sure.all(), f"{np.count_nonzero(~sure)} cells left to %, such as {values[~sure][:3]!r}"
 
 
 def tiny_record(length: int = 8) -> od.SignalRecord:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from oscidmd import csvtext
 
@@ -79,16 +78,6 @@ class TestFloats:
     def test_shape_and_empty_input(self):
         assert csvtext.floats(np.zeros((3, 2))).shape == (3, 2, 6)
         assert csvtext.floats([]).shape == (0, 6)
-
-    def test_writes_into_out(self):
-        values = np.random.default_rng(10).normal(size=(5, 3)) * 10.0 ** np.arange(-1, 2)
-        buffer = np.zeros((7, 3, 6), np.uint32)
-        assert csvtext.floats(values, out=buffer[:5]).base is buffer
-        assert np.array_equal(buffer[:5], csvtext.floats(values))
-        assert not buffer[5:].any()
-        for bad in (np.zeros((5, 3, 5), np.uint32), np.zeros((5, 3, 6)), np.zeros((5, 6, 6), np.uint32)[:, ::2]):
-            with pytest.raises(ValueError, match="out must be"):
-                csvtext.floats(values, out=bad)
 
     def test_raises_no_warning(self):
         with np.errstate(all="raise"):
