@@ -24,7 +24,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -34,11 +33,14 @@ from . import __version__
 from .dmd import DEFAULT_RULE, DecompositionError, DmdResult, TruncationRule, dmd, reconstruct_series
 from .ingest import FILL_ZERO, IngestConfig, SignalRecord, inject_gap, load_csv, write_csv
 from .modes import (
+    DAMPING_CLASSES,
     DEFAULT_EPS_CRIT,
     ModeCluster,
     ModeReport,
+    ModeTable,
     classify,
     dominant_cluster,
+    mode_table,
     reports_from_dmd,
     retained_oscillatory,
     strongest_oscillatory,
@@ -197,10 +199,6 @@ _MODE_HEADER = [
     "pair",
 ]
 _MODE_TAGS = ["level", "bin", "slow"]
-# A mode row's float cells, read in one pass as 8 float64s (eigenvalue and omega are complex).
-_MODE_FLOATS = attrgetter("eigenvalue", "omega", "frequency_hz", "growth_rate", "amplitude_mag",
-                          "integral_contribution")
-_MODE_DTYPE = np.dtype("c16,c16,f8,f8,f8,f8")
 # Rows per block. A block's cells and row bytes are the writer's working
 # memory: about 0.2 KB per series row and 1 KB per mode row (14 cells), so
 # about 1 MB for a series block and 64 KB for a mode block.
@@ -208,25 +206,29 @@ _SERIES_BLOCK = 4096
 _MODE_BLOCK = 64
 
 
-def _mode_blocks(reports: list[ModeReport], tagged: bool) -> Iterator[bytes]:
-    """The mode table's rows (the _MODE_HEADER columns), one block of _MODE_BLOCK rows at a time.
+def _mode_blocks(table: ModeTable, tagged: bool) -> Iterator[bytes]:
+    """A classified table's rows (the _MODE_HEADER columns), one block of _MODE_BLOCK rows at a time.
 
     ``tagged`` leads each row with level, bin and slow flag (_MODE_TAGS).
     """
     from . import csvtext
 
-    for start in range(0, len(reports), _MODE_BLOCK):
-        block = reports[start : start + _MODE_BLOCK]
-        numbers = np.fromiter(map(_MODE_FLOATS, block), _MODE_DTYPE, len(block)).view(float)
-        cells = csvtext.floats(numbers.reshape(len(block), 8))
-        # the integer and text cells, each run of them one text cell (their strings are not kept)
-        tags, classes, tails = map(csvtext.text, zip(*(
-            (f"{r.level},{r.bin_index},{1 if r.slow else 0}", r.damping_class or "",
-             f"{'' if r.dominant_rank is None else r.dominant_rank},{1 if r.pair else 0}")
-            for r in block
-        )))
-        groups = [cells[:, :6], classes, cells[:, 6:], tails]
-        yield csvtext.rows([tags, *groups] if tagged else groups)
+    classes = csvtext.text([*DAMPING_CLASSES, ""])  # code -1, an unclassified row, is blank
+    for start in range(0, len(table), _MODE_BLOCK):
+        rows = slice(start, start + _MODE_BLOCK)
+        lam, omega = table.eigenvalue[rows], table.omega[rows]
+        cells = csvtext.floats(np.stack([lam.real, lam.imag, omega.real, omega.imag, table.frequency_hz[rows],
+                                         table.growth_rate[rows], table.amplitude_mag[rows],
+                                         table.integral_contribution[rows]], axis=1))
+        # the integer cells, each run of them one text cell (their strings are not kept)
+        ranks, pairs = table.dominant_rank[rows].tolist(), table.pair[rows].tolist()
+        groups = [cells[:, :6], classes[table.damping_class[rows]], cells[:, 6:],
+                  csvtext.text([f"{'' if r < 0 else r},{p:d}" for r, p in zip(ranks, pairs)])]
+        if tagged:
+            slow = [False] * len(ranks) if table.slow is None else table.slow[rows].tolist()
+            groups.insert(0, csvtext.text([f"{level},{bin_index},{s:d}" for level, bin_index, s in zip(
+                table.level[rows].tolist(), table.bin_index[rows].tolist(), slow)]))
+        yield csvtext.rows(groups)
         # not held while the next block's cells are made
         del cells, groups
 
@@ -291,7 +293,7 @@ def _write_series(out: Path, record: SignalRecord, count: int,
                 fh.write(csvtext.rows([times, cells]))
 
 
-def _dominant(reports: list[ModeReport], eps_crit: float) -> tuple[ModeCluster | None, ModeReport | None]:
+def _dominant(reports: ModeTable, eps_crit: float) -> tuple[ModeCluster | None, ModeReport | None]:
     """The dominant sustained cluster and the dominant mode: its best member, else the strongest."""
     cluster = dominant_cluster(reports, eps_crit)
     return cluster, cluster.best if cluster is not None else strongest_oscillatory(reports)
@@ -310,7 +312,7 @@ def _dominant_payload(cluster: ModeCluster | None, r: ModeReport | None) -> dict
         "damping_class": r.damping_class,
         "amplitude_mag": _num(r.amplitude_mag),
         "integral_contribution": _num(r.integral_contribution),
-        "cluster_size": len(cluster.members) if sustained else 1,
+        "cluster_size": cluster.indices.size if sustained else 1,
         "cluster_integral_contribution": _num(aggregate),
         "eigenvalue": {"re": _num(r.eigenvalue.real), "im": _num(r.eigenvalue.imag)},
         "omega": {"re": _num(r.omega.real), "im": _num(r.omega.imag)},
@@ -318,13 +320,12 @@ def _dominant_payload(cluster: ModeCluster | None, r: ModeReport | None) -> dict
     }
 
 
-def _stability_payload(reports: list[ModeReport], cluster: ModeCluster | None, eps_crit: float) -> dict:
-    pool = [r for r in reports if retained_oscillatory(r)]
-    classes = ("growing", "critical", "decaying")
-    counts = {f"{c}_modes": sum(r.damping_class == c for r in pool) for c in classes}
+def _stability_payload(reports: ModeTable, cluster: ModeCluster | None, eps_crit: float) -> dict:
+    pool_classes = reports.damping_class[retained_oscillatory(reports)]
+    counts = {f"{c}_modes": int(np.count_nonzero(pool_classes == code)) for code, c in enumerate(DAMPING_CLASSES)}
     if cluster is not None:
         verdict = "sustained-oscillation"
-    elif pool:
+    elif pool_classes.size:
         verdict = "no-sustained-oscillation"
     else:
         verdict = "no-oscillatory-modes"
@@ -355,7 +356,7 @@ def _write_report(path: Path, payload: dict) -> None:
 
 
 def _write_run(
-    cfg: RunConfig, record: SignalRecord, depth: int, rule: TruncationRule, reports: list[ModeReport],
+    cfg: RunConfig, record: SignalRecord, depth: int, rule: TruncationRule, reports: ModeTable,
     series: np.ndarray, report: dict, tagged: bool = False, levels: tuple[np.ndarray, ...] = (),
 ) -> Path:
     """Write the artifacts every analysis shares plus its extras; returns the output directory.
@@ -388,7 +389,7 @@ def _write_run(
             "reconstruction": _series_metrics(record, channel, series),
             "modes": {
                 "reported": len(reports),
-                "ranked": sum(r.dominant_rank is not None for r in reports),
+                "ranked": int(np.count_nonzero(reports.dominant_rank > 0)),
             },
         }
         _write_report(out / "report.json", payload)
@@ -402,7 +403,7 @@ def _embed(cfg: RunConfig, record: SignalRecord) -> np.ndarray:
 
 def _analyze_dmd_core(
     cfg: RunConfig, record: SignalRecord
-) -> tuple[list[ModeReport], np.ndarray, DmdResult, int]:
+) -> tuple[ModeTable, np.ndarray, DmdResult, int]:
     hankel = _embed(cfg, record)
     x1, x2 = shifted_pair(hankel)
     result = dmd(x1, x2, cfg.rule or DEFAULT_RULE)
@@ -416,14 +417,14 @@ def _analyze_dmd_core(
 
 def _analyze_mrdmd_core(
     cfg: RunConfig, record: SignalRecord
-) -> tuple[list[ModeReport], np.ndarray, MrdmdResult, MrdmdPlan, int]:
+) -> tuple[ModeTable, np.ndarray, MrdmdResult, MrdmdPlan, int]:
     hankel = _embed(cfg, record)
     if hankel.shape[1] < 3:
         raise ValueError("record too short for the multi-resolution recursion")
     n_cols = hankel.shape[1] - 1  # last column reserved for the shifted pair
     mrdmd_plan = plan(n_cols, record.dt, mu=cfg.mu, g=cfg.g, termination_level=cfg.termination_level)
     result = decompose(hankel[:, :n_cols], mrdmd_plan, cfg.rule or DEFAULT_BIN_RULE)
-    reports = classify(list(result.all_modes), cfg.eps_crit)
+    reports = classify(result.all_modes, cfg.eps_crit)
     return reports, result.series, result, mrdmd_plan, hankel.shape[0]
 
 
@@ -464,7 +465,7 @@ def run_mrdmd(cfg: RunConfig) -> int:
 
 
 def _method_payload(
-    reports: list[ModeReport],
+    reports: ModeTable,
     series: np.ndarray,
     record: SignalRecord,
     channel: str,
@@ -505,7 +506,7 @@ def run_compare(cfg: RunConfig) -> int:
         try:
             reports, series, *_ = core(cfg, record)
         except DecompositionError:
-            reports, series = [], np.zeros(0)
+            reports, series = mode_table([], [], 1, [], []), np.zeros(0)  # no modes
         methods[name] = _method_payload(reports, series, record, channel, cfg.eps_crit, truth)
     ratio = None
     if methods["dmd"]["rmse"] is not None and methods["mrdmd"]["rmse"] not in (None, 0.0):

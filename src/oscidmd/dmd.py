@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -477,6 +477,7 @@ def reconstruct_window(result: DmdResult, n_columns: int) -> np.ndarray:
     return result.modes @ (result.amplitudes[:, None] * powers)
 
 
+@lru_cache  # each MR-DMD bin asks again for one of a few lengths
 def _fast_length(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n, a length numpy.fft transforms quickly."""
     best = 1 << (n - 1).bit_length()

@@ -54,14 +54,16 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd, fold_pairs
 from .dmd import product_antidiagonal_sums
-from .modes import ModeReport, reports_from_dmd
+from .modes import ModeTable, mode_table
 from .stacking import antidiagonal_counts
+
+# Unused here, but bench/spans.py wraps this name on this module by getattr.
+from .modes import reports_from_dmd  # noqa: F401
 
 _MAX_DT_DENOMINATOR = 10**9
 
@@ -491,7 +493,7 @@ class MrdmdResult:
 
     plan: MrdmdPlan
     root: MrdmdNode
-    all_modes: tuple[ModeReport, ...]
+    all_modes: ModeTable
     per_level_series: tuple[np.ndarray, ...]
     series: np.ndarray
     data: np.ndarray = field(repr=False)
@@ -545,12 +547,13 @@ def decompose(
     The recursion is ``_walk``, which yields each bin in pre-order; one
     loop consumes it. The residual is never formed at full resolution: each
     bin adds the anti-diagonal sums of its own slow reconstruction,
-    convolved by FFT from its factored slow modes, to its level's series,
-    and its mode reports to the mode list. No bin's slow modes or mode
-    matrix outlive its subtree; its node keeps the fit only as a
-    ``BinFit``. The node tree is built from the pre-order node list. When a
-    bin has no signal left (fully explained upstream) it contributes
-    zeros and an empty mode list and the recursion continues.
+    convolved by FFT from its factored slow modes, to its level's series.
+    No bin's slow modes or mode matrix outlive its subtree; its node keeps
+    the fit only as a ``BinFit``. The node tree is built from the
+    pre-order node list, and ``all_modes`` is one ``modes.mode_table`` of
+    every fitted node's ``BinFit``, made after the walk. When a bin has no
+    signal left (fully explained upstream) it contributes zeros and no
+    modes and the recursion continues.
 
     The result keeps the snapshot matrix for its dense view: a read-only
     float array as given (such as a slice of the ``delay_embed`` view), and
@@ -567,24 +570,11 @@ def decompose(
         raise ValueError(f"snapshot matrix has {n} columns but the plan expects {mrdmd_plan.n}")
 
     level_sums = np.zeros((mrdmd_plan.termination_level, m + n - 1))
-    # the walk yields each level's bins left to right, so each list is in bin order
-    level_reports: tuple[list[ModeReport], ...] = tuple([] for _ in level_sums)
     nodes = []
     for node, fit, own in _walk(data, mrdmd_plan, rule):
         if own is not None:
             start, stop = node.col_span
             level_sums[node.level - 1, start : stop + m - 1] += own.antidiagonal_sums()
-        if fit is not None:
-            level_reports[node.level - 1].extend(
-                reports_from_dmd(
-                    fit,
-                    f_sp=node.f_sp,
-                    horizon_steps=mrdmd_plan.mu,
-                    level=node.level,
-                    bin_index=node.bin_index,
-                    slow_set=set(node.slow_set),
-                )
-            )
         nodes.append(node)
         # The walk frees a bin's fit and slow modes once its subtree is done;
         # held here across the next step, they would stay alive while the
@@ -592,16 +582,21 @@ def decompose(
         del fit, own
 
     root = _subtree(iter(nodes), mrdmd_plan.termination_level)
+    # the table lists the levels in order and each level's bins left to right
+    fitted = sorted((node for node in nodes if node.dmd is not None), key=lambda node: (node.level, node.bin_index))
+    all_modes = mode_table([node.dmd for node in fitted], [node.f_sp for node in fitted], mrdmd_plan.mu,
+                           [node.level for node in fitted], [node.bin_index for node in fitted],
+                           [node.slow_set for node in fitted])
     counts = antidiagonal_counts(m, n)
-    per_level_series = tuple(sums / counts for sums in level_sums)
     series = level_sums.sum(axis=0) / counts
-    for s in (*per_level_series, series):
+    level_sums /= counts  # in place: each level's series is a row view
+    for s in (level_sums, series):
         s.setflags(write=False)
     return MrdmdResult(
         plan=mrdmd_plan,
         root=root,
-        all_modes=tuple(chain.from_iterable(level_reports)),
-        per_level_series=per_level_series,
+        all_modes=all_modes,
+        per_level_series=tuple(level_sums),
         series=series,
         data=data,
         rule=rule,

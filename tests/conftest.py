@@ -63,7 +63,7 @@ def lfo_gapped_mrdmd(lfo_gapped, lfo_gapped_embedded):
     rec, _ = lfo_gapped
     mrdmd_plan = od.plan(4000, rec.dt, mu=16, g=4)
     result = od.decompose(lfo_gapped_embedded[:, :4000], mrdmd_plan, DEFAULT_BIN_RULE)
-    reports = od.classify(list(result.all_modes))
+    reports = od.classify(result.all_modes)
     return result, reports
 
 
@@ -73,7 +73,7 @@ def ac_mrdmd():
     hankel = od.delay_embed(rec, "i_ac", 1000)
     mrdmd_plan = od.plan(4000, rec.dt, mu=50, g=4, termination_level=6)
     result = od.decompose(hankel[:, :4000], mrdmd_plan, DEFAULT_BIN_RULE)
-    reports = od.classify(list(result.all_modes))
+    reports = od.classify(result.all_modes)
     return rec, profile, result, reports
 
 
@@ -116,7 +116,7 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
 
 
 def one_mode_reports(lam: complex, f_sp: float, horizon_steps: int = 1) -> list:
-    """``reports_from_dmd`` of a one-mode fit with eigenvalue ``lam`` (unit mode and amplitude)."""
+    """The rows of ``reports_from_dmd`` of a one-mode fit with eigenvalue ``lam`` (unit mode and amplitude)."""
     fit = od.DmdResult(
         coefficients=np.ones((1, 1), dtype=complex),
         eigenvalues=np.array([lam], dtype=complex),
@@ -125,7 +125,7 @@ def one_mode_reports(lam: complex, f_sp: float, horizon_steps: int = 1) -> list:
         singular_values=np.ones(1),
         rank_clamped=False,
     )
-    return od.reports_from_dmd(fit, f_sp, horizon_steps)
+    return list(od.reports_from_dmd(fit, f_sp, horizon_steps))
 
 
 def continuous_eigenvalue(lam: complex, f_sp: float) -> complex:

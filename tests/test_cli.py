@@ -32,6 +32,8 @@ from oscidmd.cli import (
     run_dmd,
     run_mrdmd,
 )
+from oracles import table_of
+from oscidmd import modes
 from oscidmd.ingest import IngestConfig
 from oscidmd.modes import ModeReport
 from oscidmd.mrdmd import plan
@@ -379,7 +381,7 @@ def tiny_record(length: int = 8) -> od.SignalRecord:
 
 
 def write_mode_table(tmp_path: Path, reports, tagged: bool) -> Path:
-    """Only the mode table of _write_run, for a tiny record."""
+    """Only the mode table of _write_run (``reports`` a ``ModeTable``), for a tiny record."""
     cfg = RunConfig(out_dir=tmp_path, emit_report=False)
     _write_run(cfg, tiny_record(), 2, od.DEFAULT_RULE, reports, np.zeros(8), {}, tagged=tagged)
     return tmp_path / ("modes.csv" if tagged else "eigenvalues.csv")
@@ -422,7 +424,7 @@ class TestModeTables:
             ModeReport(9, 255, 1 + 0j, 0j, 0.0, 0.0, 1.7976931348623157e308, 2.5, False,
                        slow=False, damping_class="critical", dominant_rank=1),
         ]
-        path = write_mode_table(tmp_path, reports, tagged)
+        path = write_mode_table(tmp_path, table_of(reports), tagged)
         assert path.read_text() == per_cell_mode_table(reports, tagged)
 
     @pytest.mark.parametrize("tagged", [True, False])
@@ -438,7 +440,7 @@ class TestModeTables:
                        dominant_rank=None if k % 3 == 0 else 10**5 + 999_983 * k)
             for k in range(100)
         ]
-        path = write_mode_table(tmp_path, reports, tagged)
+        path = write_mode_table(tmp_path, table_of(reports), tagged)
         text = path.read_text()
         assert text == per_cell_mode_table(reports, tagged)
         assert ",,1\n" in text or ",,0\n" in text
@@ -451,9 +453,10 @@ class TestModeTables:
                        bool(k % 2), slow=bool(k % 3), damping_class="decaying", dominant_rank=int(k))
             for k in range(40_000)
         ]
+        table = table_of(reports)
         tracemalloc.start()
         try:
-            path = write_mode_table(tmp_path, reports, tagged=True)
+            path = write_mode_table(tmp_path, table, tagged=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,15 +475,35 @@ class TestModeTables:
                        dominant_rank=None if k % 2 else 10**6 + k)
             for k in range(40_000)
         ]
+        table = table_of(reports)
         tracemalloc.start()
         try:
-            path = write_mode_table(tmp_path, reports, tagged=False)
+            path = write_mode_table(tmp_path, table, tagged=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         text = path.read_text()
         assert_same_lines(text, per_cell_mode_table(reports, tagged=False))
         assert len(text) > 100 * peak
+
+
+def test_mrdmd_run_builds_only_the_rows_report_json_reads(tmp_path, monkeypatch):
+    """The CLI keeps modes as columns from the bin fits to modes.csv: no ModeReport per mode."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ModeReport(*args)
+
+    monkeypatch.setattr(modes, "ModeReport", counted)
+    cfg = RunConfig(profile="ac_in", stack_depth=200, mu=50, out_dir=tmp_path)
+    assert run_mrdmd(cfg) == 0
+    rows = (tmp_path / "modes.csv").read_text().count("\n") - 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert rows == report["modes"]["reported"] > 1000
+    # the dominant mode is the one row report.json reads
+    assert len(built) == 1
+    assert built[0][4] == report["dominant_mode"]["frequency_hz"]
 
 
 class TestCompare:

@@ -12,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
+import oracles
 from conftest import continuous_eigenvalue, one_mode_reports, refit_bins
+from oracles import integral_contribution, retained_oscillatory, table_of
 from oscidmd.modes import (
     DAMPING_CRITICAL,
     DAMPING_DECAYING,
     DAMPING_GROWING,
     ModeReport,
     _envelopes,
-    integral_contribution,
-    retained_oscillatory,
 )
 
 
@@ -139,7 +139,7 @@ class TestIntegralContribution:
 
 class TestClassify:
     def test_reports_keep_no_instance_dict(self, ac_mrdmd):
-        """Reports are slotted: a long MR-DMD run holds thousands, twice (all_modes and classified)."""
+        """Rows are slotted: a table builds one per row read (iteration here)."""
         *_, reports = ac_mrdmd
         assert not any(hasattr(r, "__dict__") for r in reports)
 
@@ -151,7 +151,7 @@ class TestClassify:
             make_report(freq=6.0, growth=0.5),
             make_report(freq=7.0, growth=-0.5),
         ]
-        out = od.classify(reports, eps_crit=0.5)
+        out = od.classify(table_of(reports), eps_crit=0.5)
         assert [r.damping_class for r in out] == [
             DAMPING_DECAYING,
             DAMPING_CRITICAL,
@@ -166,27 +166,28 @@ class TestClassify:
             make_report(freq=9.0, ic=30.0),
             make_report(freq=6.0, ic=20.0),
         ]
-        out = od.classify(reports)
+        out = od.classify(table_of(reports))
         assert [r.dominant_rank for r in out] == [3, 1, 2]
 
     def test_zero_frequency_unranked(self):
-        out = od.classify([make_report(freq=0.0, ic=1e9), make_report(freq=5.0, ic=1.0)])
+        out = od.classify(table_of([make_report(freq=0.0, ic=1e9), make_report(freq=5.0, ic=1.0)]))
         assert out[0].dominant_rank is None
         assert out[1].dominant_rank == 1
 
     def test_screened_out_modes_unranked(self):
-        out = od.classify([make_report(freq=5.0, ic=10.0, slow=False), make_report(freq=6.0, ic=1.0)])
+        out = od.classify(table_of([make_report(freq=5.0, ic=10.0, slow=False), make_report(freq=6.0, ic=1.0)]))
         assert out[0].dominant_rank is None
         assert out[1].dominant_rank == 1
 
     def test_tie_break_frequency_then_level(self):
         reports = [
             make_report(level=2, freq=9.0, ic=5.0),
+            make_report(level=1, bin_index=3, freq=4.0, ic=5.0),
             make_report(level=1, freq=4.0, ic=5.0),
             make_report(level=1, freq=9.0, ic=5.0),
         ]
-        out = od.classify(reports)
-        assert [r.dominant_rank for r in out] == [3, 1, 2]
+        out = od.classify(table_of(reports))
+        assert [r.dominant_rank for r in out] == [4, 2, 1, 3]
 
     def test_sideband_pair_outranks_other_modes(self):
         reports = [
@@ -196,21 +197,21 @@ class TestClassify:
             make_report(level=5, freq=23.0, growth=-4.0, ic=400.0),
             make_report(level=3, freq=12.0, growth=0.1, ic=50.0),
         ]
-        clusters = od.cluster_sustained(od.classify(reports))
+        clusters = od.cluster_sustained(od.classify(table_of(reports)))
         non_fund = [c for c in clusters if abs(c.frequency_hz - 50.0) > 0.5]
         assert non_fund[0].frequency_hz == pytest.approx(41.4)
         assert non_fund[1].frequency_hz == pytest.approx(58.6)
 
-    def test_returns_new_list(self):
-        reports = [make_report()]
+    def test_returns_new_table(self):
+        reports = table_of([make_report()])
         out = od.classify(reports)
         assert out is not reports
-        assert reports[0].damping_class is None
+        assert reports[0].damping_class is None and out[0].damping_class == DAMPING_CRITICAL
 
     @pytest.mark.parametrize("eps_crit", [-0.1, float("nan")])
     def test_negative_or_nan_band_rejected(self, eps_crit):
         with pytest.raises(ValueError, match="eps_crit"):
-            od.classify([make_report()], eps_crit=eps_crit)
+            od.classify(table_of([make_report()]), eps_crit=eps_crit)
 
 
 class TestReportsFromDmd:
@@ -310,7 +311,7 @@ class TestClusters:
     def test_groups_match_a_per_level_pass(self):
         """Clusters equal grouping each level's candidates alone, sorted by (frequency, bin)."""
         rng = np.random.default_rng(3)
-        reports = od.classify([
+        reports = od.classify(table_of([
             make_report(
                 level=int(rng.integers(1, 5)),
                 bin_index=int(rng.integers(0, 8)),
@@ -320,7 +321,7 @@ class TestClusters:
                 slow=bool(rng.random() < 0.9),
             )
             for _ in range(400)
-        ])
+        ]))
         candidates = [r for r in reports if retained_oscillatory(r) and abs(r.growth_rate) <= 0.5]
         want = []
         for level in sorted({r.level for r in candidates}):
@@ -342,11 +343,85 @@ class TestClusters:
         assert [(c.level, c.members) for c in got] == want
 
     def test_strongest_oscillatory_fallback(self):
-        reports = od.classify([make_report(freq=4.0, growth=-9.0, ic=7.0)])
+        reports = od.classify(table_of([make_report(freq=4.0, growth=-9.0, ic=7.0)]))
         assert od.dominant_cluster(reports) is None
         fb = od.strongest_oscillatory(reports)
         assert fb is not None and fb.frequency_hz == 4.0
 
     def test_empty_reports(self):
-        assert od.dominant_cluster([]) is None
-        assert od.strongest_oscillatory([]) is None
+        assert od.dominant_cluster(table_of([])) is None
+        assert od.strongest_oscillatory(table_of([])) is None
+
+
+def assert_bits(got: np.ndarray, want: list) -> None:
+    want = np.array(want, dtype=got.dtype)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def per_row_oracle(name: str):
+    """(classified table, oracle rows classified per row) of one CLI analysis."""
+    from oscidmd.cli import RunConfig, _analyze_dmd_core, _analyze_mrdmd_core, _load_record
+
+    gap = dict(gap_start=2000, gap_length=250)
+    cfg = {
+        "lfo_gap_mrdmd": RunConfig(profile="lfo_udc", mu=16, **gap),
+        "ac_hold_mrdmd": RunConfig(profile="ac_in", stack_depth=200, mu=50, fill_policy="hold", **gap),
+        "lfo_gap_dmd": RunConfig(profile="lfo_udc", **gap),
+    }[name]
+    cfg.validate()
+    record, _ = _load_record(cfg)
+    if name.endswith("_dmd"):
+        table, _, fit, depth = _analyze_dmd_core(cfg, record)
+        rows = oracles.reports_from_dmd(fit, 1.0 / record.dt, record.length - depth)
+    else:
+        table, _, result, mrdmd_plan, _ = _analyze_mrdmd_core(cfg, record)
+        nodes, stack = [], [result.root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].children)
+        rows = [
+            r
+            for node in sorted(nodes, key=lambda node: (node.level, node.bin_index))
+            if node.dmd is not None
+            for r in oracles.reports_from_dmd(node.dmd, node.f_sp, mrdmd_plan.mu, node.level, node.bin_index,
+                                              set(node.slow_set))
+        ]
+    return table, oracles.classify(rows, cfg.eps_crit)
+
+
+@pytest.fixture(scope="module", params=["lfo_gap_mrdmd", "ac_hold_mrdmd", "lfo_gap_dmd"])
+def table_and_oracle(request):
+    return per_row_oracle(request.param)
+
+
+class TestTableMatchesPerRowOracle:
+    """The columnar table, ranks and clusters equal the per-row reference bit for bit."""
+
+    def test_every_column(self, table_and_oracle):
+        table, rows = table_and_oracle
+        assert len(table) == len(rows) > 100
+        for name in ("level", "bin_index", "eigenvalue", "omega", "frequency_hz", "growth_rate",
+                     "amplitude_mag", "integral_contribution", "pair"):
+            assert_bits(getattr(table, name), [getattr(r, name) for r in rows])
+        if rows[0].slow is None:
+            assert table.slow is None
+        else:
+            assert_bits(table.slow, [r.slow for r in rows])
+            assert 0 < np.count_nonzero(table.slow) < len(table)
+        assert list(table) == rows
+
+    def test_damping_classes_and_ranks(self, table_and_oracle):
+        table, rows = table_and_oracle
+        assert [od.modes.DAMPING_CLASSES[c] for c in table.damping_class.tolist()] == [r.damping_class for r in rows]
+        assert [None if k < 0 else k for k in table.dominant_rank.tolist()] == [r.dominant_rank for r in rows]
+        assert np.count_nonzero(table.dominant_rank > 0) > 10
+
+    def test_clusters(self, table_and_oracle):
+        table, rows = table_and_oracle
+        got, want = od.cluster_sustained(table), oracles.cluster_sustained(rows)
+        assert [(c.level, c.members) for c in got] == [(c.level, c.members) for c in want]
+        assert_bits(np.array([c.aggregate_ic for c in got]), [c.aggregate_ic for c in want])
+        assert [c.best for c in got] == [c.best for c in want]
+        assert od.strongest_oscillatory(table) == max(
+            (r for r in rows if oracles.retained_oscillatory(r)), key=lambda r: (r.integral_contribution, -r.frequency_hz)
+        )

@@ -499,7 +499,7 @@ class TestDecompose:
         for level in (2, 3):
             assert energy[level - 1] <= 1e-8 * osc_energy
         assert energy[3] >= 0.98 * osc_energy
-        cluster = od.dominant_cluster(od.classify(list(res.all_modes)))
+        cluster = od.dominant_cluster(od.classify(res.all_modes))
         assert cluster.level == 4
         assert cluster.best.frequency_hz == pytest.approx(8.6, abs=0.05)
 
