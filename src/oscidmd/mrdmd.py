@@ -8,8 +8,8 @@ is halved and recursed until the termination level, which is the largest L
 keeping more than mu columns per bin.
 
 The recursion is one generator, ``_walk``, that yields each bin in
-pre-order (a bin, then its left half, then its right half) with its fit
-and slow modes; ``decompose`` and the dense view are plain loops over it.
+pre-order (a bin, then its left half, then its right half) with its slow
+modes; ``decompose`` and the dense view are plain loops over it.
 The implementation is matrix-free. A bin's fit reads only its mu
 subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts its
@@ -59,6 +59,7 @@ import numpy as np
 
 from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd, fold_pairs
 from .dmd import product_antidiagonal_sums
+from .ingest import _DT_REL_TOL
 from .modes import ModeTable, mode_table
 from .stacking import antidiagonal_counts
 
@@ -92,7 +93,10 @@ class PlanError(ValueError):
 
 
 def _as_fraction(value, name: str) -> Fraction:
-    """Exact rational view of a parameter; floats snap to the nearest simple ratio."""
+    """Exact rational view of a parameter.
+
+    A float snaps to the nearest ratio of denominator <= 10^9 (0.0004 to 1/2500) only within ``_DT_REL_TOL``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -105,7 +109,9 @@ def _as_fraction(value, name: str) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise PlanError(f"{name} must be finite")
-        return Fraction(value).limit_denominator(_MAX_DT_DENOMINATOR)
+        exact = Fraction(value)
+        snapped = exact.limit_denominator(_MAX_DT_DENOMINATOR)
+        return snapped if abs(snapped - exact) <= _DT_REL_TOL * abs(exact) else exact
     raise PlanError(f"{name} must be rational, got {type(value).__name__}")
 
 
@@ -147,7 +153,8 @@ def plan(
     """Build the decomposition plan for n snapshot columns at interval dt.
 
     The termination level defaults to the largest L with
-    floor(n / 2^(L-1)) > mu; an override must still satisfy that bound.
+    floor(n / 2^(L-1)) > mu, that is 2^(L-1) <= n // (mu + 1); an
+    override must still satisfy that bound.
     """
     if n < 2:
         raise PlanError("need at least 2 snapshot columns")
@@ -160,18 +167,13 @@ def plan(
         raise PlanError(
             f"cannot subsample level 1: mu={mu} must be smaller than the n={n} snapshot columns"
         )
-    level_max = 1
-    while n // (2**level_max) > mu:
-        level_max += 1
-    if termination_level is not None:
-        if termination_level < 1 or n // (2 ** (termination_level - 1)) <= mu:
-            raise PlanError(
-                f"termination level {termination_level} violates the bin-size criterion "
-                f"n / 2^(L-1) > mu (n={n}, mu={mu}, max feasible L={level_max})"
-            )
-        level = termination_level
-    else:
-        level = level_max
+    level_max = (n // (mu + 1)).bit_length()
+    level = level_max if termination_level is None else termination_level
+    if not 1 <= level <= level_max:
+        raise PlanError(
+            f"termination level {termination_level} violates the bin-size criterion "
+            f"n / 2^(L-1) > mu (n={n}, mu={mu}, max feasible L={level_max})"
+        )
 
     dt_exact = _as_fraction(dt, "dt")
     if not dt_exact > 0:
@@ -195,11 +197,16 @@ def plan(
                 f_slow_max=f_m / g_frac,
             )
         )
+    try:  # the window is the plan's longest duration and the last level's f_sp its highest rate
+        rho = math.pi / float(g_frac)
+        float(window), float(table[-1].f_sp)
+    except OverflowError as exc:
+        raise PlanError(f"g={g} and dt={dt} put the plan beyond the float range") from exc
     return MrdmdPlan(
         mu=mu,
         termination_level=level,
         g=g_frac,
-        rho=math.pi / float(g_frac),
+        rho=rho,
         n=n,
         dt=float(dt),
         dt_exact=dt_exact,
@@ -307,26 +314,18 @@ class SlowModes:
             dt=dt,
         )
 
-    @property
-    def width(self) -> int:
-        return self.col_span[1] - self.col_span[0]
-
-    def at_offsets(self, offsets: np.ndarray) -> np.ndarray:
-        """The slow reconstruction at column offsets: Re(modes @ C) as one real product on the modes' float view."""
-        tau = self.dt * np.asarray(offsets)
-        coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
-        real = np.stack((coeff.real, -coeff.imag), axis=1).reshape(2 * coeff.shape[0], coeff.shape[1])
-        return np.ascontiguousarray(self.modes).view(float) @ real
-
     def at(self, cols: np.ndarray) -> np.ndarray:
         """The slow reconstruction at absolute snapshot columns inside the bin.
 
-        One product padded to whole ``_TILE``-column tiles: no column lies in
-        a partial tile, so each is bit for bit the full-span product's.
+        Re(modes @ C) as one real product on the modes' float view, padded
+        to whole ``_TILE``-column tiles: no column lies in a partial tile,
+        so each is bit for bit the full-span product's.
         """
         offsets = np.asarray(cols) - self.col_span[0]
-        padded = np.concatenate([offsets, np.zeros(-offsets.size % _TILE, dtype=int)])
-        return self.at_offsets(padded)[:, : offsets.size]
+        tau = self.dt * np.concatenate([offsets, np.zeros(-offsets.size % _TILE, dtype=int)])
+        coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
+        real = np.stack((coeff.real, -coeff.imag), axis=1).reshape(2 * coeff.shape[0], coeff.shape[1])
+        return (np.ascontiguousarray(self.modes).view(float) @ real)[:, : offsets.size]
 
     def antidiagonal_sums(self) -> np.ndarray:
         """Anti-diagonal sums of the slow reconstruction over the whole bin.
@@ -338,9 +337,10 @@ class SlowModes:
         exp(omega_k * dt)), taken by FFT (``dmd.product_antidiagonal_sums``)
         in O(r_slow * (rows + width) * log) instead of O(rows * width * r_slow).
         """
-        tau = self.dt * np.arange(self.width)[None, :]
+        width = self.col_span[1] - self.col_span[0]
+        tau = self.dt * np.arange(width)[None, :]
         return product_antidiagonal_sums(
-            self.modes, lambda k: self.amplitudes[k, None] * np.exp(self.omega[k, None] * tau), self.width
+            self.modes, lambda k: self.amplitudes[k, None] * np.exp(self.omega[k, None] * tau), width
         )
 
 
@@ -374,16 +374,8 @@ def slow_reconstruction(
     dt: float,
     f_sp: float,
 ) -> np.ndarray:
-    """Full-resolution reconstruction of the slow modes over a bin.
-
-    ``SlowModes.at_offsets`` at every offset of the span; only the span's
-    width matters.
-    """
-    start, stop = span
-    width = stop - start
-    if width < 1:
-        raise ValueError("span must cover at least one column")
-    return SlowModes.of(node_dmd, slow_set, span, dt, f_sp).at_offsets(np.arange(width))
+    """Full-resolution reconstruction of the slow modes over a bin: ``SlowModes.at`` every column of the span."""
+    return SlowModes.of(node_dmd, slow_set, span, dt, f_sp).at(np.arange(*span))
 
 
 @dataclass(frozen=True)
@@ -392,16 +384,15 @@ class MrdmdNode:
 
     ``dmd`` is the bin's fit without its modes (None for a zero-signal
     bin) and ``slow_set`` indexes the fit's slow modes.
-    ``f_sp`` is the bin's subsample rate; the full-resolution column
-    interval is the plan's ``dt``. A node holds no m-row array: the bin's
-    slow modes live on the recursion stack only while its descendants are
-    fitted.
+    ``f_sp`` is the rate of the bin's subsample columns, ``subsample(col_span,
+    plan.mu)``; the full-resolution column interval is the plan's ``dt``. A node holds
+    no m-row array: the bin's slow modes live on the recursion stack only
+    while its descendants are fitted.
     """
 
     level: int
     bin_index: int
     col_span: tuple[int, int]
-    subsample_indices: np.ndarray
     dmd: BinFit | None
     slow_set: tuple[int, ...]
     f_sp: float
@@ -410,22 +401,22 @@ class MrdmdNode:
 
 def _walk(
     data: np.ndarray, mrdmd_plan: MrdmdPlan, rule: TruncationRule
-) -> Iterator[tuple[MrdmdNode, DmdResult | None, SlowModes | None]]:
+) -> Iterator[tuple[MrdmdNode, SlowModes | None]]:
     """The recursion over ``data``: yields each bin as it is fitted.
 
     Pre-order per bin (a bin, then its left half, then its right half):
     gather the bin's mu subsample columns, subtract the lineage factor it
     received evaluated at those columns (one product for all ancestors),
-    decompose, screen slow modes, then yield ``(node, fit, slow_modes)``:
-    the bin's childless node, its fit (None when nothing above rounding is
-    left, ``_ROUNDING_FLOOR``) and its slow modes (None when it has none). Bins of odd width
-    split with the larger half first. A bin with slow modes appends them
-    to its factor (``lineage_factor``), built once and shared by both
-    halves; a bin without passes its factor on unchanged. A bin's factor
-    and its fit, with the fit's m x mu basis, are freed when the
-    bin's subtree is done, so at most one of each per level is alive at a
-    time unless the consumer holds them. The same input gives the same
-    fits, bit for bit, on every walk.
+    decompose, screen slow modes, then yield ``(node, slow_modes)``: the
+    bin's childless node, whose ``dmd`` is None when nothing above
+    rounding is left (``_ROUNDING_FLOOR``), and its slow modes (None when
+    it has none). Bins of odd width split with the larger half first. A
+    bin with slow modes appends them to its factor (``lineage_factor``),
+    built once and shared by both halves; a bin without passes its factor
+    on unchanged. Only the walk holds a bin's fit: it and the bin's
+    factor, with the fit's m x mu basis, are freed when the bin's subtree
+    is done, so at most one of each per level is alive at a time. The
+    same input gives the same fits, bit for bit, on every walk.
     """
     dt = mrdmd_plan.dt
     mu = mrdmd_plan.mu
@@ -433,7 +424,7 @@ def _walk(
 
     def recurse(
         start: int, width: int, level: int, bin_index: int, lineage: SlowModes | None
-    ) -> Iterator[tuple[MrdmdNode, DmdResult | None, SlowModes | None]]:
+    ) -> Iterator[tuple[MrdmdNode, SlowModes | None]]:
         span = (start, start + width)
         cols = subsample(span, mu)
         f_sp = mu / (width * dt)
@@ -455,7 +446,7 @@ def _walk(
             if slow:
                 own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
         binfit = None if fit is None else BinFit.of(fit)
-        yield MrdmdNode(level, bin_index, span, cols, binfit, slow, f_sp), fit, own
+        yield MrdmdNode(level, bin_index, span, binfit, slow, f_sp), own
         # This frame lives until both halves are done: free the bin's input
         # first. The fit (its basis Q) is freed on return, not here: m-row
         # arrays freed ahead of the halves' allocations let glibc trim the
@@ -507,12 +498,10 @@ class MrdmdResult:
         zeros + level 1 + level 2 + ...
         """
         total = np.zeros(self.data.shape)
-        for node, fit, own in _walk(self.data, self.plan, self.rule):
+        for node, own in _walk(self.data, self.plan, self.rule):
             if own is not None:
                 start, stop = node.col_span
                 total[:, start:stop] += own.at(np.arange(start, stop))
-            # held across the next step, they would stay alive while the next bin is fitted
-            del fit, own
         total.setflags(write=False)
         return total
 
@@ -571,15 +560,11 @@ def decompose(
 
     level_sums = np.zeros((mrdmd_plan.termination_level, m + n - 1))
     nodes = []
-    for node, fit, own in _walk(data, mrdmd_plan, rule):
+    for node, own in _walk(data, mrdmd_plan, rule):
         if own is not None:
             start, stop = node.col_span
             level_sums[node.level - 1, start : stop + m - 1] += own.antidiagonal_sums()
         nodes.append(node)
-        # The walk frees a bin's fit and slow modes once its subtree is done;
-        # held here across the next step, they would stay alive while the
-        # next bin is fitted.
-        del fit, own
 
     root = _subtree(iter(nodes), mrdmd_plan.termination_level)
     # the table lists the levels in order and each level's bins left to right

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oscidmd as od
-from oscidmd.mrdmd import _ROUNDING_FLOOR, DEFAULT_BIN_RULE, SlowModes, lineage_factor
+from oscidmd.mrdmd import _ROUNDING_FLOOR, DEFAULT_BIN_RULE, SlowModes, lineage_factor, subsample
 
 GAP_START = 2000
 GAP_LENGTH = 250  # 0.1 s at 2500 Hz
@@ -80,9 +80,10 @@ def ac_mrdmd():
 def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
     """Yield (node, bin input, refit, slow modes) for every fitted bin of a decomposition, root first.
 
-    A bin's input is ``data[:, cols]`` at its subsample columns less the
-    lineage factor it received at ``cols``, as ``decompose`` forms it. Each
-    bin's slow modes are built here from its own refit,
+    A bin's input is ``data[:, cols]`` at its subsample columns
+    ``cols = subsample(node.col_span, mu)`` less the lineage factor it
+    received at ``cols``, as ``decompose`` forms it. Each bin's slow modes
+    are built here from its own refit,
     ``SlowModes.of(refit, node.slow_set, node.col_span, result.plan.dt,
     node.f_sp)``, and a bin with slow modes passes
     ``lineage_factor(received, slow)`` to its halves, so the lineage is
@@ -92,7 +93,7 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
     """
 
     def walk(node, lineage):
-        cols = node.subsample_indices
+        cols = subsample(node.col_span, result.plan.mu)
         xsub = data[:, cols]
         floor = _ROUNDING_FLOOR * np.linalg.norm(xsub)
         if lineage is not None:

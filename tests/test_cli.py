@@ -37,6 +37,7 @@ from oscidmd import modes
 from oscidmd.ingest import IngestConfig
 from oscidmd.modes import ModeReport
 from oscidmd.mrdmd import plan
+import oscidmd.mrdmd as mrdmd_module
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,35 @@ class TestAnalyzeMrdmd:
         assert report["stability"]["verdict"] != "sustained-oscillation"
         levels = {row.split(",")[0] for row in (out / "modes.csv").read_text().splitlines()[1:]}
         assert levels == {"1"}
+
+    def test_leading_gap_makes_the_root_a_zero_signal_bin(self, runner, tmp_path, monkeypatch):
+        """A zero-filled gap over the first 4700 samples leaves the root's first mu - 1 subsample columns zero.
+
+        Its last column is not, so the root's fit raises ZeroSignalError; the
+        walk keeps the root as a zero-signal bin and goes on below it.
+        """
+        raised = []
+        fit_bin = mrdmd_module.dmd
+
+        def counted(*args):
+            try:
+                return fit_bin(*args)
+            except od.ZeroSignalError:
+                raised.append(args)
+                raise
+
+        monkeypatch.setattr(mrdmd_module, "dmd", counted)
+        cfg = RunConfig(profile="lfo_udc", gap_start=0, gap_length=4700)
+        record, _ = _load_record(cfg)
+        _, series, result, _, _ = _analyze_mrdmd_core(cfg, record)
+        assert len(raised) == 1
+        assert result.root.dmd is None and result.root.slow_set == ()
+        assert np.all(np.isfinite(series))
+        out = tmp_path / "out"
+        run = runner.invoke(cli, ["analyze", "mrdmd", "--profile", "lfo_udc", "--gap-start", "0",
+                                  "--gap-length", "4700", "--out", str(out)])
+        assert run.exit_code == 0, run.output
+        jsonschema.validate(json.loads((out / "report.json").read_text()), load_schema())
 
     def test_mu_exceeding_columns_rejected(self, runner, tmp_path):
         result = runner.invoke(
@@ -579,6 +609,24 @@ class TestPlanCommand:
     def test_invalid_plan_rejected(self, runner):
         result = runner.invoke(cli, ["analyze", "plan", "--n", "10", "--dt", "0.1", "--mu", "50"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "plan", "--n", "4000", "--dt", "4e-4"],
+        ["analyze", "mrdmd", "--profile", "lfo_udc"],
+    ])
+    def test_g_beyond_the_float_range_is_one_json_error(self, runner, tmp_path, command):
+        result = runner.invoke(cli, [*command, "--g", "1e400", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        (line,) = result.stderr.strip().splitlines()
+        assert json.loads(line)["error"]["kind"] == "PlanError"
+        assert not (tmp_path / "x").exists()
+
+    def test_window_uses_the_exact_dt(self, runner):
+        # dt = 7e-10 is no longer taken as the nearest ratio with a denominator of at most 10^9, 1e-9
+        result = runner.invoke(cli, ["analyze", "plan", "--n", "4000", "--dt", "7e-10"])
+        assert result.exit_code == 0, result.output
+        assert "window=2.8e-06 s" in result.output
 
 
 class TestGenerate:

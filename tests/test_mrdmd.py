@@ -78,6 +78,20 @@ class TestPlan:
         with pytest.raises(PlanError):
             od.plan(100, 0.1, mu=4, g="2/3")
 
+    @pytest.mark.parametrize("g, dt", [("1e400", 4e-4), (4, 5e-324), (4, 1e308)])
+    def test_plan_beyond_the_float_range_rejected(self, g, dt):
+        # rho = pi / g, the window n * dt or the last level's f_sp would not be a float
+        with pytest.raises(PlanError, match="beyond the float range"):
+            od.plan(4000, dt, mu=16, g=g)
+
+    def test_float_dt_snaps_only_within_one_part_per_million(self):
+        assert od.plan(4000, 4e-4).dt_exact == Fraction(1, 2500)
+        # the nearest ratio with a denominator of at most 10^9 is 1e-9 (+43 %) and 0
+        for dt in (7e-10, 1e-300):
+            plan = od.plan(4000, dt)
+            assert plan.dt_exact == Fraction(dt)
+            assert float(plan.window_duration) == 4000 * dt
+
     def test_g_accepts_rational_strings(self):
         plan = od.plan(100, 0.1, mu=4, g="8/3")
         assert plan.g == Fraction(8, 3)
@@ -97,9 +111,12 @@ class TestPlan:
             assert b.f_m == 2 * a.f_m
             assert b.f_sp == 2 * a.f_sp
             assert b.bins == 2 * a.bins
-        # every level obeys the bin-size criterion with integer floors
+        # every level obeys the bin-size criterion with integer floors, and the next one would not
         for lv in plan.per_level:
             assert n // lv.bins > mu
+        assert n // 2**plan.termination_level <= mu
+        with pytest.raises(PlanError, match=f"max feasible L={plan.termination_level}"):
+            od.plan(n, Fraction(num, 10000), mu=mu, g=Fraction(7, 2), termination_level=plan.termination_level + 1)
 
 
 class TestSubsample:
@@ -371,9 +388,9 @@ class TestFoldedPairs:
         )
         pairs = int(np.sum(fit.eigenvalues[idx].imag > 0))
         assert folded.modes.shape[1] == idx.size - pairs
-        offsets = np.arange(span[1] - span[0])
+        cols = np.arange(*span)
         for got, want in (
-            (folded.at_offsets(offsets), unfolded.at_offsets(offsets)),
+            (folded.at(cols), unfolded.at(cols)),
             (folded.antidiagonal_sums(), unfolded.antidiagonal_sums()),
         ):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -423,13 +440,13 @@ class TestSlowAtTiles:
             tail = (stop - start) - (stop - start) % _TILE
             for child in node.children:
                 for grandchild in child.children or (child,):
-                    offsets = grandchild.subsample_indices - start
-                    head = offsets[offsets < tail]
+                    cols = subsample(grandchild.col_span, res.plan.mu)
+                    head = cols[cols < start + tail]
                     pad = -head.size % _TILE
-                    padded = slow.at_offsets(
-                        np.concatenate([head, np.zeros(pad, dtype=int), np.arange(tail, stop - start)])
+                    padded = slow.at(
+                        np.concatenate([head, np.full(pad, start), np.arange(start + tail, stop)])
                     )[:, : head.size]
-                    assert np.array_equal(slow.at(head + start), padded)
+                    assert np.array_equal(slow.at(head), padded)
                     checked += 1
         assert checked > 100
 
@@ -459,7 +476,7 @@ class TestSlowAtTiles:
             ancestors = [received[level, node.bin_index >> (node.level - level)][0]
                          for level in range(1, node.level)]
             most = max(most, sum(bool(a.slow_set) for a in ancestors))
-            cols = node.subsample_indices
+            cols = subsample(node.col_span, res.plan.mu)
             full = lineage.at(np.arange(*lineage.col_span))
             start, stop = node.col_span
             origin = lineage.col_span[0]
@@ -548,9 +565,9 @@ class TestDecompose:
         depth = plan.termination_level
 
         walk = _walk(data, plan, DEFAULT_BIN_RULE)
-        first, *_ = next(walk)
+        first, _ = next(walk)
         assert len(fits) == 1
-        seen = [first, *(node for node, _, _ in walk)]
+        seen = [first, *(node for node, _ in walk)]
 
         def pre_order(level, bin_index):
             yield level, bin_index
@@ -568,7 +585,7 @@ class TestDecompose:
 
         def walk(node):
             start, stop = node.col_span
-            idx = node.subsample_indices
+            idx = subsample(node.col_span, res.plan.mu)
             assert len(idx) == res.plan.mu
             assert idx[0] == start and idx[-1] < stop
             assert np.all(np.diff(idx) >= 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -55,4 +56,13 @@ def test_named_attributes_exist():
     dotted = set(re.findall(r"(?<![\w./])oscidmd(?:\.\w+)+", text))
     assert dotted
     missing += sorted(path for path in dotted if not resolves(path))
+    # each backticked name in a "`oscidmd.<module>`: ..." bullet lives on that submodule
+    bullets = re.findall(r"^- `oscidmd\.(\w+)`:(.*(?:\n  .*)*)", text, flags=re.MULTILINE)
+    assert len(bullets) >= 3
+    missing += [
+        f"oscidmd.{module}.{name}"
+        for module, body in bullets
+        for name in re.findall(r"`(\w+)`", body)
+        if not hasattr(importlib.import_module(f"oscidmd.{module}"), name)
+    ]
     assert not missing
