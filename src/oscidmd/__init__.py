@@ -18,7 +18,7 @@ from .ingest import (
     load_csv,
     write_csv,
 )
-from .stacking import default_stack_depth, delay_embed, shifted_pair
+from .stacking import default_stack_depth, delay_embed
 from .dmd import (
     DEFAULT_RULE,
     DecompositionError,
@@ -65,7 +65,6 @@ __all__ = [
     "write_csv",
     "default_stack_depth",
     "delay_embed",
-    "shifted_pair",
     "DEFAULT_RULE",
     "DecompositionError",
     "DmdResult",

@@ -47,7 +47,7 @@ from .modes import (
 )
 from .mrdmd import DEFAULT_BIN_RULE, MrdmdPlan, MrdmdResult, decompose, plan
 from .siggen import PROFILES, generate_profile
-from .stacking import delay_embed, shifted_pair
+from .stacking import delay_embed
 
 # Unused here, but bench/spans.py wraps these names on this module by getattr.
 from .dmd import reconstruct_window  # noqa: F401
@@ -405,10 +405,9 @@ def _analyze_dmd_core(
     cfg: RunConfig, record: SignalRecord
 ) -> tuple[ModeTable, np.ndarray, DmdResult, int]:
     hankel = _embed(cfg, record)
-    x1, x2 = shifted_pair(hankel)
-    result = dmd(x1, x2, cfg.rule or DEFAULT_RULE)
+    result = dmd(hankel, cfg.rule or DEFAULT_RULE)
     reports = classify(
-        reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=x1.shape[1]),
+        reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=hankel.shape[1] - 1),
         cfg.eps_crit,
     )
     series = reconstruct_series(result, hankel.shape[1])
@@ -419,8 +418,6 @@ def _analyze_mrdmd_core(
     cfg: RunConfig, record: SignalRecord
 ) -> tuple[ModeTable, np.ndarray, MrdmdResult, MrdmdPlan, int]:
     hankel = _embed(cfg, record)
-    if hankel.shape[1] < 3:
-        raise ValueError("record too short for the multi-resolution recursion")
     n_cols = hankel.shape[1] - 1  # last column reserved for the shifted pair
     mrdmd_plan = plan(n_cols, record.dt, mu=cfg.mu, g=cfg.g, termination_level=cfg.termination_level)
     result = decompose(hankel[:, :n_cols], mrdmd_plan, cfg.rule or DEFAULT_BIN_RULE)

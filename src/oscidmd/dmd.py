@@ -1,22 +1,22 @@
-"""Best-fit linear step operator extraction from snapshot pairs (DMD).
+"""Best-fit linear step operator extraction from a snapshot matrix (DMD).
 
-Given the shifted pair X1, X2 (X2 one step ahead of X1), the method
-computes a truncated SVD X1 = U S V^T, projects the step operator onto the
-U basis as A~ = U^T X2 V S^{-1}, eigendecomposes A~ W = W L, lifts modes as
+Given the m x (n+1) snapshot matrix X, the method fits the one-step
+shifted pair X1 = X[:, :-1], X2 = X[:, 1:]: it computes a truncated SVD
+X1 = U S V^T, projects the step operator onto the U basis as
+A~ = U^T X2 V S^{-1}, eigendecomposes A~ W = W L, lifts modes as
 Phi = U W, and fits amplitudes b = W^{-1} U^T x1, the least-squares fit
-of Phi b to x1 (U has orthonormal columns). The full m x m operator is
-never formed. Reconstruction: x_j = Phi L^{j-1} b.
+of Phi b to the first snapshot x1 (U has orthonormal columns). The full
+m x m operator is never formed. Reconstruction: x_j = Phi L^{j-1} b.
 
-Hankel pairs. When X1 and X2 are the one-step shifted pair of the
-Hankel matrix of one series s and the pair is wide (n > m + 1), X1 X1^T
-and X2 X1^T are blocks of the (m+1) x (m+1) lagged Gram matrix
-G[i, j] = sum_k s[i+k] s[j+k] of the pair's m + 1 distinct rows (the
-method of snapshots, Sirovich, Q. Appl. Math. 1987; the lagged covariance
-of singular spectrum analysis, Vautard & Ghil, Physica D 1989). G costs
-O(m n + m^2): its first row is one correlation of the series, and each
-later row follows from the one above it down the diagonals,
-G[i, j] = G[i-1, j-1] + s[i-1+n] s[j-1+n] - s[i-1] s[j-1]. Then
-eigh(G[:m, :m]) = U S^2 U^T gives X1's left singular vectors and squared
+Hankel matrices. When X is the Hankel matrix of one series s and is
+wide (n > m + 1), X1 X1^T and X2 X1^T are blocks of the (m+1) x (m+1)
+lagged Gram matrix G[i, j] = sum_k s[i+k] s[j+k] of the pair's m + 1
+distinct rows (the method of snapshots, Sirovich, Q. Appl. Math. 1987;
+the lagged covariance of singular spectrum analysis, Vautard & Ghil,
+Physica D 1989). G costs O(m n + m^2): its first row is one correlation
+of the series, and each later row follows from the one above it down
+the diagonals, G[i, j] = G[i-1, j-1] + s[i-1+n] s[j-1+n] - s[i-1] s[j-1].
+Then eigh(G[:m, :m]) = U S^2 U^T gives X1's left singular vectors and squared
 singular values, and A~ = U_r^T G[1:, :m] U_r S_r^-2 is exact DMD's
 operator, with no m x n product, QR or SVD (:func:`_gram_projection`).
 Squaring the condition number is harmless while sigma_r stays well above
@@ -36,16 +36,15 @@ route resolves every singular value to about eps sigma_1. Both routes
 agree with the direct fit up to rounding, which the Gram route amplifies
 by up to (sigma_1 / sigma_r)^2.
 
-Shifted pairs. Any other pair whose X2 is X1 moved by one column (every
-MR-DMD bin) takes the R route (:func:`_shift_projection`): the thin
-Householder QR [X1 | X2[:, -1]] = Q R gives X1 = Q R[:, :-1] and
-X2 = Q R[:, 1:], and the fit runs on the mu-sized pair
-(R[:, :-1], R[:, 1:]), with U^T x1 = U_R^T R[:, 0]. It is exact DMD in
-another orthonormal basis, and the QR is backward stable, so it is the
-direct fit up to rounding at eps sigma_1. Its modes stay factored,
-Phi = Q (U_R W), and a bin lifts through Q (never through X1 V S^-1,
-which amplifies rounding by sigma_1 / sigma_r) only the columns it
-reads (:meth:`DmdResult.lifted`). Other pairs are fitted directly.
+Other snapshot matrices. Any other X (every MR-DMD bin, every tall
+Hankel matrix) takes the R route (:func:`_shift_projection`): the thin
+Householder QR X = Q R gives X1 = Q R[:, :-1] and X2 = Q R[:, 1:], and
+the fit runs on the pair (R[:, :-1], R[:, 1:]) of at most n + 1 rows,
+with U^T x1 = U_R^T R[:, 0]. It is exact DMD in another orthonormal
+basis, and the QR is backward stable, so it is the direct fit up to
+rounding at eps sigma_1. Its modes stay factored, Phi = Q (U_R W), and a
+bin lifts through Q (never through X1 V S^-1, which amplifies rounding
+by sigma_1 / sigma_r) only the columns it reads (:meth:`DmdResult.lifted`).
 
 A fit keeps what its readers use: the modes, eigenvalues and amplitudes,
 the rank and the singular values. The reduced operator and its
@@ -196,7 +195,7 @@ class DmdResult:
     The reduced operator and its eigenvectors are not kept: :func:`eig_modes`
     checks the eigen residuals and conditioning when the fit is made.
     singular_values is X1's whole spectrum. On the Gram route of a wide
-    Hankel pair (:func:`dmd`) it comes from sigma^2, so sigma_k is resolved
+    Hankel matrix (:func:`dmd`) it comes from sigma^2, so sigma_k is resolved
     to about 2 eps sigma_1^2 / sigma_k: the retained ones to better than
     2e-12 sigma_1, the ones far below the cut only to about
     sqrt(eps) sigma_1.
@@ -247,9 +246,9 @@ def svd_truncated(x: np.ndarray, rule: TruncationRule = DEFAULT_RULE) -> SvdTrun
     Singular directions below the relative floor 1e-12 never count as
     available; a rule demanding more than the available rank is clamped
     and flagged. An all-zero matrix is rejected. :func:`dmd` calls this
-    for every pair but a wide Hankel pair whose requested rank is resolved
-    from its lagged Gram matrix; there the singular values below the cut
-    are resolved only to about sqrt(eps) sigma_1 (see :class:`DmdResult`).
+    for any snapshot matrix but a wide Hankel one whose requested rank is
+    resolved from its lagged Gram matrix; there the singular values below
+    the cut are resolved only to about sqrt(eps) sigma_1 (:class:`DmdResult`).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
@@ -533,22 +532,22 @@ def reconstruct_series(result: DmdResult, n_columns: int) -> np.ndarray:
     return sums / antidiagonal_counts(modes.shape[0], n_columns)
 
 
-def _hankel_series(x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
-    """The series s with X1[i, k] = s[i + k] and X2[i, k] = s[i + k + 1], or None.
+def _hankel_series(x: np.ndarray) -> np.ndarray | None:
+    """The series s with X[i, k] = s[i + k], or None.
 
-    None unless the pair is wide (n > m + 1) and is exactly the one-step
-    shifted Hankel pair of one series. The rows are compared a block at a
-    time, so the comparison holds about (m + 1)^2 bytes, not m n.
+    None unless the m x (n+1) snapshot matrix is wide (n > m + 1) and is
+    exactly the Hankel matrix of one series. The rows are compared a block
+    at a time, so the comparison holds about (m + 1)^2 bytes, not m n.
     """
-    m, n = x1.shape
+    m, n = x.shape[0], x.shape[1] - 1
     if n <= m + 1:
         return None
-    series = np.concatenate([x1[0], x1[1:, -1], x2[-1, -1:]])
-    rows = sliding_window_view(series, n)
+    series = np.concatenate([x[0], x[1:, -1]])
+    rows = sliding_window_view(series, n + 1)
     step = max(1, (m + 1) ** 2 // n)
     for lo in range(0, m, step):
         block = slice(lo, lo + step)
-        if not (np.array_equal(rows[:-1][block], x1[block]) and np.array_equal(rows[1:][block], x2[block])):
+        if not np.array_equal(rows[block], x[block]):
             return None
     return series
 
@@ -588,7 +587,7 @@ def _lagged_gram(series: np.ndarray, n: int) -> np.ndarray:
 class _Projection(NamedTuple):
     """A fit's reduced space: X1's r retained left singular vectors U, the operator A~ on them, and X1's spectrum.
 
-    On the R route U and ``first`` (X1[:, 0]) are in the coordinates of ``basis`` Q."""
+    ``first`` is X[:, 0], which the amplitudes fit; on the R route it and U are in the coordinates of ``basis`` Q."""
 
     u: np.ndarray
     a_tilde: np.ndarray
@@ -645,28 +644,24 @@ def _gram_projection(series: np.ndarray, n: int, rule: TruncationRule) -> _Proje
     return _Projection(u, a_tilde, s, rank, False)
 
 
-def _shift_projection(x1: np.ndarray, x2: np.ndarray, rule: TruncationRule) -> _Projection:
-    """A shifted pair's projection from the thin QR [X1 | X2[:, -1]] = Q R: the SVD route on (R[:, :-1], R[:, 1:]).
-
-    The columns are stacked in Fortran order, which LAPACK takes without a transposing copy.
-    """
-    q, r = np.linalg.qr(np.concatenate([x1.T, x2[:, -1:].T]).T)
+def _shift_projection(x: np.ndarray, rule: TruncationRule) -> _Projection:
+    """X's projection from its thin QR X = Q R: the SVD route on (R[:, :-1], R[:, 1:])."""
+    q, r = np.linalg.qr(x)
     return _svd_projection(r[:, :-1], r[:, 1:], rule)._replace(basis=q, first=r[:, 0])
 
 
-def _projection(x1: np.ndarray, x2: np.ndarray, rule: TruncationRule) -> _Projection:
-    """The projection dmd() fits from: Gram or QR route (wide Hankel pair), R route (shifted pair) or direct SVD."""
-    series = _hankel_series(x1, x2)
+def _projection(x: np.ndarray, rule: TruncationRule) -> _Projection:
+    """The projection dmd() fits from: Gram or QR route (wide Hankel matrix) or R route (any other)."""
+    series = _hankel_series(x)
     if series is None:
-        if np.array_equal(x1[:, 1:], x2[:, :-1]):
-            return _shift_projection(x1, x2, rule)
-        return _svd_projection(x1, x2, rule)
-    n = x1.shape[1]
+        return _shift_projection(x, rule)
+    n = x.shape[1] - 1
     fit = _gram_projection(series, n, rule)
     if fit is None:
         low = _hankel_factor(series, n)
         fit = _svd_projection(low[:-1], low[1:], rule)
-    return fit
+    # X[:, 0] as the series holds it: contiguous whatever X's layout, so the fit does not depend on it
+    return fit._replace(first=series[: x.shape[0]])
 
 
 def _mode_order(score: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
@@ -681,38 +676,31 @@ def _mode_order(score: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
     )
 
 
-def dmd(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    rule: TruncationRule = DEFAULT_RULE,
-) -> DmdResult:
-    """Full decomposition of a shifted snapshot pair.
+def dmd(x: np.ndarray, rule: TruncationRule = DEFAULT_RULE) -> DmdResult:
+    """Exact DMD of the m x (n+1) snapshot matrix X: the fit of the pair (X[:, :-1], X[:, 1:]).
 
     Composes truncated SVD, reduced-operator projection, eigendecomposition
     and amplitude fitting. The eigenvalues are per snapshot step.
 
-    A wide pair (n > m + 1) that is the one-step shifted Hankel pair of one
-    series is fitted from the (m+1) x (m+1) lagged Gram matrix of its rows
+    A wide X (n > m + 1) that is the Hankel matrix of one series is fitted
+    from the (m+1) x (m+1) lagged Gram matrix of the pair's rows
     (:func:`_gram_projection`), or, when the requested rank's sigma_r is too
-    small to resolve from sigma^2, from the QR factor of its rows
-    (:func:`_hankel_factor`). Any other shifted pair, every tall one
-    included, takes the R route (:func:`_shift_projection`). All three are
-    exact DMD of the pair in another basis, so they give the rank, spectrum
-    and modes of the direct fit up to rounding. The amplitudes are fitted
-    to the original first snapshot X1[:, 0], in the reduced space
-    (:func:`amplitudes`). Every other pair is fitted directly. All routes
-    order the modes by the one pair rule of :class:`DmdResult`.
+    small to resolve from sigma^2, from the QR factor of those rows
+    (:func:`_hankel_factor`). Any other X, every tall one included, takes
+    the R route (:func:`_shift_projection`). The route follows X's values,
+    not its memory layout. All three are exact DMD of the pair in another
+    basis, so they give the rank, spectrum and modes of the direct fit up
+    to rounding. The amplitudes are fitted to the first snapshot X[:, 0],
+    in the reduced space (:func:`amplitudes`). All routes order the modes by
+    the one pair rule of :class:`DmdResult`.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.ndim != 2 or x1.size == 0:
-        raise DecompositionError("empty snapshot pair")
-    if x1.shape != x2.shape:
-        raise ValueError(f"snapshot pair shapes differ: {x1.shape} vs {x2.shape}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] < 2:
+        raise DecompositionError(f"need a 2-D snapshot matrix with rows and at least 2 columns, got shape {x.shape}")
 
-    fit = _projection(x1, x2, rule)
+    fit = _projection(x, rule)
     w, eigvals, coefficients = eig_modes(fit.a_tilde, fit.u)
-    b = amplitudes(fit.u, w, x1[:, 0] if fit.basis is None else fit.first)
+    b = amplitudes(fit.u, w, fit.first)
 
     # ||phi_k|| = 1, so |b_k| is the score. The members of a conjugate pair
     # (adjacent in eig's output) score equally up to rounding; ranking both

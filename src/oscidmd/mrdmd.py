@@ -14,15 +14,16 @@ The implementation is matrix-free. A bin's fit reads only its mu
 subsample columns, and slow modes are analytic in time, so each bin
 gathers those columns from the snapshot matrix and subtracts its
 ancestors' slow modes evaluated there, in one product; no residual is
-formed at full resolution. A bin is fitted in the R factor of its
-columns (``dmd``'s R route), and only its slow modes are lifted to m
-rows, once (``SlowModes``: the mode shapes, amplitudes and continuous
-eigenvalues, one column per conjugate pair). A bin with slow modes
-appends them to the lineage factor it received (``lineage_factor``: one
-``SlowModes`` holding every ancestor's slow columns, amplitudes re-based
-to the bin's start) and passes the result to both halves. The factor and the fit's m x mu
-basis are freed when the bin's subtree is done, so at most one of each
-per level is alive at a time. The node keeps only the bin's
+formed at full resolution. Those mu columns are the bin's snapshot
+matrix, which ``dmd`` fits in its R factor (the R route), and only its
+slow modes are lifted to m rows, once (``SlowModes``: the mode shapes,
+amplitudes and continuous eigenvalues, one column per conjugate pair).
+A bin with slow modes appends them to the lineage factor it received
+(``lineage_factor``: one ``SlowModes`` holding every ancestor's slow
+columns, amplitudes re-based to the bin's start) and passes the result
+to both halves. The factor and the fit's m x mu basis are freed when
+the bin's subtree is done, so at most one of each per level is alive at
+a time. The node keeps only the bin's
 geometry, its fit as a ``BinFit`` (eigenvalues, amplitudes, rank and
 singular values) and its slow set: no m-row array. A bin's contribution to
 its level's series is the anti-diagonal sums of its slow reconstruction,
@@ -407,7 +408,7 @@ def _walk(
     Pre-order per bin (a bin, then its left half, then its right half):
     gather the bin's mu subsample columns, subtract the lineage factor it
     received evaluated at those columns (one product for all ancestors),
-    decompose, screen slow modes, then yield ``(node, slow_modes)``: the
+    decompose them as one snapshot matrix, screen slow modes, then yield ``(node, slow_modes)``: the
     bin's childless node, whose ``dmd`` is None when nothing above
     rounding is left (``_ROUNDING_FLOOR``), and its slow modes (None when
     it has none). Bins of odd width split with the larger half first. A
@@ -435,7 +436,7 @@ def _walk(
         fit = None
         if np.linalg.norm(xsub) > floor:
             try:
-                fit = dmd(xsub[:, :-1], xsub[:, 1:], rule)
+                fit = dmd(xsub, rule)
             except ZeroSignalError:
                 pass
         slow: tuple[int, ...] = ()

@@ -41,13 +41,6 @@ def delay_embed(rec: SignalRecord, channel: str | None = None, stack_depth: int 
     return sliding_window_view(x, length - depth + 1)
 
 
-def shifted_pair(hankel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split snapshots into the time-shifted pair (columns 0..n-2, 1..n-1)."""
-    if hankel.shape[1] < 2:
-        raise ValueError("need at least 2 snapshot columns to form a shifted pair")
-    return hankel[:, :-1], hankel[:, 1:]
-
-
 def antidiagonal_counts(m: int, n: int) -> np.ndarray:
     """Number of entries on each of the m + n - 1 anti-diagonals of an m x n matrix."""
     k = np.arange(m + n - 1)

@@ -39,10 +39,9 @@ def lfo_gapped_embedded(lfo_gapped):
 @pytest.fixture(scope="session")
 def lfo_clean_dmd(lfo_clean, lfo_clean_embedded):
     rec, _ = lfo_clean
-    x1, x2 = od.shifted_pair(lfo_clean_embedded)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE)
+    result = od.dmd(lfo_clean_embedded, od.DEFAULT_RULE)
     reports = od.classify(
-        od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
+        od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=lfo_clean_embedded.shape[1] - 1)
     )
     return result, reports
 
@@ -50,10 +49,9 @@ def lfo_clean_dmd(lfo_clean, lfo_clean_embedded):
 @pytest.fixture(scope="session")
 def lfo_gapped_dmd(lfo_gapped, lfo_gapped_embedded):
     rec, _ = lfo_gapped
-    x1, x2 = od.shifted_pair(lfo_gapped_embedded)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE)
+    result = od.dmd(lfo_gapped_embedded, od.DEFAULT_RULE)
     reports = od.classify(
-        od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
+        od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=lfo_gapped_embedded.shape[1] - 1)
     )
     return result, reports
 
@@ -101,9 +99,9 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
         if node.dmd is None:
             if np.linalg.norm(xsub) > floor:
                 with pytest.raises(od.ZeroSignalError):
-                    od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
+                    od.dmd(xsub, rule)
         else:
-            fit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
+            fit = od.dmd(xsub, rule)
             assert np.array_equal(fit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
             slow = SlowModes.of(fit, node.slow_set, node.col_span, result.plan.dt, node.f_sp)

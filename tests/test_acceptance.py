@@ -91,9 +91,8 @@ def test_c2_dmd_oracle_recovery():
         dc=0.0, fs=2500.0, duration=2.0, noise_std=0.0,
     )
     hankel = od.delay_embed(rec, "signal", 200)
-    x1, x2 = od.shifted_pair(hankel)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE)
-    reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
+    result = od.dmd(hankel, od.DEFAULT_RULE)
+    reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=hankel.shape[1] - 1)
     elapsed = time.perf_counter() - t0
 
     ok = elapsed < 5.0
@@ -161,10 +160,9 @@ def test_c5_robustness_comparison(timed_lfo_mrdmd):
     truth = profile.dominant_truth()
 
     hankel = od.delay_embed(gapped, "u_dc", 1000)
-    x1, x2 = od.shifted_pair(hankel)
-    result = od.dmd(x1, x2, od.DEFAULT_RULE)
+    result = od.dmd(hankel, od.DEFAULT_RULE)
     dmd_reports = od.classify(
-        od.reports_from_dmd(result, f_sp=1.0 / gapped.dt, horizon_steps=x1.shape[1])
+        od.reports_from_dmd(result, f_sp=1.0 / gapped.dt, horizon_steps=hankel.shape[1] - 1)
     )
     dmd_series = unembed(reconstruct_window(result, hankel.shape[1]).real)
 
@@ -197,7 +195,7 @@ class TestC6PropertySuites:
             m = int(rng.integers(3, 8))
             n = int(rng.integers(m + 8, 50))
             x = rng.normal(size=(m, n))
-            result = od.dmd(x[:, :-1], x[:, 1:], TruncationRule.fixed(m))
+            result = od.dmd(x, TruncationRule.fixed(m))
             lam, phi, b = result.eigenvalues, result.modes, result.amplitudes
             scale_b = max(1.0, float(np.max(np.abs(b))))
             for k in range(lam.size):

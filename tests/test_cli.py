@@ -277,6 +277,44 @@ class TestAnalyzeMrdmd:
         assert err["error"]["kind"] == "PlanError"
         assert "mu=5000" in err["error"]["message"]
 
+    def test_record_too_short_for_a_plan_is_one_plan_error(self, runner, tmp_path):
+        """A depth that leaves the Hankel matrix 2 columns gives the plan one: plan() rejects it."""
+        result = runner.invoke(
+            cli, ["analyze", "mrdmd", "--profile", "lfo_udc", "--stack", "4999",
+                  "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        (line,) = result.stderr.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"]["kind"] == "PlanError"
+        assert "at least 2 snapshot columns" in err["error"]["message"]
+        assert not (tmp_path / "x").exists()
+
+
+class TestOnset:
+    """An oscillation that starts inside the record: MR-DMD reports it as sustained."""
+
+    @pytest.mark.parametrize("t_on", [
+        0.5,
+        1.0,
+        pytest.param(1.5, marks=pytest.mark.xfail(strict=True, reason=(
+            "late onset: one member, in level-4 bin 7, reads decay (-0.60 1/s); the delay window of "
+            "the default stack spans 0.4 s (ROADMAP items 14 and 16)"))),
+    ])
+    def test_mrdmd_reports_the_oscillation_after_an_onset(self, tmp_path, t_on):
+        """DC 170 plus noise (2 s), with 6 cos(2 pi 8.6 (t - t_on)) from t_on on, at CLI defaults."""
+        rec = od.generate([], dc=170.0, fs=2500.0, duration=2.0, noise_std=0.05, seed=1, channel="u_dc")
+        k_on = round(t_on / rec.dt)
+        data = rec.data.copy()
+        data[0, k_on:] += 6.0 * np.cos(2 * np.pi * 8.6 * np.arange(rec.length - k_on) * rec.dt)
+        od.write_csv(dataclasses.replace(rec, data=data), tmp_path / "onset.csv")
+        cfg = RunConfig(input_path=tmp_path / "onset.csv", time_column="t", out_dir=tmp_path / "out")
+        assert run_mrdmd(cfg) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["stability"]["verdict"] == "sustained-oscillation"
+        assert report["dominant_mode"]["frequency_hz"] == pytest.approx(8.6, abs=0.2)
+
 
 def fmt(x: float) -> str:
     """The CSV cell of a float: Python's own 17-significant-digit format, the oracle of every writer test."""

@@ -41,10 +41,9 @@ from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.stacking import antidiagonal_sums, unembed
 
 
-def planted_pair(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
+def planted_hankel(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
     rec = od.generate(signal_modes, dc=dc, fs=fs, duration=duration, noise_std=noise, seed=seed)
-    hankel = od.delay_embed(rec, "signal", depth)
-    return od.shifted_pair(hankel), rec
+    return od.delay_embed(rec, "signal", depth), rec
 
 
 class TestSvdTruncated:
@@ -136,7 +135,8 @@ class TestReducedOperator:
 
     def test_two_mode_eigenvalues_match_closed_form(self):
         modes = [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)]
-        (x1, x2), rec = planted_pair(modes)
+        hankel, rec = planted_hankel(modes)
+        x1, x2 = hankel[:, :-1], hankel[:, 1:]
         out = svd_truncated(x1, TruncationRule.fixed(4))
         a = reduced_operator(out.u, out.sigma, out.v, x2)
         got = np.sort_complex(np.linalg.eigvals(a))
@@ -165,8 +165,8 @@ class TestEigModes:
         np.testing.assert_allclose(np.sort_complex(lam), np.sort_complex([np.exp(1j * theta), np.exp(-1j * theta)]), rtol=1e-12)
 
     def test_critically_damped_8p6_hz(self):
-        (x1, x2), rec = planted_pair([od.ModeSpec(8.6, 0.0, 1.0)])
-        result = od.dmd(x1, x2, TruncationRule.fixed(2))
+        hankel, rec = planted_hankel([od.ModeSpec(8.6, 0.0, 1.0)])
+        result = od.dmd(hankel, TruncationRule.fixed(2))
         want_angle = 2 * np.pi * 8.6 * 4e-4
         angles = np.sort(np.angle(result.eigenvalues))
         np.testing.assert_allclose(angles, [-want_angle, want_angle], rtol=1e-9)
@@ -283,8 +283,8 @@ class TestEigModes:
 
         monkeypatch.setattr(np.linalg, "svd", no_singular_values)
         eig_modes(np.random.default_rng(7).normal(size=(40, 40)), np.eye(40))
-        (x1, x2), rec = planted_pair([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], noise=0.01)
-        assert od.dmd(x1, x2, TruncationRule.fixed(30)).rank == 30
+        hankel, rec = planted_hankel([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], noise=0.01)
+        assert od.dmd(hankel, TruncationRule.fixed(30)).rank == 30
 
     def test_defective_operator_rejected(self):
         with pytest.raises(DecompositionError, match="r-1"):
@@ -347,28 +347,28 @@ class TestAmplitudes:
 
     def test_wide_hankel_fit_is_the_least_squares_fit(self, lfo_gapped_dmd, lfo_gapped_embedded):
         result, _ = lfo_gapped_dmd
-        x1, _ = od.shifted_pair(lfo_gapped_embedded)
-        assert x1.shape[1] > x1.shape[0] + 1 and result.rank > 300
-        want, *_ = np.linalg.lstsq(result.modes, x1[:, 0].astype(complex), rcond=None)
+        m, n = lfo_gapped_embedded.shape
+        assert n - 1 > m + 1 and result.rank > 300
+        want, *_ = np.linalg.lstsq(result.modes, lfo_gapped_embedded[:, 0].astype(complex), rcond=None)
         b = result.amplitudes
         assert np.max(np.abs(b - want)) <= 1e-10 * np.max(np.abs(b))
 
     def test_planted_two_mode_amplitudes(self):
         modes = [od.ModeSpec(5.0, 0.0, 2.0), od.ModeSpec(17.0, 0.0, 0.5)]
-        (x1, x2), rec = planted_pair(modes, fs=200.0, duration=3.0, depth=60)
-        result = od.dmd(x1, x2, TruncationRule.fixed(4))
+        hankel, rec = planted_hankel(modes, fs=200.0, duration=3.0, depth=60)
+        result = od.dmd(hankel, TruncationRule.fixed(4))
         # oracle: least-squares fit of the known complex-exponential mode
         # vectors to the first snapshot
         i = np.arange(60)
         vmat = np.column_stack(
             [np.exp(s * 2j * np.pi * m.frequency_hz * i * rec.dt) for m in modes for s in (1, -1)]
         )
-        coef, *_ = np.linalg.lstsq(vmat, x1[:, 0].astype(complex), rcond=None)
+        coef, *_ = np.linalg.lstsq(vmat, hankel[:, 0].astype(complex), rcond=None)
         want = {}
         for k, m in enumerate(modes):
             norm = np.linalg.norm(vmat[:, 2 * k])
             want[m.frequency_hz] = abs(coef[2 * k]) * norm
-        reports = od.reports_from_dmd(result, 1.0 / rec.dt, x1.shape[1])
+        reports = od.reports_from_dmd(result, 1.0 / rec.dt, hankel.shape[1] - 1)
         for freq, expected in want.items():
             got = min(reports, key=lambda r: abs(r.frequency_hz - freq))
             assert got.amplitude_mag == pytest.approx(expected, rel=1e-6)
@@ -379,29 +379,30 @@ class TestAmplitudes:
 
 class TestReconstruct:
     def test_j1_is_phi_b(self):
-        (x1, x2), rec = planted_pair([od.ModeSpec(4.0, -1.0, 1.0)], fs=100, duration=2, depth=20)
-        result = od.dmd(x1, x2, TruncationRule.fixed(2))
+        hankel, rec = planted_hankel([od.ModeSpec(4.0, -1.0, 1.0)], fs=100, duration=2, depth=20)
+        result = od.dmd(hankel, TruncationRule.fixed(2))
         np.testing.assert_allclose(
             reconstruct_window(result, 1)[:, 0], result.modes @ result.amplitudes, rtol=1e-12
         )
 
     def test_dc_mode_constant(self):
-        result = od.dmd(np.full((1, 9), 2.5), np.full((1, 9), 2.5), TruncationRule.fixed(1))
+        result = od.dmd(np.full((1, 10), 2.5), TruncationRule.fixed(1))
         window = reconstruct_window(result, 50)
         for j in (1, 5, 50):
             np.testing.assert_allclose(window[:, j - 1].real, [2.5], rtol=1e-12)
 
     def test_noiseless_window_rmse(self):
         modes = [od.ModeSpec(8.6, 0.0, 1.0), od.ModeSpec(3.0, -2.0, 1.0)]
-        (x1, x2), rec = planted_pair(modes)
-        result = od.dmd(x1, x2, od.DEFAULT_RULE)
+        hankel, rec = planted_hankel(modes)
+        x1 = hankel[:, :-1]
+        result = od.dmd(hankel, od.DEFAULT_RULE)
         recon = reconstruct_window(result, x1.shape[1]).real
         rel = np.linalg.norm(recon - x1) / np.linalg.norm(x1)
         assert rel <= 1e-6
 
     def test_j_below_one_rejected(self):
-        (x1, x2), rec = planted_pair([od.ModeSpec(4.0, 0.0, 1.0)], fs=100, duration=1, depth=10)
-        result = od.dmd(x1, x2, TruncationRule.fixed(2))
+        hankel, rec = planted_hankel([od.ModeSpec(4.0, 0.0, 1.0)], fs=100, duration=1, depth=10)
+        result = od.dmd(hankel, TruncationRule.fixed(2))
         with pytest.raises(ValueError):
             reconstruct_window(result, 0)
 
@@ -424,8 +425,14 @@ class TestDmdComposition:
         assert abs(gapped.growth_rate) > abs(clean.growth_rate)
 
     def test_zero_length_pair_rejected(self):
-        with pytest.raises(DecompositionError, match="empty"):
-            od.dmd(np.empty((3, 0)), np.empty((3, 0)), od.DEFAULT_RULE)
+        with pytest.raises(DecompositionError, match="at least 2 columns"):
+            od.dmd(np.empty((3, 0)), od.DEFAULT_RULE)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (0, 5), (5,), (2, 3, 4)])
+    def test_matrix_without_a_pair_rejected(self, shape):
+        """A snapshot matrix needs two dimensions, a row and two columns to hold a pair."""
+        with pytest.raises(DecompositionError, match="2-D snapshot matrix"):
+            od.dmd(np.ones(shape))
 
     def test_retained_operator_satisfies_eigen_residual(self, lfo_clean_dmd, lfo_clean_embedded):
         """The eigenpairs of the fit's reduced operator, from eig_modes, meet 1e-8 * ||A~||_2.
@@ -434,10 +441,11 @@ class TestDmdComposition:
         Gram here), so its eigenvalues are the fit's bit for bit.
         """
         result, _ = lfo_clean_dmd
-        x1, x2 = od.shifted_pair(lfo_clean_embedded)
-        fit = _projection(x1, x2, od.DEFAULT_RULE)
-        gram = _gram_projection(_hankel_series(x1, x2), x1.shape[1], od.DEFAULT_RULE)
-        assert gram is not None and all(np.array_equal(a, b) for a, b in zip(fit, gram))
+        hankel = lfo_clean_embedded
+        fit = _projection(hankel, od.DEFAULT_RULE)
+        gram = _gram_projection(_hankel_series(hankel), hankel.shape[1] - 1, od.DEFAULT_RULE)
+        assert gram is not None and all(np.array_equal(a, b) for a, b in zip(fit[:-1], gram[:-1]))
+        assert np.array_equal(fit.first, hankel[:, 0])
         a_tilde = fit.a_tilde
         w, lam, _ = eig_modes(a_tilde, fit.u)
         assert np.array_equal(np.sort_complex(lam), np.sort_complex(result.eigenvalues))
@@ -494,9 +502,8 @@ class TestDmdComposition:
 
     def test_tall_fit_lists_positive_imaginary_member_first(self):
         h = np.lib.stride_tricks.sliding_window_view(np.random.default_rng(5).normal(size=100), 60).T
-        x1, x2 = h[:, :-1], h[:, 1:]
-        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the R route runs
-        lam = od.dmd(x1, x2).eigenvalues
+        assert h.shape[1] - 1 <= h.shape[0] + 1  # tall, so the R route runs
+        lam = od.dmd(h).eigenvalues
         assert np.sum(lam.imag > 0) >= 10
         for k in np.flatnonzero(lam.imag > 0):
             assert lam[k + 1] == np.conj(lam[k])
@@ -515,11 +522,11 @@ def assert_partners_exact(result) -> None:
 
 class TestConjugatePartners:
     def test_tall_fit(self):
-        (x1, x2), _ = planted_pair(
+        hankel, _ = planted_hankel(
             [od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], duration=0.1, noise=0.01
         )
-        assert x1.shape[1] <= x1.shape[0] + 1  # tall, so the R route runs
-        assert_partners_exact(od.dmd(x1, x2))
+        assert hankel.shape[1] - 1 <= hankel.shape[0] + 1  # tall, so the R route runs
+        assert_partners_exact(od.dmd(hankel))
 
     def test_hankel_wide_fit(self, lfo_gapped_dmd):
         assert_partners_exact(lfo_gapped_dmd[0])
@@ -570,7 +577,7 @@ class TestProperties:
             x[:, 0] = rng.normal(size=m)
             for j in range(59):
                 x[:, j + 1] = a0 @ x[:, j]
-            result = od.dmd(x[:, :-1], x[:, 1:], TruncationRule.fixed(m))
+            result = od.dmd(x, TruncationRule.fixed(m))
             got = np.sort_complex(result.eigenvalues)
             want = np.sort_complex(eigs)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
@@ -592,11 +599,10 @@ class TestProperties:
             rec = od.generate(modes, dc=float(rng.uniform(0, 5)), fs=200, duration=1.0,
                               noise_std=0.01, seed=trial)
             hankel = od.delay_embed(rec, "signal", 40)
-            x1, x2 = od.shifted_pair(hankel)
             prev = np.inf
             for r in range(1, 10):
-                result = od.dmd(x1, x2, TruncationRule.fixed(r))
-                res = np.linalg.norm(result.modes @ result.amplitudes - x1[:, 0])
+                result = od.dmd(hankel, TruncationRule.fixed(r))
+                res = np.linalg.norm(result.modes @ result.amplitudes - hankel[:, 0])
                 assert res <= prev + 1e-12
                 prev = res
 
@@ -610,43 +616,40 @@ def direct_fit(x1, x2, rule=od.DEFAULT_RULE, first=None):
 
 
 def assert_fit_bit_for_bit(result, y1, y2, first, rank):
-    """result is direct_fit(y1, y2) at a fixed rank with amplitudes of ``first``, mode for mode in dmd's order."""
+    """result is direct_fit(y1, y2) at a fixed rank with amplitudes of ``first``, mode for mode in dmd's order.
+
+    The modes compared are the fit's coefficients: Phi itself, or on the R route Phi in the basis Q.
+    """
     svd, _, lam, phi, b = direct_fit(y1, y2, TruncationRule.fixed(rank), first)
     order = [int(np.flatnonzero(lam == v)[0]) for v in result.eigenvalues]
     assert sorted(order) == list(range(svd.rank))
     assert (result.rank, result.rank_clamped) == (svd.rank, svd.rank_clamped)
     assert np.array_equal(result.singular_values, svd.singular_values)
     assert np.array_equal(result.eigenvalues, lam[order])
-    assert np.array_equal(result.modes, phi[:, order])
+    assert np.array_equal(result.coefficients, phi[:, order])
     assert np.array_equal(result.amplitudes, b[order])
 
 
-def assert_direct_fit_bit_for_bit(x1, x2, rank=6):
-    """dmd() of the pair is direct_fit, mode for mode in dmd's order."""
-    assert_fit_bit_for_bit(od.dmd(x1, x2, TruncationRule.fixed(rank)), x1, x2, x1[:, 0], rank)
-
-
-def qr_route(x1, x2, rule=od.DEFAULT_RULE):
-    """The QR route of a wide Hankel pair as a DmdResult, modes in eig's order (pairs adjacent)."""
-    low = _hankel_factor(_hankel_series(x1, x2), x1.shape[1])
-    svd, _, lam, phi, b = direct_fit(low[:-1], low[1:], rule, x1[:, 0])
+def qr_route(x, rule=od.DEFAULT_RULE):
+    """The QR route of a wide Hankel matrix as a DmdResult, modes in eig's order (pairs adjacent)."""
+    low = _hankel_factor(_hankel_series(x), x.shape[1] - 1)
+    svd, _, lam, phi, b = direct_fit(low[:-1], low[1:], rule, x[:, 0])
     return od.DmdResult(
         coefficients=phi, eigenvalues=lam, amplitudes=b, rank=svd.rank,
         singular_values=svd.singular_values, rank_clamped=svd.rank_clamped,
     )
 
 
-def random_hankel_pair(seed=5, length=400, depth=30):
+def random_hankel(seed=5, length=400, depth=30):
     series = np.random.default_rng(seed).normal(size=length)
-    hankel = np.lib.stride_tricks.sliding_window_view(series, length - depth + 1)
-    return hankel[:, :-1], hankel[:, 1:]
+    return np.lib.stride_tricks.sliding_window_view(series, length - depth + 1)
 
 
 def hankel_source(source, request):
-    """The shifted pair of a random series, or of an embedded fixture."""
+    """The Hankel matrix of a random series, or an embedded fixture."""
     if source == "random":
-        return random_hankel_pair()
-    return od.shifted_pair(request.getfixturevalue(source))
+        return random_hankel()
+    return request.getfixturevalue(source)
 
 
 class TestHankelCompression:
@@ -660,9 +663,10 @@ class TestHankelCompression:
         then gives |s~_k - s_k| <= sqrt(m eps) sigma_1 for every k, since
         |a - b| <= sqrt(|a^2 - b^2|) for a, b >= 0.
         """
-        x1, x2 = hankel_source(source, request)
+        hankel = hankel_source(source, request)
+        x1, x2 = hankel[:, :-1], hankel[:, 1:]
         assert x1.shape[1] > x1.shape[0] + 1  # wide, so the compressed path runs
-        result = od.dmd(x1, x2, od.DEFAULT_RULE)
+        result = od.dmd(hankel, od.DEFAULT_RULE)
         svd, _, lam, phi, b = direct_fit(x1, x2)
 
         assert result.rank == svd.rank
@@ -676,33 +680,34 @@ class TestHankelCompression:
         score = np.abs(result.amplitudes[0]) * np.linalg.norm(result.modes[:, 0])
         assert score == pytest.approx(dominant, rel=1e-8)
 
-    def test_non_shift_wide_pair_is_the_direct_fit_bit_for_bit(self):
-        rng = np.random.default_rng(8)
-        x1, x2 = rng.normal(size=(6, 40)), rng.normal(size=(6, 40))
-        assert_direct_fit_bit_for_bit(x1, x2)
+    def test_hankel_matrix_changed_in_its_last_row_takes_the_r_route(self):
+        """Only the Hankel matrix of one series is compressed: rows are compared in blocks, and here the
+        last block differs, so the fit is the R route's, bit for bit."""
+        x = random_hankel(seed=9, length=400, depth=30).copy()
+        x[-1, 3] += 1.0
+        assert _hankel_series(x) is None
+        result = od.dmd(x, TruncationRule.fixed(6))
+        q, r = np.linalg.qr(x)
+        assert np.array_equal(result.basis, q)
+        assert_fit_bit_for_bit(result, r[:, :-1], r[:, 1:], r[:, 0], 6)
 
-    @pytest.mark.parametrize("kind", ["rows of no one series", "x2 off the shift", "x1 off the view in its last row"])
-    def test_wide_pair_that_is_not_one_series_is_the_direct_fit_bit_for_bit(self, kind):
-        """Only the Hankel pair of one series is compressed; anything else is fitted directly."""
-        rng = np.random.default_rng(9)
-        if kind == "rows of no one series":  # X2[:-1] equals X1[1:]
-            rows = rng.normal(size=(7, 40))
-            x1, x2 = rows[:-1], rows[1:]
-        elif kind == "x2 off the shift":  # X1 is a Hankel view, X2 differs from its shift in one entry
-            x1, x2 = random_hankel_pair(seed=9, length=46, depth=6)
-            x2 = x2.copy()
-            x2[2, 5] += 1.0
-        else:  # rows are compared in blocks; the last block differs
-            x1, x2 = random_hankel_pair(seed=9, length=400, depth=30)
-            x1 = x1.copy()
-            x1[-1, 3] += 1.0
-        assert _hankel_series(x1, x2) is None
-        assert_direct_fit_bit_for_bit(x1, x2)
+    @pytest.mark.parametrize("rank", [6, 31])  # Gram route; a rank above the depth takes the QR route
+    def test_copy_of_the_view_fits_like_the_view(self, rank):
+        """The route follows the matrix's values, not its memory layout: a writable C-contiguous copy
+        of the read-only Hankel view is fitted bit for bit like the view."""
+        view = random_hankel()
+        copy = view.copy()
+        assert not view.flags.writeable and copy.flags.writeable and copy.flags.c_contiguous
+        got, want = od.dmd(copy, TruncationRule.fixed(rank)), od.dmd(view, TruncationRule.fixed(rank))
+        assert got.basis is None and want.basis is None
+        for field in ("coefficients", "eigenvalues", "amplitudes", "singular_values"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.rank, got.rank_clamped) == (want.rank, want.rank_clamped)
 
     def test_factor_of_the_view_is_the_factor_of_the_stacked_rows(self):
-        x1, x2 = random_hankel_pair()
-        want = np.linalg.qr(np.vstack([x1, x2[-1:]]).T, mode="r").T
-        assert np.array_equal(_hankel_factor(_hankel_series(x1, x2), x1.shape[1]), want)
+        x = random_hankel()
+        want = np.linalg.qr(np.vstack([x[:, :-1], x[-1:, 1:]]).T, mode="r").T
+        assert np.array_equal(_hankel_factor(_hankel_series(x), x.shape[1] - 1), want)
 
     def test_hankel_fit_lists_positive_imaginary_member_first(self, lfo_gapped_dmd):
         result, _ = lfo_gapped_dmd
@@ -723,7 +728,7 @@ class TestHankelCompression:
             "from oscidmd.dmd import reconstruct_window\n"
             "x = np.sin(0.3 * np.arange(80.0)) + 0.5 * np.cos(2.1 * np.arange(80.0))\n"
             "h = np.lib.stride_tricks.sliding_window_view(x, 71)\n"
-            "r = od.dmd(h[:, :-1], h[:, 1:])\n"
+            "r = od.dmd(h)\n"
             "reconstruct_window(r, 71)\n"
             "sys.exit('scipy' in sys.modules)\n"
         )
@@ -747,7 +752,7 @@ def shifted_trajectory(seed, m, mu, signal_rank, noise):
 
 
 class TestShiftRoute:
-    """A shifted pair that is not a wide Hankel pair is fitted from the R factor of its columns."""
+    """A snapshot matrix that is not a wide Hankel matrix is fitted from the R factor of its columns."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -777,8 +782,8 @@ class TestShiftRoute:
         x = shifted_trajectory(seed, m, mu, signal_rank, noise)
         x1, x2 = x[:, :-1], x[:, 1:]
         rule = TruncationRule.fixed(signal_rank + 2) if noise == 0 else DEFAULT_BIN_RULE
-        assert _projection(x1, x2, rule).basis is not None  # the R route runs
-        result = od.dmd(x1, x2, rule)
+        assert _projection(x, rule).basis is not None  # the R route runs
+        result = od.dmd(x, rule)
         svd, a_tilde, lam, phi, _ = direct_fit(x1, x2, rule)
 
         assert (result.rank, result.rank_clamped) == (svd.rank, svd.rank_clamped)
@@ -803,12 +808,12 @@ class TestShiftRoute:
     def test_all_zero_input_has_no_signal(self, m):
         x = np.zeros((m, 16))
         with pytest.raises(ZeroSignalError):
-            od.dmd(x[:, :-1], x[:, 1:], DEFAULT_BIN_RULE)
+            od.dmd(x, DEFAULT_BIN_RULE)
 
     def test_modes_have_unit_norm(self):
         """Phi = Q U_R W: orthonormal Q and U_R and unit W columns, so ||phi_k|| = 1 to rounding."""
         x = shifted_trajectory(3, 1000, 16, 6, 0.05)
-        result = od.dmd(x[:, :-1], x[:, 1:], DEFAULT_BIN_RULE)
+        result = od.dmd(x, DEFAULT_BIN_RULE)
         norms = np.linalg.norm(result.modes, axis=0)
         assert np.max(np.abs(norms - 1)) <= 100 * np.finfo(float).eps
 
@@ -821,7 +826,7 @@ class TestShiftRoute:
         tiles, so bits may differ.
         """
         x = shifted_trajectory(4, 500, 16, 6, 0.05)
-        result = od.dmd(x[:, :-1], x[:, 1:], DEFAULT_BIN_RULE)
+        result = od.dmd(x, DEFAULT_BIN_RULE)
         pair = conjugate_pairs(result.eigenvalues)
         idx = np.delete(np.arange(result.rank), pair + 1)[::2]
         assert np.max(np.abs(result.lifted(idx) - result.modes[:, idx])) <= 2 * 16 * np.finfo(float).eps
@@ -837,10 +842,10 @@ class TestGramRoute:
         correlation, so it errs by at most about (n + 2 m) eps n max|s|^2;
         the reference product errs by at most n eps n max|s|^2.
         """
-        x1, x2 = hankel_source(source, request)
-        m, n = x1.shape
-        series = _hankel_series(x1, x2)
-        rows = np.vstack([x1, x2[-1:]])
+        hankel = hankel_source(source, request)
+        m, n = hankel.shape[0], hankel.shape[1] - 1
+        series = _hankel_series(hankel)
+        rows = np.vstack([hankel[:, :-1], hankel[-1:, 1:]])
         g = _lagged_gram(series, n)
         bound = 2 * (m + n) * np.finfo(float).eps * n * np.max(np.abs(series)) ** 2
         assert np.max(np.abs(g - rows @ rows.T)) <= bound
@@ -850,10 +855,10 @@ class TestGramRoute:
     def test_matches_qr_route(self, source, request):
         """The Gram route gives the QR route's rank, its retained sigma to 1e-12 sigma_1,
         its eigenvalues to 1e-9 relative and its series to 1e-9 x max."""
-        x1, x2 = hankel_source(source, request)
-        n = x1.shape[1]
-        assert _gram_projection(_hankel_series(x1, x2), n, od.DEFAULT_RULE) is not None
-        result, want = od.dmd(x1, x2, od.DEFAULT_RULE), qr_route(x1, x2)
+        hankel = hankel_source(source, request)
+        n = hankel.shape[1] - 1
+        assert _gram_projection(_hankel_series(hankel), n, od.DEFAULT_RULE) is not None
+        result, want = od.dmd(hankel, od.DEFAULT_RULE), qr_route(hankel)
         r = want.rank
         assert result.rank == r and not result.rank_clamped and not want.rank_clamped
         s = want.singular_values
@@ -872,30 +877,32 @@ class TestGramRoute:
         G but not the QR.
         """
         if case == "noise-free above the signal rank":
-            (x1, x2), _ = planted_pair([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], dc=1.0)
+            hankel, _ = planted_hankel([od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], dc=1.0)
             rank = 8
         else:
-            x1, x2 = (1e160 * x for x in random_hankel_pair())
+            hankel = 1e160 * random_hankel()
             rank = 6
-        assert x1.shape[1] > x1.shape[0] + 1
-        series = _hankel_series(x1, x2)
-        assert _gram_projection(series, x1.shape[1], TruncationRule.fixed(rank)) is None
-        result = od.dmd(x1, x2, TruncationRule.fixed(rank))
+        n = hankel.shape[1] - 1
+        assert n > hankel.shape[0] + 1
+        series = _hankel_series(hankel)
+        assert _gram_projection(series, n, TruncationRule.fixed(rank)) is None
+        result = od.dmd(hankel, TruncationRule.fixed(rank))
         assert result.rank_clamped == (case == "noise-free above the signal rank")
-        low = _hankel_factor(series, x1.shape[1])
-        assert_fit_bit_for_bit(result, low[:-1], low[1:], x1[:, 0], rank)
+        low = _hankel_factor(series, n)
+        # the fit reads X[:, 0] from the series, contiguous; the scaled matrix is a copy, not a view
+        assert_fit_bit_for_bit(result, low[:-1], low[1:], np.ascontiguousarray(hankel[:, 0]), rank)
 
     def test_rank_above_depth_takes_the_qr_route(self):
-        x1, x2 = random_hankel_pair()
-        assert _gram_projection(_hankel_series(x1, x2), x1.shape[1], TruncationRule.fixed(31)) is None
-        result = od.dmd(x1, x2, TruncationRule.fixed(31))
+        hankel = random_hankel()
+        assert _gram_projection(_hankel_series(hankel), hankel.shape[1] - 1, TruncationRule.fixed(31)) is None
+        result = od.dmd(hankel, TruncationRule.fixed(31))
         assert result.rank_clamped and result.rank == 30
 
     def test_all_zero_window_raises(self):
         """A window that a gap covers entirely (compare's gap-covering case) has no signal."""
         hankel = np.lib.stride_tricks.sliding_window_view(np.zeros(600), 501)
         with pytest.raises(ZeroSignalError):
-            od.dmd(hankel[:, :-1], hankel[:, 1:])
+            od.dmd(hankel)
 
     def test_gram_fit_peak_does_not_grow_with_n(self):
         """numpy's tracked peak of a Gram fit is set by m, not by the record length n.
@@ -910,11 +917,10 @@ class TestGramRoute:
         for length in (4 * m, 40 * m):
             series = np.random.default_rng(3).normal(size=length)
             hankel = np.lib.stride_tricks.sliding_window_view(series, length - m + 1)
-            x1, x2 = hankel[:, :-1], hankel[:, 1:]
-            assert _gram_projection(_hankel_series(x1, x2), x1.shape[1], rule) is not None
+            assert _gram_projection(_hankel_series(hankel), hankel.shape[1] - 1, rule) is not None
             tracemalloc.start()
             try:
-                od.dmd(x1, x2, rule)
+                od.dmd(hankel, rule)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -952,10 +958,10 @@ class TestReconstructSeries:
 
     def test_growing_mode_over_a_long_window(self):
         modes = [od.ModeSpec(7.0, 2.0, 1.0), od.ModeSpec(3.0, -1.0, 0.5)]
-        (x1, x2), rec = planted_pair(modes, fs=500.0, duration=3.0, depth=50)
-        n = x1.shape[1] + 1
+        hankel, rec = planted_hankel(modes, fs=500.0, duration=3.0, depth=50)
+        n = hankel.shape[1]
         assert n > 1024
-        result = od.dmd(x1, x2, TruncationRule.fixed(4))
+        result = od.dmd(hankel, TruncationRule.fixed(4))
         assert np.max(np.abs(result.eigenvalues)) > 1.0
         self.assert_matches_window(result, n)
 
@@ -978,14 +984,14 @@ class TestReconstructSeries:
             t = np.arange(300.0)
             x = 1.0 * 0.99**t + 0.5 * 0.95**t + 0.3 * (-0.9) ** t
             h = np.lib.stride_tricks.sliding_window_view(x, 280)
-            fit = od.dmd(h[:, :-1], h[:, 1:], TruncationRule.fixed(3))
+            fit = od.dmd(h, TruncationRule.fixed(3))
             assert np.all(fit.eigenvalues.imag == 0)
             return fit
-        (x1, x2), _ = planted_pair(
+        hankel, _ = planted_hankel(
             [od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.3, 0.5)], fs=500.0, duration=1.0,
             depth=40, dc=1.0, noise=0.01,
         )
-        fit = od.dmd(x1, x2, TruncationRule.fixed(12))
+        fit = od.dmd(hankel, TruncationRule.fixed(12))
         pair = conjugate_pairs(fit.eigenvalues)
         assert pair.size >= 3
         if case == "unconjugate amplitudes":

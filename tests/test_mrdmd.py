@@ -260,7 +260,7 @@ class TestSlowReconstruction:
         block = np.array(hankel[:, :500])  # one level-4 bin
         idx = subsample((0, 500), 16)
         f_sp = 16 / (500 * rec.dt)
-        fit = od.dmd(block[:, idx][:, :-1], block[:, idx][:, 1:], DEFAULT_BIN_RULE)
+        fit = od.dmd(block[:, idx], DEFAULT_BIN_RULE)
         slow = screen_slow(fit, plan.rho)
         recon = slow_reconstruction(fit, slow, (0, 500), rec.dt, f_sp)
         rel = np.sqrt(np.mean((recon - block) ** 2)) / np.sqrt(np.mean(block**2))
@@ -659,7 +659,7 @@ class TestDecompose:
             idx = subsample((0, width), plan.mu)
             f_sp = plan.mu / (width * plan.dt)
             xsub = residual[:, idx]
-            refit = od.dmd(xsub[:, :-1], xsub[:, 1:], rule)
+            refit = od.dmd(xsub, rule)
             assert np.array_equal(refit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(refit.amplitudes, node.dmd.amplitudes)
             recon = slow_reconstruction(
@@ -763,3 +763,24 @@ class TestDecompose:
         res, _ = lfo_gapped_mrdmd
         keys = [(r.level, r.bin_index) for r in res.all_modes]
         assert keys == sorted(keys)
+
+
+class TestBandMap:
+    """A tone is captured at the level the plan's frequency bands put it in."""
+
+    @pytest.mark.parametrize("f", [0.8, 2.0, 3.7, 6.1, 8.6, 13.0, 27.0, 55.0, 110.0])
+    def test_dominant_cluster_sits_at_the_first_level_whose_band_holds_the_tone(self, f):
+        """One tone on DC 170 with noise (2 s, stack 1000, mu 16): the dominant cluster is at the
+        first level L with f < f_slow_max(L) = 1.25 * 2^(L-1) Hz.
+
+        That a tone is slow nowhere deeper does not hold yet: 13 Hz has one slow row at L6,
+        27 Hz 17 rows at L7-L8 and 55 Hz 8 rows at L8.
+        """
+        rec = od.generate([od.ModeSpec(f, 0.0, 6.0)], dc=170.0, fs=2500.0, duration=2.0, noise_std=0.05, seed=1)
+        hankel = od.delay_embed(rec, "signal", 1000)
+        n = hankel.shape[1] - 1
+        plan = od.plan(n, rec.dt, mu=16, g=4)
+        cluster = od.dominant_cluster(od.classify(od.decompose(hankel[:, :n], plan, DEFAULT_BIN_RULE).all_modes))
+        want = next(lv.level for lv in plan.per_level if f < lv.f_slow_max)
+        assert cluster is not None and cluster.level == want
+        assert cluster.frequency_hz == pytest.approx(f, rel=0.05)

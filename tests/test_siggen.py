@@ -59,10 +59,9 @@ def test_recovery_oracle_contract():
     ]
     rec = od.generate(modes, dc=2.0, fs=200.0, duration=3.0)
     hankel = od.delay_embed(rec, "signal", 120)
-    x1, x2 = od.shifted_pair(hankel)
     # rank covers DC plus the three conjugate pairs exactly
-    result = od.dmd(x1, x2, od.TruncationRule.fixed(7))
-    reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=x1.shape[1])
+    result = od.dmd(hankel, od.TruncationRule.fixed(7))
+    reports = od.reports_from_dmd(result, f_sp=1.0 / rec.dt, horizon_steps=hankel.shape[1] - 1)
     for m in modes:
         best = min(reports, key=lambda r: abs(r.frequency_hz - m.frequency_hz))
         assert abs(best.frequency_hz - m.frequency_hz) <= 1e-6 * m.frequency_hz

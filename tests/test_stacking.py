@@ -23,9 +23,6 @@ def record_from(values, dt=1.0):
 
 def test_flagship_shape_5000_samples_depth_1000(lfo_clean_embedded):
     assert lfo_clean_embedded.shape == (1000, 4001)
-    x1, x2 = od.shifted_pair(lfo_clean_embedded)
-    assert x1.shape == (1000, 4000)
-    assert x2.shape == (1000, 4000)
 
 
 def test_smallest_hankel():
@@ -79,25 +76,6 @@ def test_hankel_structure_matches_source(values, data):
     for i in range(m):
         for j in range(n):
             assert hankel[i, j] == values[i + j]
-
-
-def test_shifted_pair_overlap():
-    rng = np.random.default_rng(0)
-    hankel = od.delay_embed(record_from(rng.normal(size=60)), "x", 12)
-    x1, x2 = od.shifted_pair(hankel)
-    assert np.array_equal(x1[:, 1:], x2[:, :-1])
-
-
-def test_shifted_pair_minimal():
-    x1, x2 = od.shifted_pair(od.delay_embed(record_from([4.0, 7.0]), "x", 1))
-    assert np.array_equal(x1, [[4.0]])
-    assert np.array_equal(x2, [[7.0]])
-
-
-def test_shifted_pair_of_constant_signal():
-    hankel = od.delay_embed(record_from(np.full(20, 3.3)), "x", 4)
-    x1, x2 = od.shifted_pair(hankel)
-    assert np.array_equal(x1, x2)
 
 
 def test_unembed_inverts_embedding():
