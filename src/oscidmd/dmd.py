@@ -8,6 +8,20 @@ Phi = U W, and fits amplitudes b = W^{-1} U^T x1, the least-squares fit
 of Phi b to the first snapshot x1 (U has orthonormal columns). The full
 m x m operator is never formed. Reconstruction: x_j = Phi L^{j-1} b.
 
+Truncation. The default rule (``DEFAULT_RULE``, ``thresholded-energy``
+0.9999) keeps the smallest rank that holds 99.99 % of X1's squared
+singular-value energy, capped at max(1, #{sigma_k > omega(beta)
+median(sigma)}): the Gavish-Donoho hard threshold for a low-rank matrix
+in white noise of unknown level (IEEE Trans. Inf. Theory 2014), with
+beta = min(m, n) / max(m, n) of X1 (m x n) and the median over X1's
+whole spectrum (:func:`_noise_rank`). Every route passes X1's shape, also
+when it takes the spectrum from a compressed factor of X1. The cap only
+lowers the energy rank, so it stops the rank from growing into the
+noise, where the energy rule fits noise directions as modes. On
+noise-free data the Gram route resolves no sigma below about
+sqrt(eps) sigma_1, so the threshold count is at least the signal rank
+and the energy rank stands. ``energy-fraction`` is the uncapped rule.
+
 Hankel matrices. When X is the Hankel matrix of one series s and is
 wide (n > m + 1), X1 X1^T and X2 X1^T are blocks of the (m+1) x (m+1)
 lagged Gram matrix G[i, j] = sum_k s[i+k] s[j+k] of the pair's m + 1
@@ -111,6 +125,7 @@ _SERIES_BLOCK = 64
 TRUNC_FIXED = "fixed-rank"
 TRUNC_ENERGY = "energy-fraction"
 TRUNC_RATIO = "singular-value-ratio"
+TRUNC_THRESHOLDED = "thresholded-energy"
 
 
 class DecompositionError(ValueError):
@@ -127,8 +142,11 @@ class TruncationRule:
 
     kind is one of ``fixed-rank`` (value: positive integer rank),
     ``energy-fraction`` (value in (0, 1]: smallest rank capturing that
-    fraction of squared singular-value energy) or ``singular-value-ratio``
-    (value in (0, 1): keep singular values above value * sigma_1).
+    fraction of squared singular-value energy), ``singular-value-ratio``
+    (value in (0, 1): keep singular values above value * sigma_1) or
+    ``thresholded-energy`` (value in (0, 1]: the energy-fraction rank,
+    capped at the number of singular values above the Gavish-Donoho hard
+    threshold, and at least 1; :func:`_noise_rank`).
     """
 
     kind: str
@@ -138,7 +156,7 @@ class TruncationRule:
         if self.kind == TRUNC_FIXED:
             if int(self.value) != self.value or self.value < 1:
                 raise ValueError("fixed-rank truncation needs a positive integer rank")
-        elif self.kind == TRUNC_ENERGY:
+        elif self.kind in (TRUNC_ENERGY, TRUNC_THRESHOLDED):
             if not 0.0 < self.value <= 1.0:
                 raise ValueError("energy fraction must lie in (0, 1]")
         elif self.kind == TRUNC_RATIO:
@@ -160,7 +178,7 @@ class TruncationRule:
         return cls(TRUNC_RATIO, ratio)
 
 
-DEFAULT_RULE = TruncationRule(TRUNC_ENERGY, 0.9999)
+DEFAULT_RULE = TruncationRule(TRUNC_THRESHOLDED, 0.9999)
 
 
 @dataclass(frozen=True)
@@ -230,17 +248,41 @@ class DmdResult:
         return phi
 
 
-def _requested_rank(s: np.ndarray, rule: TruncationRule, s2: np.ndarray | None = None) -> int:
-    """The rank a rule asks of the descending singular values s; the energy rule reads s2 = s^2 when given."""
+def _noise_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """How many of X1's descending singular values s lie above the Gavish-Donoho hard threshold.
+
+    The threshold is omega(beta) median(s), with beta = min(m, n) / max(m, n)
+    of X1's shape (m, n) and omega(beta) = 0.56 beta^3 - 0.95 beta^2 +
+    1.82 beta + 1.43, the optimal hard threshold for a low-rank matrix in
+    white noise of unknown level (Gavish & Donoho, IEEE Trans. Inf. Theory
+    2014). The median runs over X1's whole spectrum.
+    """
+    beta = min(shape) / max(shape)
+    omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
+    return int(np.sum(s > omega * np.median(s)))
+
+
+def _requested_rank(
+    s: np.ndarray, rule: TruncationRule, shape: tuple[int, int], s2: np.ndarray | None = None
+) -> int:
+    """The rank a rule asks of X1's descending singular values s, X1 of ``shape``.
+
+    The energy rules read s2 = s^2 when given; the threshold reads ``shape``.
+    """
     if rule.kind == TRUNC_FIXED:
         return int(rule.value)
-    if rule.kind == TRUNC_ENERGY:
-        energy = np.cumsum(s * s if s2 is None else s2)
-        return int(np.searchsorted(energy, rule.value * energy[-1], side="left")) + 1
-    return max(int(np.sum(s > rule.value * s[0])), 1)
+    if rule.kind == TRUNC_RATIO:
+        return max(int(np.sum(s > rule.value * s[0])), 1)
+    energy = np.cumsum(s * s if s2 is None else s2)
+    rank = int(np.searchsorted(energy, rule.value * energy[-1], side="left")) + 1
+    if rule.kind == TRUNC_THRESHOLDED:
+        rank = min(rank, max(1, _noise_rank(s, shape)))
+    return rank
 
 
-def svd_truncated(x: np.ndarray, rule: TruncationRule = DEFAULT_RULE) -> SvdTruncation:
+def svd_truncated(
+    x: np.ndarray, rule: TruncationRule = DEFAULT_RULE, shape: tuple[int, int] | None = None
+) -> SvdTruncation:
     """Truncated SVD of a snapshot matrix under a truncation rule.
 
     Singular directions below the relative floor 1e-12 never count as
@@ -249,6 +291,9 @@ def svd_truncated(x: np.ndarray, rule: TruncationRule = DEFAULT_RULE) -> SvdTrun
     for any snapshot matrix but a wide Hankel one whose requested rank is
     resolved from its lagged Gram matrix; there the singular values below
     the cut are resolved only to about sqrt(eps) sigma_1 (:class:`DmdResult`).
+    ``shape`` is the shape whose beta the noise threshold reads (default:
+    x's own). :func:`dmd` passes X1's when x is a compressed factor with
+    X1's spectrum, L[:m] or R[:, :-1].
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
@@ -257,7 +302,7 @@ def svd_truncated(x: np.ndarray, rule: TruncationRule = DEFAULT_RULE) -> SvdTrun
     if s[0] <= _SV_ABS_FLOOR:
         raise ZeroSignalError("no signal energy in snapshot matrix")
     available = int(np.sum(s > max(_SV_ABS_FLOOR, s[0] * _SV_RATIO_FLOOR)))
-    requested = _requested_rank(s, rule)
+    requested = _requested_rank(s, rule, x.shape if shape is None else shape)
     rank = min(requested, available)
     return SvdTruncation(
         u=u[:, :rank].copy(),
@@ -598,9 +643,9 @@ class _Projection(NamedTuple):
     first: np.ndarray | None = None
 
 
-def _svd_projection(y1: np.ndarray, y2: np.ndarray, rule: TruncationRule) -> _Projection:
-    """The truncated SVD of y1 and the operator U^T y2 V S^-1."""
-    svd = svd_truncated(y1, rule)
+def _svd_projection(y1: np.ndarray, y2: np.ndarray, rule: TruncationRule, shape: tuple[int, int]) -> _Projection:
+    """The truncated SVD of y1 and the operator U^T y2 V S^-1; y1 has X1's spectrum, and ``shape`` is X1's."""
+    svd = svd_truncated(y1, rule, shape)
     a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, y2)
     return _Projection(svd.u, a_tilde, svd.singular_values, svd.rank, svd.rank_clamped)
 
@@ -636,7 +681,7 @@ def _gram_projection(series: np.ndarray, n: int, rule: TruncationRule) -> _Proje
     s2, vecs = np.linalg.eigh(g[:m, :m])
     s2 = np.maximum(s2[::-1], 0.0)
     s = np.sqrt(s2)
-    rank = _requested_rank(s, rule, s2)
+    rank = _requested_rank(s, rule, (m, n), s2)
     if rank > m or not s2[rank - 1] > _GRAM_CUT_SQ * s2[0] >= np.finfo(float).tiny:
         return None
     u = np.ascontiguousarray(vecs[:, ::-1][:, :rank])
@@ -647,7 +692,8 @@ def _gram_projection(series: np.ndarray, n: int, rule: TruncationRule) -> _Proje
 def _shift_projection(x: np.ndarray, rule: TruncationRule) -> _Projection:
     """X's projection from its thin QR X = Q R: the SVD route on (R[:, :-1], R[:, 1:])."""
     q, r = np.linalg.qr(x)
-    return _svd_projection(r[:, :-1], r[:, 1:], rule)._replace(basis=q, first=r[:, 0])
+    x1_shape = (x.shape[0], x.shape[1] - 1)
+    return _svd_projection(r[:, :-1], r[:, 1:], rule, x1_shape)._replace(basis=q, first=r[:, 0])
 
 
 def _projection(x: np.ndarray, rule: TruncationRule) -> _Projection:
@@ -659,7 +705,7 @@ def _projection(x: np.ndarray, rule: TruncationRule) -> _Projection:
     fit = _gram_projection(series, n, rule)
     if fit is None:
         low = _hankel_factor(series, n)
-        fit = _svd_projection(low[:-1], low[1:], rule)
+        fit = _svd_projection(low[:-1], low[1:], rule, (x.shape[0], n))
     # X[:, 0] as the series holds it: contiguous whatever X's layout, so the fit does not depend on it
     return fit._replace(first=series[: x.shape[0]])
 

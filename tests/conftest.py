@@ -141,3 +141,19 @@ def series_metrics(record, channel: str, series: np.ndarray) -> tuple[float, flo
     ok = ~mask[:cover]
     err = series[:cover][ok] - raw[:cover][ok]
     return float(np.sqrt(np.mean(err**2))), float(np.sqrt(np.mean(raw[:cover][ok] ** 2)))
+
+
+# Records with no sustained oscillation (ROADMAP item 11): 2 s at 2500 Hz, seed 1, no gap.
+# name -> (planted modes, dc, noise_std); `sustained-oscillation` is always the wrong verdict.
+NEGATIVE_RECORDS = {
+    "decaying 8.6 Hz": ([od.ModeSpec(8.6, -3.0, 6.0)], 170.0, 0.05),
+    "growing 8.6 Hz": ([od.ModeSpec(8.6, 2.0, 1.0)], 170.0, 0.05),
+    "decaying 50 Hz": ([od.ModeSpec(50.0, -5.0, 10.0)], 0.0, 0.05),
+    "DC only, noise-free": ([], 170.0, 0.0),
+}
+
+
+def negative_record(name: str):
+    """The ``NEGATIVE_RECORDS`` entry ``name`` as a one-channel record named ``u_dc``."""
+    modes, dc, noise = NEGATIVE_RECORDS[name]
+    return od.generate(modes, dc=dc, fs=2500.0, duration=2.0, noise_std=noise, seed=1, channel="u_dc")

@@ -32,6 +32,7 @@ from oscidmd.cli import (
     run_dmd,
     run_mrdmd,
 )
+from conftest import NEGATIVE_RECORDS, negative_record
 from oracles import table_of
 from oscidmd import modes
 from oscidmd.ingest import IngestConfig
@@ -314,6 +315,40 @@ class TestOnset:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["stability"]["verdict"] == "sustained-oscillation"
         assert report["dominant_mode"]["frequency_hz"] == pytest.approx(8.6, abs=0.2)
+
+
+def negative_verdict(tmp_path: Path, name: str, run) -> str:
+    """The verdict of ``run`` (run_dmd or run_mrdmd) at CLI defaults on ``negative_record(name)``."""
+    od.write_csv(negative_record(name), tmp_path / "record.csv")
+    cfg = RunConfig(input_path=tmp_path / "record.csv", time_column="t", out_dir=tmp_path / "out")
+    assert run(cfg) == 0
+    return json.loads((tmp_path / "out" / "report.json").read_text())["stability"]["verdict"]
+
+
+MRDMD_FALSE_SUSTAINED = (
+    "a noise-level bin mode is taken as sustained ({}); the delay-consistent slow screen and the "
+    "joint bin amplitudes (ROADMAP items 1 + 2) clear it, and item 11 names the verdict rule"
+)
+
+
+class TestNegativeRegimes:
+    """Records with no sustained oscillation (``conftest.NEGATIVE_RECORDS``) never get that verdict."""
+
+    @pytest.mark.parametrize("name", list(NEGATIVE_RECORDS))
+    def test_dmd_reports_no_sustained_oscillation(self, tmp_path, name):
+        """The decaying 50 Hz record was `sustained-oscillation` at 961.8 Hz under the uncapped energy rank (912)."""
+        assert negative_verdict(tmp_path, name, run_dmd) != "sustained-oscillation"
+
+    @pytest.mark.parametrize("name", [
+        "decaying 8.6 Hz",
+        pytest.param("growing 8.6 Hz", marks=pytest.mark.xfail(
+            strict=True, reason=MRDMD_FALSE_SUSTAINED.format("5.41 Hz"))),
+        pytest.param("decaying 50 Hz", marks=pytest.mark.xfail(
+            strict=True, reason=MRDMD_FALSE_SUSTAINED.format("7.71 Hz"))),
+        "DC only, noise-free",
+    ])
+    def test_mrdmd_reports_no_sustained_oscillation(self, tmp_path, name):
+        assert negative_verdict(tmp_path, name, run_mrdmd) != "sustained-oscillation"
 
 
 def fmt(x: float) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from oscidmd.dmd import (
     _mode_order,
     _powers,
     _projection,
+    _requested_rank,
     _residuals_within_tol,
     amplitudes,
     conjugate_pairs,
@@ -39,6 +41,12 @@ from oscidmd.dmd import (
 )
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
 from oscidmd.stacking import antidiagonal_sums, unembed
+
+from conftest import NEGATIVE_RECORDS, negative_record
+
+# The uncapped energy rule: fits that test a mechanism at high rank, deep into the noise.
+# The default rule caps its rank at the noise threshold, and on noise it keeps rank 1.
+ENERGY = TruncationRule.energy(0.9999)
 
 
 def planted_hankel(signal_modes, fs=2500.0, duration=2.0, depth=200, dc=0.0, noise=0.0, seed=0):
@@ -113,6 +121,8 @@ class TestSvdTruncated:
             TruncationRule.energy(0.0)
         with pytest.raises(ValueError):
             TruncationRule.sv_ratio(1.0)
+        with pytest.raises(ValueError):
+            TruncationRule("thresholded-energy", 0.0)
         with pytest.raises(ValueError):
             TruncationRule("frobnicate", 1)
 
@@ -345,8 +355,8 @@ class TestAmplitudes:
         bound = 8 * m * rank * np.finfo(float).eps * kappa
         assert np.linalg.norm(got - want) <= bound * (2 * np.linalg.norm(want) + (kappa + 1) * np.linalg.norm(x1))
 
-    def test_wide_hankel_fit_is_the_least_squares_fit(self, lfo_gapped_dmd, lfo_gapped_embedded):
-        result, _ = lfo_gapped_dmd
+    def test_wide_hankel_fit_is_the_least_squares_fit(self, lfo_gapped_embedded):
+        result = od.dmd(lfo_gapped_embedded, ENERGY)
         m, n = lfo_gapped_embedded.shape
         assert n - 1 > m + 1 and result.rank > 300
         want, *_ = np.linalg.lstsq(result.modes, lfo_gapped_embedded[:, 0].astype(complex), rcond=None)
@@ -503,7 +513,7 @@ class TestDmdComposition:
     def test_tall_fit_lists_positive_imaginary_member_first(self):
         h = np.lib.stride_tricks.sliding_window_view(np.random.default_rng(5).normal(size=100), 60).T
         assert h.shape[1] - 1 <= h.shape[0] + 1  # tall, so the R route runs
-        lam = od.dmd(h).eigenvalues
+        lam = od.dmd(h, ENERGY).eigenvalues
         assert np.sum(lam.imag > 0) >= 10
         for k in np.flatnonzero(lam.imag > 0):
             assert lam[k + 1] == np.conj(lam[k])
@@ -526,7 +536,7 @@ class TestConjugatePartners:
             [od.ModeSpec(8.6, -0.2, 1.0), od.ModeSpec(31.0, 0.0, 0.5)], duration=0.1, noise=0.01
         )
         assert hankel.shape[1] - 1 <= hankel.shape[0] + 1  # tall, so the R route runs
-        assert_partners_exact(od.dmd(hankel))
+        assert_partners_exact(od.dmd(hankel, ENERGY))
 
     def test_hankel_wide_fit(self, lfo_gapped_dmd):
         assert_partners_exact(lfo_gapped_dmd[0])
@@ -607,9 +617,11 @@ class TestProperties:
                 prev = res
 
 
-def direct_fit(x1, x2, rule=od.DEFAULT_RULE, first=None):
-    """The composition on the pair itself: SVD of x1, then operator, eig, and amplitudes of ``first`` (x1[:, 0])."""
-    svd = svd_truncated(x1, rule)
+def direct_fit(x1, x2, rule=od.DEFAULT_RULE, first=None, shape=None):
+    """The composition on the pair itself: SVD of x1, then operator, eig, and amplitudes of ``first`` (x1[:, 0]).
+
+    ``shape`` is X1's shape when x1 is a factor of X1 (svd_truncated's ``shape``)."""
+    svd = svd_truncated(x1, rule, shape)
     a_tilde = reduced_operator(svd.u, svd.sigma, svd.v, x2)
     w, lam, phi = eig_modes(a_tilde, svd.u)
     return svd, a_tilde, lam, phi, amplitudes(svd.u, w, x1[:, 0] if first is None else first)
@@ -632,8 +644,9 @@ def assert_fit_bit_for_bit(result, y1, y2, first, rank):
 
 def qr_route(x, rule=od.DEFAULT_RULE):
     """The QR route of a wide Hankel matrix as a DmdResult, modes in eig's order (pairs adjacent)."""
-    low = _hankel_factor(_hankel_series(x), x.shape[1] - 1)
-    svd, _, lam, phi, b = direct_fit(low[:-1], low[1:], rule, x[:, 0])
+    m, n = x.shape[0], x.shape[1] - 1
+    low = _hankel_factor(_hankel_series(x), n)
+    svd, _, lam, phi, b = direct_fit(low[:-1], low[1:], rule, x[:, 0], (m, n))
     return od.DmdResult(
         coefficients=phi, eigenvalues=lam, amplitudes=b, rank=svd.rank,
         singular_values=svd.singular_values, rank_clamped=svd.rank_clamped,
@@ -652,6 +665,11 @@ def hankel_source(source, request):
     return request.getfixturevalue(source)
 
 
+def source_rule(source):
+    """The default rule, or for the random series, all noise, the uncapped energy rule."""
+    return ENERGY if source == "random" else od.DEFAULT_RULE
+
+
 class TestHankelCompression:
     @pytest.mark.parametrize("source", ["lfo_clean_embedded", "lfo_gapped_embedded", "random"])
     def test_matches_direct_fit(self, source, request):
@@ -666,8 +684,9 @@ class TestHankelCompression:
         hankel = hankel_source(source, request)
         x1, x2 = hankel[:, :-1], hankel[:, 1:]
         assert x1.shape[1] > x1.shape[0] + 1  # wide, so the compressed path runs
-        result = od.dmd(hankel, od.DEFAULT_RULE)
-        svd, _, lam, phi, b = direct_fit(x1, x2)
+        rule = source_rule(source)
+        result = od.dmd(hankel, rule)
+        svd, _, lam, phi, b = direct_fit(x1, x2, rule)
 
         assert result.rank == svd.rank
         s, r = svd.singular_values, svd.rank
@@ -856,9 +875,9 @@ class TestGramRoute:
         """The Gram route gives the QR route's rank, its retained sigma to 1e-12 sigma_1,
         its eigenvalues to 1e-9 relative and its series to 1e-9 x max."""
         hankel = hankel_source(source, request)
-        n = hankel.shape[1] - 1
-        assert _gram_projection(_hankel_series(hankel), n, od.DEFAULT_RULE) is not None
-        result, want = od.dmd(hankel, od.DEFAULT_RULE), qr_route(hankel)
+        n, rule = hankel.shape[1] - 1, source_rule(source)
+        assert _gram_projection(_hankel_series(hankel), n, rule) is not None
+        result, want = od.dmd(hankel, rule), qr_route(hankel, rule)
         r = want.rank
         assert result.rank == r and not result.rank_clamped and not want.rank_clamped
         s = want.singular_values
@@ -926,6 +945,80 @@ class TestGramRoute:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 8 * 36 * m
         assert max(peaks) < 4 * (m + 1) ** 2 * 8
+
+
+def gapped_tone_hankel(fs, duration, depth):
+    """A gapped 8.6 Hz tone on DC 170 with noise 0.05 (seed 1): the gap spreads the spectrum, so the cap binds."""
+    rec = od.generate([od.ModeSpec(8.6, 0.0, 6.0)], dc=170.0, fs=fs, duration=duration, noise_std=0.05, seed=1)
+    rec = od.inject_gap(rec, int(0.4 * rec.length), rec.length // 20)
+    return od.delay_embed(rec, "signal", depth)
+
+
+def default_rule_record(name):
+    """A record of ``conftest.NEGATIVE_RECORDS``, or the lfo_udc profile (seed 1) at noise 0.05 or none."""
+    if name.startswith("lfo_udc"):
+        return od.generate_profile("lfo_udc", seed=1, noise_std=0.0 if name.endswith("noise-free") else 0.05)[0]
+    return negative_record(name)
+
+
+class TestDefaultRule:
+    """The default rule is the 0.9999-energy rank capped at the Gavish-Donoho noise threshold."""
+
+    @pytest.mark.parametrize("name", [*NEGATIVE_RECORDS, "lfo_udc", "lfo_udc noise-free"])
+    def test_caps_the_energy_rank_and_keeps_the_gram_route(self, name):
+        """At the default stack the default rank is at most the energy rank, and equal to it on every
+        record but the decaying 50 Hz one, where the energy rule keeps 912 directions, mostly noise.
+        The capped rank's sigma_r is no smaller, so the Gram route runs whenever it runs for the energy rule."""
+        hankel = od.delay_embed(default_rule_record(name))
+        series, n = _hankel_series(hankel), hankel.shape[1] - 1
+        gram = {rule: _gram_projection(series, n, rule) for rule in (od.DEFAULT_RULE, ENERGY)}
+        rank = {rule: (_projection(hankel, rule) if fit is None else fit).rank for rule, fit in gram.items()}
+        assert 1 <= rank[od.DEFAULT_RULE] <= rank[ENERGY]
+        assert (rank[od.DEFAULT_RULE] < rank[ENERGY]) == (name == "decaying 50 Hz")
+        assert gram[ENERGY] is None or gram[od.DEFAULT_RULE] is not None
+
+    @pytest.mark.parametrize("route", ["gram", "qr", "r"])
+    def test_every_route_reads_the_threshold_from_x1(self, route, monkeypatch):
+        """The threshold's beta is X1's on every route, also where the spectrum comes from a factor of X1.
+
+        The reference is X1's own SVD. The factor's shape, m x (m+1) (L[:m]) or (n+1) x n (R[:, :-1]),
+        would give another rank on these records.
+        """
+        hankel = gapped_tone_hankel(2500.0, 0.2, 300) if route == "r" else gapped_tone_hankel(1000.0, 1.0, 100)
+        x1 = hankel[:, :-1]
+        (m, n), wide = x1.shape, route != "r"
+        assert wide == (n > m + 1)
+        if route == "qr":
+            monkeypatch.setattr(importlib.import_module("oscidmd.dmd"), "_gram_projection", lambda *args: None)
+        elif route == "gram":
+            assert _gram_projection(_hankel_series(hankel), n, od.DEFAULT_RULE) is not None
+        fit = _projection(hankel, od.DEFAULT_RULE)
+        assert (fit.basis is None) == wide
+        want = svd_truncated(x1, od.DEFAULT_RULE)
+        assert fit.rank == want.rank < svd_truncated(x1, ENERGY).rank
+        factor_shape = (m, m + 1) if wide else (n + 1, n)
+        assert svd_truncated(x1, od.DEFAULT_RULE, factor_shape).rank != want.rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 60),
+        other=st.integers(1, 200),
+        fraction=st.sampled_from([0.5, 0.99, 0.9999, 1.0]),
+    )
+    def test_threshold_only_lowers_the_energy_rank(self, seed, size, other, fraction):
+        """For any spectrum, the capped rank is at least 1 and at most the energy rank, and a rank below
+        the energy rank keeps exactly the singular values above omega(beta) median(sigma)."""
+        rng = np.random.default_rng(seed)
+        s = np.sort(10.0 ** rng.uniform(-6, 3, size=size))[::-1]
+        shape = (size, size + other - 1)
+        capped = _requested_rank(s, TruncationRule("thresholded-energy", fraction), shape)
+        energy = _requested_rank(s, TruncationRule.energy(fraction), shape)
+        assert 1 <= capped <= energy
+        if capped < energy:
+            beta = size / (size + other - 1)
+            tau = (0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43) * np.median(s)
+            assert capped == max(1, int(np.sum(s > tau)))
 
 
 class TestReconstructSeries:
