@@ -355,13 +355,21 @@ def _write_report(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _truncation_payload(rule: TruncationRule, fit: DmdResult | None = None) -> dict:
+    """The ``truncation`` block of report.json and compare.json: the rule, and a single-window fit's rank."""
+    payload = {"kind": rule.kind, "value": rule.value}
+    if fit is not None:
+        payload.update(rank=fit.rank, rank_clamped=fit.rank_clamped)
+    return payload
+
+
 def _write_run(
-    cfg: RunConfig, record: SignalRecord, depth: int, rule: TruncationRule, reports: ModeTable,
+    cfg: RunConfig, record: SignalRecord, depth: int, reports: ModeTable,
     series: np.ndarray, report: dict, tagged: bool = False, levels: tuple[np.ndarray, ...] = (),
 ) -> Path:
     """Write the artifacts every analysis shares plus its extras; returns the output directory.
 
-    ``report`` adds report.json keys; its ``truncation`` joins the rule's kind and value.
+    ``report`` adds report.json keys, its ``truncation`` block among them (:func:`_truncation_payload`).
     ``tagged`` names the mode table modes.csv and leads each row with level, bin and slow flag.
     Each of ``levels`` becomes a level_<l>.csv series.
     """
@@ -383,7 +391,6 @@ def _write_run(
             "tool": {"name": "oscidmd", "version": __version__},
             "source": _source_payload(cfg, record, channel),
             "stacking": {"depth": depth, "rows": depth, "columns": record.length - depth + 1},
-            "truncation": {"kind": rule.kind, "value": rule.value, **report.get("truncation", {})},
             "dominant_mode": _dominant_payload(cluster, best),
             "stability": _stability_payload(reports, cluster, cfg.eps_crit),
             "reconstruction": _series_metrics(record, channel, series),
@@ -430,8 +437,8 @@ def run_dmd(cfg: RunConfig) -> int:
     cfg.validate()
     record, _ = _load_record(cfg)
     reports, series, result, depth = _analyze_dmd_core(cfg, record)
-    report = {"analysis": "dmd", "truncation": {"rank": result.rank, "rank_clamped": result.rank_clamped}}
-    _write_run(cfg, record, depth, cfg.rule or DEFAULT_RULE, reports, series, report)
+    report = {"analysis": "dmd", "truncation": _truncation_payload(cfg.rule or DEFAULT_RULE, result)}
+    _write_run(cfg, record, depth, reports, series, report)
     return 0
 
 
@@ -443,6 +450,7 @@ def run_mrdmd(cfg: RunConfig) -> int:
     levels = _plan_levels(mrdmd_plan)
     report = {
         "analysis": "mrdmd",
+        "truncation": _truncation_payload(cfg.rule or DEFAULT_BIN_RULE),
         "plan": {
             "mu": mrdmd_plan.mu,
             "g": str(mrdmd_plan.g),
@@ -454,8 +462,7 @@ def run_mrdmd(cfg: RunConfig) -> int:
         },
     }
     level_series = result.per_level_series if cfg.emit_levels else ()
-    rule = cfg.rule or DEFAULT_BIN_RULE
-    out = _write_run(cfg, record, depth, rule, reports, series, report, tagged=True, levels=level_series)
+    out = _write_run(cfg, record, depth, reports, series, report, tagged=True, levels=level_series)
     if cfg.emit_plan:
         _write_plan_csv(out / "plan.csv", levels)
     return 0
@@ -497,14 +504,21 @@ def run_compare(cfg: RunConfig) -> int:
     truth = profile.dominant_truth()
 
     methods = {}
-    for name, core in (("dmd", _analyze_dmd_core), ("mrdmd", _analyze_mrdmd_core)):
+    for name, core, rule in (
+        ("dmd", _analyze_dmd_core, cfg.rule or DEFAULT_RULE),
+        ("mrdmd", _analyze_mrdmd_core, cfg.rule or DEFAULT_BIN_RULE),
+    ):
         # a method that cannot decompose the data at all (e.g. a gap wiped the
         # whole window) is reported as failed-to-identify, not a CLI error
         try:
-            reports, series, *_ = core(cfg, record)
+            reports, series, result, *_ = core(cfg, record)
         except DecompositionError:
-            reports, series = mode_table([], [], 1, [], []), np.zeros(0)  # no modes
-        methods[name] = _method_payload(reports, series, record, channel, cfg.eps_crit, truth)
+            reports, series, result = mode_table([], [], 1, [], []), np.zeros(0), None  # no modes
+        methods[name] = {
+            **_method_payload(reports, series, record, channel, cfg.eps_crit, truth),
+            # a single-window fit has one rank, MR-DMD one per bin, a failed fit none
+            "truncation": _truncation_payload(rule, result if name == "dmd" else None),
+        }
     ratio = None
     if methods["dmd"]["rmse"] is not None and methods["mrdmd"]["rmse"] not in (None, 0.0):
         ratio = _num(methods["dmd"]["rmse"] / methods["mrdmd"]["rmse"])

@@ -84,10 +84,15 @@ of the cost of the singular values. When the factorization breaks down,
 the singular values decide, so every decision is the singular-value
 rule's.
 
-Both analyses build their series with :func:`product_antidiagonal_sums`,
-one FFT convolution of each mode shape with its coefficient sequence. A
-conjugate pair is folded into its first member first (:func:`fold_pairs`),
-so it takes one convolution.
+Both analyses evaluate their modes through one factored form,
+:class:`ModeFactor`: mode shapes, amplitudes and continuous eigenvalues
+omega = f_sp ln(lambda), a conjugate pair folded into one column. Its
+anti-diagonal sums are one FFT convolution of each mode shape with its
+geometric sequence. Single-window DMD reads it at dt = f_sp = 1, where
+omega = ln(lambda) and x_j = Phi L^j b (:func:`reconstruct_series`); an
+MR-DMD bin reads its slow modes at the full sample rate.
+:func:`reconstruct_window` forms the dense window from its own powers of
+L, the independent check of the factor.
 
 All functions are pure; results are immutable and safe to share across
 threads. Linear-algebra kernels may use threaded BLAS internally, which is
@@ -96,7 +101,6 @@ deterministic for a fixed library and thread count.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -117,10 +121,18 @@ _EIG_RESIDUAL_RTOL = 1e-8
 # moves A~ by at most about 1e-8, the eigen-residual tolerance (see _gram_projection).
 _GRAM_CUT_SQ = 4 * np.finfo(float).eps / _EIG_RESIDUAL_RTOL
 
-# Modes transformed together by product_antidiagonal_sums. The two spectra
+# Modes transformed together by ModeFactor.antidiagonal_sums. The two spectra
 # of a block are 2 * 64 * 16 bytes per FFT point (10 MB on a 1000 x 4001
 # window), and every MR-DMD bin of rank <= 64 is a single block.
 _SERIES_BLOCK = 64
+
+# BLAS products round the columns of a partial output tile differently from
+# the rest, and differently again on their small-matrix path. Evaluating a
+# factor in whole tiles of this many columns keeps each MR-DMD bin's input
+# bit-identical to the data less its lineage factor's full-span product, on
+# builds whose column tile divides it (measured on OpenBLAS's SkylakeX dgemm);
+# noise-only bins amplify any last-bit difference.
+_TILE = 8
 
 TRUNC_FIXED = "fixed-rank"
 TRUNC_ENERGY = "energy-fraction"
@@ -479,28 +491,6 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
     return np.flatnonzero((eigenvalues[:-1].imag > 0) & (eigenvalues[1:] == eigenvalues[:-1].conj()))
 
 
-def fold_pairs(
-    eigenvalues: np.ndarray, amplitudes: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The modes ``idx`` (ascending) with each conjugate pair folded into its first member.
-
-    Returns the indices of the modes kept and their amplitudes. A pair with
-    both members in ``idx`` keeps its first member, with amplitude
-    b + conj(b'): dmd() writes the partner's mode as the exact conjugate
-    of the first's, so Re(phi b z^j + conj(phi) b' conj(z)^j) =
-    Re(phi (b + conj(b')) z^j), whether or not b' = conj(b). Every other
-    mode keeps its own amplitude.
-    """
-    starts = np.zeros(eigenvalues.size, dtype=bool)
-    starts[conjugate_pairs(eigenvalues)] = True
-    # positions in idx whose mode starts a pair and whose next mode in idx is its partner
-    first = np.flatnonzero(starts[idx[:-1]] & (idx[1:] == idx[:-1] + 1))
-    b = amplitudes[idx]
-    b[first] += b[first + 1].conj()
-    keep = np.delete(np.arange(idx.size), first + 1)
-    return idx[keep], b[keep]
-
-
 def _powers(eigenvalues: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """lambda ** j as exp(j ln lambda) for each eigenvalue (rows) and exponent (columns).
 
@@ -538,43 +528,108 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def product_antidiagonal_sums(modes: np.ndarray, sequences: Callable[[slice], np.ndarray], width: int) -> np.ndarray:
-    """Anti-diagonal sums of Re(modes @ C), C the r x width rows ``sequences(k)`` gives for mode slices k.
+@dataclass(frozen=True)
+class ModeFactor:
+    """A fit's modes in factored form, analytic at any column of ``col_span``.
 
-    The sums are Re(sum_k modes[:, k] (*) C[k]), one convolution per mode, taken by FFT
-    ``_SERIES_BLOCK`` modes at a time in O(r * (rows + width) * log); modes @ C is never formed.
+    Column j of the span is Re(sum_k modes[:, k] amplitudes[k] exp(omega[k] dt j)),
+    with omega_k = f_sp ln(lambda_k) carrying an eigenvalue at the fit's
+    snapshot rate f_sp to the column interval dt. ``modes`` (rows x r) is a
+    copy with one column per conjugate pair; an empty factor evaluates to
+    zeros. Single-window DMD reads every mode at dt = f_sp = 1
+    (:func:`reconstruct_series`), an MR-DMD bin its slow modes at the full
+    rate (``mrdmd.lineage_factor`` stacks them). The arrays are read-only.
     """
-    rows, r = modes.shape
-    length = rows + width - 1
-    size = _fast_length(length)
-    spectrum = np.zeros(size, dtype=complex)
-    for lo in range(0, r, _SERIES_BLOCK):
-        k = slice(lo, lo + _SERIES_BLOCK)
-        spectrum += np.einsum(
-            "fk,kf->f",
-            np.fft.fft(modes[:, k], size, axis=0),
-            np.fft.fft(sequences(k), size, axis=1),
-        )
-    return np.fft.ifft(spectrum)[:length].real
+
+    col_span: tuple[int, int]
+    modes: np.ndarray
+    amplitudes: np.ndarray
+    omega: np.ndarray
+    dt: float
+
+    def __post_init__(self) -> None:
+        for name in ("modes", "amplitudes", "omega"):
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def of(
+        cls, fit: DmdResult, idx: np.ndarray | tuple[int, ...], col_span: tuple[int, int], dt: float, f_sp: float
+    ) -> "ModeFactor":
+        """The fit's modes ``idx`` (ascending, no zero eigenvalue) at m rows, each conjugate pair in one column.
+
+        A pair (:func:`conjugate_pairs`) with both members in ``idx`` keeps
+        its first member's column with amplitude b + conj(b'): dmd() writes
+        the partner's mode as the exact conjugate of the first's, so
+        Re(phi b z^j + conj(phi) b' conj(z)^j) = Re(phi (b + conj(b')) z^j),
+        whether or not b' = conj(b).
+        """
+        idx = np.asarray(idx, dtype=int)
+        starts = np.zeros(fit.eigenvalues.size, dtype=bool)
+        starts[conjugate_pairs(fit.eigenvalues)] = True
+        # positions in idx whose mode starts a pair and whose next mode in idx is its partner
+        first = np.flatnonzero(starts[idx[:-1]] & (idx[1:] == idx[:-1] + 1))
+        b = fit.amplitudes[idx]
+        b[first] += b[first + 1].conj()
+        idx, b = np.delete(idx, first + 1), np.delete(b, first + 1)
+        # the lift (or a basis-free fit's fancy index) copies: no view of the fit is held
+        return cls(col_span, fit.lifted(idx), b, f_sp * np.log(fit.eigenvalues[idx]), dt)
+
+    def at(self, cols: np.ndarray) -> np.ndarray:
+        """The reconstruction at absolute snapshot columns inside the span.
+
+        Re(modes @ C) as one real product on the modes' float view, padded
+        to whole ``_TILE``-column tiles: no column lies in a partial tile,
+        so each is bit for bit the full-span product's.
+        """
+        offsets = np.asarray(cols) - self.col_span[0]
+        tau = self.dt * np.concatenate([offsets, np.zeros(-offsets.size % _TILE, dtype=int)])
+        coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
+        real = np.stack((coeff.real, -coeff.imag), axis=1).reshape(2 * coeff.shape[0], coeff.shape[1])
+        return (np.ascontiguousarray(self.modes).view(float) @ real)[:, : offsets.size]
+
+    def antidiagonal_sums(self) -> np.ndarray:
+        """Anti-diagonal sums of the reconstruction over the whole span, which is never formed.
+
+        Equal, up to rounding, to ``stacking.antidiagonal_sums`` of the rows x
+        width reconstruction: Re(sum_k modes[:, k] (*) (amplitudes[k] z_k^j)),
+        one convolution of each mode shape with its geometric sequence
+        (z_k = exp(omega_k dt)), taken by FFT ``_SERIES_BLOCK`` modes at a
+        time in O(r (rows + width) log) instead of O(rows width r).
+        """
+        rows, r = self.modes.shape
+        width = self.col_span[1] - self.col_span[0]
+        tau = self.dt * np.arange(width)[None, :]
+        length = rows + width - 1
+        size = _fast_length(length)
+        spectrum = np.zeros(size, dtype=complex)
+        for lo in range(0, r, _SERIES_BLOCK):
+            k = slice(lo, lo + _SERIES_BLOCK)
+            spectrum += np.einsum(
+                "fk,kf->f",
+                np.fft.fft(self.modes[:, k], size, axis=0),
+                np.fft.fft(self.amplitudes[k, None] * np.exp(self.omega[k, None] * tau), size, axis=1),
+            )
+        return np.fft.ifft(spectrum)[:length].real
 
 
 def reconstruct_series(result: DmdResult, n_columns: int) -> np.ndarray:
     """Anti-diagonal average of Re(reconstruct_window(result, n_columns)).
 
     Equals ``unembed(reconstruct_window(result, n_columns).real)`` up to
-    rounding, without forming the m x n window: the sums are
-    :func:`product_antidiagonal_sums` over the sequences b_k lambda_k^j,
-    with each conjugate pair folded into one mode (:func:`fold_pairs`), so
-    a pair takes one row of powers and one convolution.
+    rounding, without forming the m x n window: the sums are those of the
+    :class:`ModeFactor` of every mode at dt = f_sp = 1, so omega = ln(lambda).
+    A zero eigenvalue keeps 0^0 = 1: its mode adds to column 0 alone, the
+    first m anti-diagonals, and takes no logarithm.
     """
     if n_columns < 1:
         raise ValueError("need at least one column")
-    j = np.arange(n_columns)
-    keep, b = fold_pairs(result.eigenvalues, result.amplitudes, np.arange(result.eigenvalues.size))
-    lam = result.eigenvalues[keep]
-    modes = result.lifted(keep)
-    sums = product_antidiagonal_sums(modes, lambda k: b[k, None] * _powers(lam[k], j), n_columns)
-    return sums / antidiagonal_counts(modes.shape[0], n_columns)
+    zero = result.eigenvalues == 0
+    factor = ModeFactor.of(result, np.flatnonzero(~zero), (0, n_columns), 1.0, 1.0)
+    sums = factor.antidiagonal_sums()
+    m = factor.modes.shape[0]
+    if zero.any():
+        sums[:m] += (result.lifted(np.flatnonzero(zero)) @ result.amplitudes[zero]).real
+    return sums / antidiagonal_counts(m, n_columns)
 
 
 def _hankel_series(x: np.ndarray) -> np.ndarray | None:

@@ -16,10 +16,11 @@ gathers those columns from the snapshot matrix and subtracts its
 ancestors' slow modes evaluated there, in one product; no residual is
 formed at full resolution. Those mu columns are the bin's snapshot
 matrix, which ``dmd`` fits in its R factor (the R route), and only its
-slow modes are lifted to m rows, once (``SlowModes``: the mode shapes,
-amplitudes and continuous eigenvalues, one column per conjugate pair).
-A bin with slow modes appends them to the lineage factor it received
-(``lineage_factor``: one ``SlowModes`` holding every ancestor's slow
+slow modes are lifted to m rows, once (``dmd.ModeFactor``, the factored
+form single-window DMD evaluates too: the mode shapes, amplitudes and
+continuous eigenvalues omega = f_sp ln(lambda), one column per conjugate
+pair). A bin with slow modes appends them to the lineage factor it received
+(``lineage_factor``: one ``ModeFactor`` holding every ancestor's slow
 columns, amplitudes re-based to the bin's start) and passes the result
 to both halves. The factor and the fit's m x mu basis are freed when
 the bin's subtree is done, so at most one of each per level is alive at
@@ -28,7 +29,7 @@ geometry, its fit as a ``BinFit`` (eigenvalues, amplitudes, rank and
 singular values) and its slow set: no m-row array. A bin's contribution to
 its level's series is the anti-diagonal sums of its slow reconstruction,
 which is a sum of convolutions of each mode shape with its geometric
-sequence b_k z_k^j; it is taken by FFT (``dmd.product_antidiagonal_sums``,
+sequence b_k z_k^j; it is taken by FFT (``ModeFactor.antidiagonal_sums``,
 as for single-window DMD), so no bin's m x width reconstruction is formed.
 The primary outputs, ``per_level_series`` and ``series``, cost
 O(L * (m + n)) memory. The one dense view, the m x n total reconstruction,
@@ -58,8 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dmd import TRUNC_RATIO, DmdResult, TruncationRule, ZeroSignalError, dmd, fold_pairs
-from .dmd import product_antidiagonal_sums
+from .dmd import TRUNC_RATIO, DmdResult, ModeFactor, TruncationRule, ZeroSignalError, dmd
 from .ingest import _DT_REL_TOL
 from .modes import ModeTable, mode_table
 from .stacking import antidiagonal_counts
@@ -73,15 +73,6 @@ _MAX_DT_DENOMINATOR = 10**9
 # coherent content resolvable without the overfit a near-full rank causes on
 # corrupted bins.
 DEFAULT_BIN_RULE = TruncationRule(TRUNC_RATIO, 1e-4)
-
-# BLAS products round the columns of a partial output tile differently from
-# the rest, and differently again on their small-matrix path. Evaluating a
-# lineage factor in whole tiles of this many columns keeps each bin's input
-# bit-identical to the data less the factor's full-span product, on builds
-# whose column tile divides it (measured on OpenBLAS's SkylakeX dgemm);
-# noise-only bins amplify any last-bit difference.
-_TILE = 8
-
 
 # A residual of at most this fraction of its bin data's norm is rounding,
 # and its bin a zero-signal bin: a noise-free constant record's bins read up
@@ -263,92 +254,10 @@ class BinFit:
         return cls(fit.eigenvalues, fit.amplitudes, fit.rank, fit.rank_clamped, fit.singular_values)
 
 
-@dataclass(frozen=True)
-class SlowModes:
-    """A bin's slow modes in factored form, analytic at any of its columns.
-
-    The column at offset j from the bin start is
-    Re(sum_k modes[:, k] * amplitudes[k] * exp(omega[k] * dt * j)), with
-    omega_k = f_sp * ln(lambda_k) bridging the subsampled eigenvalue
-    interval to the full sample rate. ``modes`` is rows x r, a copy of the
-    fit's slow columns that keeps no reference to its other modes, with one
-    column per conjugate pair; an empty slow set evaluates to zeros. A
-    lineage factor (``lineage_factor``) has the same form. The arrays are
-    read-only.
-    """
-
-    col_span: tuple[int, int]
-    modes: np.ndarray
-    amplitudes: np.ndarray
-    omega: np.ndarray
-    dt: float
-
-    def __post_init__(self) -> None:
-        for name in ("modes", "amplitudes", "omega"):
-            getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def of(
-        cls,
-        node_dmd: DmdResult,
-        slow_set: np.ndarray | tuple[int, ...],
-        col_span: tuple[int, int],
-        dt: float,
-        f_sp: float,
-    ) -> "SlowModes":
-        """The slow set's modes at m rows, a conjugate pair folded into one column (``dmd.fold_pairs``).
-
-        dmd() lists a pair as adjacent modes, positive-imaginary member
-        first (``dmd.conjugate_pairs``), and writes the partner's mode as
-        the exact conjugate of the first's. A pair folds when both members
-        are slow: it keeps its first member's column with amplitude
-        b + conj(b').
-        """
-        idx = np.asarray(slow_set, dtype=int)
-        keep, amplitudes = fold_pairs(node_dmd.eigenvalues, node_dmd.amplitudes, idx)
-        return cls(
-            col_span=col_span,
-            # the lift (or a basis-free fit's fancy index) copies: no view of the fit is held
-            modes=node_dmd.lifted(keep),
-            amplitudes=amplitudes,
-            omega=f_sp * np.log(node_dmd.eigenvalues[keep]),
-            dt=dt,
-        )
-
-    def at(self, cols: np.ndarray) -> np.ndarray:
-        """The slow reconstruction at absolute snapshot columns inside the bin.
-
-        Re(modes @ C) as one real product on the modes' float view, padded
-        to whole ``_TILE``-column tiles: no column lies in a partial tile,
-        so each is bit for bit the full-span product's.
-        """
-        offsets = np.asarray(cols) - self.col_span[0]
-        tau = self.dt * np.concatenate([offsets, np.zeros(-offsets.size % _TILE, dtype=int)])
-        coeff = self.amplitudes[:, None] * np.exp(self.omega[:, None] * tau[None, :])
-        real = np.stack((coeff.real, -coeff.imag), axis=1).reshape(2 * coeff.shape[0], coeff.shape[1])
-        return (np.ascontiguousarray(self.modes).view(float) @ real)[:, : offsets.size]
-
-    def antidiagonal_sums(self) -> np.ndarray:
-        """Anti-diagonal sums of the slow reconstruction over the whole bin.
-
-        Equal, up to rounding, to ``stacking.antidiagonal_sums`` of the
-        rows x width reconstruction, which is never formed: the sums are
-        Re(sum_k modes[:, k] (*) (amplitudes[k] * z_k^j)), one convolution
-        of each mode shape with its geometric sequence (z_k =
-        exp(omega_k * dt)), taken by FFT (``dmd.product_antidiagonal_sums``)
-        in O(r_slow * (rows + width) * log) instead of O(rows * width * r_slow).
-        """
-        width = self.col_span[1] - self.col_span[0]
-        tau = self.dt * np.arange(width)[None, :]
-        return product_antidiagonal_sums(
-            self.modes, lambda k: self.amplitudes[k, None] * np.exp(self.omega[k, None] * tau), width
-        )
-
-
-def lineage_factor(ancestors: SlowModes | None, own: SlowModes) -> SlowModes:
+def lineage_factor(ancestors: ModeFactor | None, own: ModeFactor) -> ModeFactor:
     """The factor a bin with slow modes passes to both its halves.
 
-    One ``SlowModes`` over the bin's span: the columns of ``ancestors``
+    One ``ModeFactor`` over the bin's span: the columns of ``ancestors``
     (the factor the bin received, None at the root), then ``own``'s. The
     ancestors' amplitudes are re-based to the bin's start,
     b * exp(omega * dt * (start - origin)); a left half starts where its
@@ -357,7 +266,7 @@ def lineage_factor(ancestors: SlowModes | None, own: SlowModes) -> SlowModes:
     if ancestors is None:
         return own
     shift = own.col_span[0] - ancestors.col_span[0]
-    return SlowModes(
+    return ModeFactor(
         col_span=own.col_span,
         modes=np.concatenate([ancestors.modes, own.modes], axis=1),
         amplitudes=np.concatenate(
@@ -375,8 +284,8 @@ def slow_reconstruction(
     dt: float,
     f_sp: float,
 ) -> np.ndarray:
-    """Full-resolution reconstruction of the slow modes over a bin: ``SlowModes.at`` every column of the span."""
-    return SlowModes.of(node_dmd, slow_set, span, dt, f_sp).at(np.arange(*span))
+    """Full-resolution reconstruction of the slow modes over a bin: ``ModeFactor.at`` every column of the span."""
+    return ModeFactor.of(node_dmd, slow_set, span, dt, f_sp).at(np.arange(*span))
 
 
 @dataclass(frozen=True)
@@ -402,7 +311,7 @@ class MrdmdNode:
 
 def _walk(
     data: np.ndarray, mrdmd_plan: MrdmdPlan, rule: TruncationRule
-) -> Iterator[tuple[MrdmdNode, SlowModes | None]]:
+) -> Iterator[tuple[MrdmdNode, ModeFactor | None]]:
     """The recursion over ``data``: yields each bin as it is fitted.
 
     Pre-order per bin (a bin, then its left half, then its right half):
@@ -424,8 +333,8 @@ def _walk(
     level_count = mrdmd_plan.termination_level
 
     def recurse(
-        start: int, width: int, level: int, bin_index: int, lineage: SlowModes | None
-    ) -> Iterator[tuple[MrdmdNode, SlowModes | None]]:
+        start: int, width: int, level: int, bin_index: int, lineage: ModeFactor | None
+    ) -> Iterator[tuple[MrdmdNode, ModeFactor | None]]:
         span = (start, start + width)
         cols = subsample(span, mu)
         f_sp = mu / (width * dt)
@@ -445,7 +354,7 @@ def _walk(
             slow_idx = screen_slow(fit, mrdmd_plan.rho)
             slow = tuple(slow_idx.tolist())
             if slow:
-                own = SlowModes.of(fit, slow_idx, span, dt, f_sp)
+                own = ModeFactor.of(fit, slow_idx, span, dt, f_sp)
         binfit = None if fit is None else BinFit.of(fit)
         yield MrdmdNode(level, bin_index, span, binfit, slow, f_sp), own
         # This frame lives until both halves are done: free the bin's input

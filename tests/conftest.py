@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oscidmd as od
-from oscidmd.mrdmd import _ROUNDING_FLOOR, DEFAULT_BIN_RULE, SlowModes, lineage_factor, subsample
+from oscidmd.dmd import ModeFactor
+from oscidmd.mrdmd import _ROUNDING_FLOOR, DEFAULT_BIN_RULE, lineage_factor, subsample
 
 GAP_START = 2000
 GAP_LENGTH = 250  # 0.1 s at 2500 Hz
@@ -82,7 +83,7 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
     ``cols = subsample(node.col_span, mu)`` less the lineage factor it
     received at ``cols``, as ``decompose`` forms it. Each bin's slow modes
     are built here from its own refit,
-    ``SlowModes.of(refit, node.slow_set, node.col_span, result.plan.dt,
+    ``ModeFactor.of(refit, node.slow_set, node.col_span, result.plan.dt,
     node.f_sp)``, and a bin with slow modes passes
     ``lineage_factor(received, slow)`` to its halves, so the lineage is
     independent of the decomposition's. The refit must reproduce the node's
@@ -104,7 +105,7 @@ def refit_bins(result, data, rule=DEFAULT_BIN_RULE):
             fit = od.dmd(xsub, rule)
             assert np.array_equal(fit.eigenvalues, node.dmd.eigenvalues)
             assert np.array_equal(fit.amplitudes, node.dmd.amplitudes)
-            slow = SlowModes.of(fit, node.slow_set, node.col_span, result.plan.dt, node.f_sp)
+            slow = ModeFactor.of(fit, node.slow_set, node.col_span, result.plan.dt, node.f_sp)
             yield node, xsub, fit, slow
             if node.slow_set:
                 lineage = lineage_factor(lineage, slow)
@@ -151,6 +152,10 @@ NEGATIVE_RECORDS = {
     "decaying 50 Hz": ([od.ModeSpec(50.0, -5.0, 10.0)], 0.0, 0.05),
     "DC only, noise-free": ([], 170.0, 0.0),
 }
+# each oscillating record again without noise
+NEGATIVE_RECORDS.update({
+    f"{name}, noise-free": (modes, dc, 0.0) for name, (modes, dc, noise) in list(NEGATIVE_RECORDS.items()) if modes
+})
 
 
 def negative_record(name: str):

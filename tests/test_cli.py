@@ -346,6 +346,9 @@ class TestNegativeRegimes:
         pytest.param("decaying 50 Hz", marks=pytest.mark.xfail(
             strict=True, reason=MRDMD_FALSE_SUSTAINED.format("7.71 Hz"))),
         "DC only, noise-free",
+        "decaying 8.6 Hz, noise-free",
+        "growing 8.6 Hz, noise-free",
+        "decaying 50 Hz, noise-free",
     ])
     def test_mrdmd_reports_no_sustained_oscillation(self, tmp_path, name):
         assert negative_verdict(tmp_path, name, run_mrdmd) != "sustained-oscillation"
@@ -486,7 +489,7 @@ def tiny_record(length: int = 8) -> od.SignalRecord:
 def write_mode_table(tmp_path: Path, reports, tagged: bool) -> Path:
     """Only the mode table of _write_run (``reports`` a ``ModeTable``), for a tiny record."""
     cfg = RunConfig(out_dir=tmp_path, emit_report=False)
-    _write_run(cfg, tiny_record(), 2, od.DEFAULT_RULE, reports, np.zeros(8), {}, tagged=tagged)
+    _write_run(cfg, tiny_record(), 2, reports, np.zeros(8), {}, tagged=tagged)
     return tmp_path / ("modes.csv" if tagged else "eigenvalues.csv")
 
 
@@ -622,6 +625,18 @@ class TestCompare:
         assert payload["mrdmd"]["growth_rate_error_per_s"] < payload["dmd"]["growth_rate_error_per_s"]
         assert payload["rmse_ratio_dmd_over_mrdmd"] >= 2.0
 
+    def test_each_method_names_its_truncation(self, runner, tmp_path):
+        """compare.json's DMD block carries report.json's truncation block (rank 238); MR-DMD's names the bin rule."""
+        gap = ["--profile", "lfo_udc", "--gap-start", "2000", "--gap-length", "250"]
+        for command, out in (("compare", "cmp"), ("dmd", "dmd")):
+            result = runner.invoke(cli, ["analyze", command, *gap, "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+        report = json.loads((tmp_path / "dmd" / "report.json").read_text())
+        assert payload["dmd"]["truncation"] == report["truncation"]
+        assert report["truncation"]["rank"] == 238
+        assert payload["mrdmd"]["truncation"] == {"kind": "singular-value-ratio", "value": 1e-4}
+
     def test_no_gap_errors_comparable(self, runner, tmp_path):
         out = tmp_path / "cmp0"
         result = runner.invoke(
@@ -647,6 +662,8 @@ class TestCompare:
         payload = json.loads((out / "compare.json").read_text())
         assert payload["dmd"]["sustained"] is False
         assert payload["mrdmd"]["sustained"] is False
+        # no fit, so no rank: the block names the rule alone
+        assert payload["dmd"]["truncation"] == {"kind": "thresholded-energy", "value": 0.9999}
 
     def test_file_input_rejected(self, runner, tmp_path):
         result = runner.invoke(

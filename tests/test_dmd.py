@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oscidmd as od
 from oscidmd.dmd import (
     DecompositionError,
+    ModeFactor,
     TruncationRule,
     ZeroSignalError,
     _eigenvectors_independent,
@@ -33,7 +34,6 @@ from oscidmd.dmd import (
     amplitudes,
     conjugate_pairs,
     eig_modes,
-    product_antidiagonal_sums,
     reconstruct_series,
     reconstruct_window,
     reduced_operator,
@@ -1115,12 +1115,14 @@ class TestReconstructSeries:
 
     @pytest.mark.parametrize("r", [0, 1, 64, 65, 150])
     def test_kernel_matches_dense_product_over_blocks(self, r):
-        """Sums over one, several and partial mode blocks equal the dense product's."""
+        """A factor's sums over one, several and partial mode blocks equal the dense product's."""
         rng = np.random.default_rng(r)
-        rows, width = 37, 211
+        rows, width, dt = 37, 211, 0.5
         modes = rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
-        coeff = rng.normal(size=(r, width)) + 1j * rng.normal(size=(r, width))
-        got = product_antidiagonal_sums(modes, lambda k: coeff[k], width)
+        b = rng.normal(size=r) + 1j * rng.normal(size=r)
+        omega = rng.uniform(-0.02, 0.005, size=r) + 1j * rng.uniform(-np.pi, np.pi, size=r)
+        got = ModeFactor((3, 3 + width), modes, b, omega, dt).antidiagonal_sums()
+        coeff = b[:, None] * np.exp(omega[:, None] * dt * np.arange(width))
         want = antidiagonal_sums((modes @ coeff).real)
         assert got.shape == (rows + width - 1,)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)

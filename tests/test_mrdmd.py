@@ -17,11 +17,9 @@ import oscidmd as od
 import oscidmd.mrdmd as mrdmd_module
 from conftest import refit_bins
 from oscidmd.mrdmd import DEFAULT_BIN_RULE
-from oscidmd.dmd import TruncationRule, _fast_length, conjugate_pairs
+from oscidmd.dmd import _TILE, ModeFactor, TruncationRule, _fast_length, conjugate_pairs
 from oscidmd.mrdmd import (
-    _TILE,
     PlanError,
-    SlowModes,
     _walk,
     lineage_factor,
     screen_slow,
@@ -311,13 +309,13 @@ class TestSlowModesAntidiagonalSums:
         dt, f_sp = 1e-3, 1000.0 / 16
         span = (40, 40 + width)
         want = antidiagonal_sums(slow_reconstruction(fit, slow, span, dt, f_sp))
-        got = SlowModes.of(fit, slow, span, dt, f_sp).antidiagonal_sums()
+        got = ModeFactor.of(fit, slow, span, dt, f_sp).antidiagonal_sums()
         assert got.shape == (rows + width - 1,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_empty_slow_set_gives_zeros(self):
         fit = random_fit(6, [0.5, 0.9], seed=1)
-        got = SlowModes.of(fit, (), (0, 11), 0.1, 10.0).antidiagonal_sums()
+        got = ModeFactor.of(fit, (), (0, 11), 0.1, 10.0).antidiagonal_sums()
         assert got.shape == (16,)
         assert np.all(got == 0.0)
 
@@ -337,7 +335,7 @@ class TestSlowModesAntidiagonalSums:
 class TestSlowModesReadOnly:
     def test_arrays_reject_writes(self):
         fit = random_fit(4, EIGENVALUE_CASES["mixed"], seed=3)
-        slow = SlowModes.of(fit, [0, 1, 2], (0, 9), 0.01, 100.0)
+        slow = ModeFactor.of(fit, [0, 1, 2], (0, 9), 0.01, 100.0)
         for arr in (slow.modes, slow.amplitudes, slow.omega):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -382,8 +380,8 @@ class TestFoldedPairs:
     @staticmethod
     def check_fold(fit, idx, span, dt, f_sp):
         """Folded and two-member forms agree on columns and anti-diagonal sums."""
-        folded = SlowModes.of(fit, idx, span, dt, f_sp)
-        unfolded = SlowModes(
+        folded = ModeFactor.of(fit, idx, span, dt, f_sp)
+        unfolded = ModeFactor(
             span, fit.modes[:, idx], fit.amplitudes[idx], f_sp * np.log(fit.eigenvalues[idx]), dt
         )
         pairs = int(np.sum(fit.eigenvalues[idx].imag > 0))
@@ -420,7 +418,7 @@ class TestFoldedPairs:
         idx = np.arange(fit.eigenvalues.size)
         pair = conjugate_pairs(fit.eigenvalues)
         assert np.all(fit.amplitudes[pair + 1] != fit.amplitudes[pair].conj())
-        slow = SlowModes.of(fit, idx, (0, 9), 0.01, 100.0)
+        slow = ModeFactor.of(fit, idx, (0, 9), 0.01, 100.0)
         kept = np.delete(idx, pair + 1)
         want = fit.amplitudes[kept]
         want[np.searchsorted(kept, pair)] += fit.amplitudes[pair + 1].conj()
@@ -768,7 +766,8 @@ class TestDecompose:
 class TestBandMap:
     """A tone is captured at the level the plan's frequency bands put it in."""
 
-    @pytest.mark.parametrize("f", [0.8, 2.0, 3.7, 6.1, 8.6, 13.0, 27.0, 55.0, 110.0])
+    # 4.75 and 5.25 Hz sit 5 % either side of f_slow_max(3) = 5 Hz, 19 and 21 Hz of f_slow_max(5) = 20 Hz
+    @pytest.mark.parametrize("f", [0.8, 2.0, 3.7, 4.75, 5.25, 6.1, 8.6, 13.0, 19.0, 21.0, 27.0, 55.0, 110.0])
     def test_dominant_cluster_sits_at_the_first_level_whose_band_holds_the_tone(self, f):
         """One tone on DC 170 with noise (2 s, stack 1000, mu 16): the dominant cluster is at the
         first level L with f < f_slow_max(L) = 1.25 * 2^(L-1) Hz.
