@@ -293,12 +293,6 @@ def _write_series(out: Path, record: SignalRecord, count: int,
                 fh.write(csvtext.rows([times, cells]))
 
 
-def _dominant(reports: ModeTable, eps_crit: float) -> tuple[ModeCluster | None, ModeReport | None]:
-    """The dominant sustained cluster and the dominant mode: its best member, else the strongest."""
-    cluster = dominant_cluster(reports, eps_crit)
-    return cluster, cluster.best if cluster is not None else strongest_oscillatory(reports)
-
-
 def _dominant_payload(cluster: ModeCluster | None, r: ModeReport | None) -> dict | None:
     if r is None:
         return None
@@ -363,13 +357,25 @@ def _truncation_payload(rule: TruncationRule, fit: DmdResult | None = None) -> d
     return payload
 
 
+def _assessment(cfg: RunConfig, record: SignalRecord, reports: ModeTable, series: np.ndarray) -> dict:
+    """report.json's ``dominant_mode`` (the dominant sustained cluster's best member, else the strongest
+    oscillatory mode), ``stability`` and ``reconstruction`` blocks, which compare.json also reads."""
+    cluster = dominant_cluster(reports, cfg.eps_crit)
+    best = cluster.best if cluster is not None else strongest_oscillatory(reports)
+    return {
+        "dominant_mode": _dominant_payload(cluster, best),
+        "stability": _stability_payload(reports, cluster, cfg.eps_crit),
+        "reconstruction": _series_metrics(record, cfg.channel or record.names[0], series),
+    }
+
+
 def _write_run(
-    cfg: RunConfig, record: SignalRecord, depth: int, reports: ModeTable,
-    series: np.ndarray, report: dict, tagged: bool = False, levels: tuple[np.ndarray, ...] = (),
+    cfg: RunConfig, record: SignalRecord, reports: ModeTable, series: np.ndarray,
+    report: dict, tagged: bool = False, levels: tuple[np.ndarray, ...] = (),
 ) -> Path:
     """Write the artifacts every analysis shares plus its extras; returns the output directory.
 
-    ``report`` adds report.json keys, its ``truncation`` block among them (:func:`_truncation_payload`).
+    ``report`` holds the analysis core's report.json blocks, to which :func:`_assessment` adds the verdict.
     ``tagged`` names the mode table modes.csv and leads each row with level, bin and slow flag.
     Each of ``levels`` becomes a level_<l>.csv series.
     """
@@ -385,15 +391,11 @@ def _write_run(
         files[f"level_{l}.csv"] = (["t", "reconstructed"], (level_series,))
     _write_series(out, record, min(series.size, record.length), files)
     if cfg.emit_report:
-        cluster, best = _dominant(reports, cfg.eps_crit)
         payload = {
             **report,
+            **_assessment(cfg, record, reports, series),
             "tool": {"name": "oscidmd", "version": __version__},
             "source": _source_payload(cfg, record, channel),
-            "stacking": {"depth": depth, "rows": depth, "columns": record.length - depth + 1},
-            "dominant_mode": _dominant_payload(cluster, best),
-            "stability": _stability_payload(reports, cluster, cfg.eps_crit),
-            "reconstruction": _series_metrics(record, channel, series),
             "modes": {
                 "reported": len(reports),
                 "ranked": int(np.count_nonzero(reports.dominant_rank > 0)),
@@ -403,54 +405,42 @@ def _write_run(
     return out
 
 
-def _embed(cfg: RunConfig, record: SignalRecord) -> np.ndarray:
-    """Delay-embed the configured channel (default: the first) at the configured depth."""
-    return delay_embed(record, cfg.channel or record.names[0], cfg.stack_depth)
+def _embed(cfg: RunConfig, record: SignalRecord) -> tuple[np.ndarray, dict]:
+    """The configured channel (default: the first) delay-embedded at the configured depth, and its stacking block."""
+    hankel = delay_embed(record, cfg.channel or record.names[0], cfg.stack_depth)
+    depth, columns = hankel.shape
+    return hankel, {"depth": depth, "rows": depth, "columns": columns}
 
 
-def _analyze_dmd_core(
-    cfg: RunConfig, record: SignalRecord
-) -> tuple[ModeTable, np.ndarray, DmdResult, int]:
-    hankel = _embed(cfg, record)
-    result = dmd(hankel, cfg.rule or DEFAULT_RULE)
+def _analyze_dmd_core(cfg: RunConfig, record: SignalRecord) -> tuple[ModeTable, np.ndarray, DmdResult, dict]:
+    """Single-window fit: the classified modes, the series, the fit and its report.json blocks."""
+    hankel, stacking = _embed(cfg, record)
+    rule = cfg.rule or DEFAULT_RULE
+    result = dmd(hankel, rule)
     reports = classify(
         reports_from_dmd(result, f_sp=1.0 / record.dt, horizon_steps=hankel.shape[1] - 1),
         cfg.eps_crit,
     )
     series = reconstruct_series(result, hankel.shape[1])
-    return reports, series, result, hankel.shape[0]
+    report = {"analysis": "dmd", "stacking": stacking, "truncation": _truncation_payload(rule, result)}
+    return reports, series, result, report
 
 
-def _analyze_mrdmd_core(
-    cfg: RunConfig, record: SignalRecord
-) -> tuple[ModeTable, np.ndarray, MrdmdResult, MrdmdPlan, int]:
-    hankel = _embed(cfg, record)
-    n_cols = hankel.shape[1] - 1  # last column reserved for the shifted pair
+def _analyze_mrdmd_core(cfg: RunConfig, record: SignalRecord) -> tuple[ModeTable, np.ndarray, MrdmdResult, dict]:
+    """Multi-resolution fit: the classified modes, the series, the result and its report.json blocks."""
+    hankel, stacking = _embed(cfg, record)
+    # No bin reads the last column: each fits its own mu subsample columns. It
+    # is still dropped because plan.n = columns - 1 is what every MR-DMD
+    # output, the README example (hankel[:, :4000]) and the bench assume.
+    n_cols = hankel.shape[1] - 1
     mrdmd_plan = plan(n_cols, record.dt, mu=cfg.mu, g=cfg.g, termination_level=cfg.termination_level)
-    result = decompose(hankel[:, :n_cols], mrdmd_plan, cfg.rule or DEFAULT_BIN_RULE)
+    rule = cfg.rule or DEFAULT_BIN_RULE
+    result = decompose(hankel[:, :n_cols], mrdmd_plan, rule)
     reports = classify(result.all_modes, cfg.eps_crit)
-    return reports, result.series, result, mrdmd_plan, hankel.shape[0]
-
-
-def run_dmd(cfg: RunConfig) -> int:
-    """Single-window analysis; writes eigenvalues.csv, reconstruction.csv, report.json."""
-    cfg.validate()
-    record, _ = _load_record(cfg)
-    reports, series, result, depth = _analyze_dmd_core(cfg, record)
-    report = {"analysis": "dmd", "truncation": _truncation_payload(cfg.rule or DEFAULT_RULE, result)}
-    _write_run(cfg, record, depth, reports, series, report)
-    return 0
-
-
-def run_mrdmd(cfg: RunConfig) -> int:
-    """Multi-resolution analysis; adds plan.csv, modes.csv and per-level series."""
-    cfg.validate()
-    record, _ = _load_record(cfg)
-    reports, series, result, mrdmd_plan, depth = _analyze_mrdmd_core(cfg, record)
-    levels = _plan_levels(mrdmd_plan)
     report = {
         "analysis": "mrdmd",
-        "truncation": _truncation_payload(cfg.rule or DEFAULT_BIN_RULE),
+        "stacking": stacking,
+        "truncation": _truncation_payload(rule),
         "plan": {
             "mu": mrdmd_plan.mu,
             "g": str(mrdmd_plan.g),
@@ -458,40 +448,49 @@ def run_mrdmd(cfg: RunConfig) -> int:
             "rho": mrdmd_plan.rho,
             "n": mrdmd_plan.n,
             "window_duration_s": float(mrdmd_plan.window_duration),
-            "levels": levels,
+            "levels": _plan_levels(mrdmd_plan),
         },
     }
-    level_series = result.per_level_series if cfg.emit_levels else ()
-    out = _write_run(cfg, record, depth, reports, series, report, tagged=True, levels=level_series)
-    if cfg.emit_plan:
-        _write_plan_csv(out / "plan.csv", levels)
+    return reports, result.series, result, report
+
+
+def run_dmd(cfg: RunConfig) -> int:
+    """Single-window analysis; writes eigenvalues.csv, reconstruction.csv, report.json."""
+    cfg.validate()
+    record, _ = _load_record(cfg)
+    reports, series, _, report = _analyze_dmd_core(cfg, record)
+    _write_run(cfg, record, reports, series, report)
     return 0
 
 
-def _method_payload(
-    reports: ModeTable,
-    series: np.ndarray,
-    record: SignalRecord,
-    channel: str,
-    eps_crit: float,
-    truth,
-) -> dict:
-    cluster, best = _dominant(reports, eps_crit)
-    metrics = _series_metrics(record, channel, series)
-    payload = {
-        "identified": best is not None,
-        "sustained": cluster is not None,
-        "frequency_hz": _num(best.frequency_hz) if best else None,
-        "growth_rate_per_s": _num(best.growth_rate) if best else None,
-        "frequency_error_hz": None,
-        "growth_rate_error_per_s": None,
-        "rmse": metrics["rmse"],
-        "relative_rmse": metrics["relative_rmse"],
+def run_mrdmd(cfg: RunConfig) -> int:
+    """Multi-resolution analysis; adds plan.csv, modes.csv and per-level series."""
+    cfg.validate()
+    record, _ = _load_record(cfg)
+    reports, series, result, report = _analyze_mrdmd_core(cfg, record)
+    level_series = result.per_level_series if cfg.emit_levels else ()
+    out = _write_run(cfg, record, reports, series, report, tagged=True, levels=level_series)
+    if cfg.emit_plan:
+        _write_plan_csv(out / "plan.csv", report["plan"]["levels"])
+    return 0
+
+
+def _method_payload(report: dict, truth) -> dict:
+    """One method's block of compare.json: fields of its report.json blocks, plus the errors against ``truth``."""
+    dominant = report["dominant_mode"] or {}
+    freq, growth = dominant.get("frequency_hz"), dominant.get("growth_rate_per_s")
+    known = truth is not None
+    return {
+        "identified": bool(dominant),
+        "sustained": dominant.get("sustained", False),
+        "frequency_hz": freq,
+        "growth_rate_per_s": growth,
+        "frequency_error_hz": _num(abs(freq - truth.frequency_hz)) if known and freq is not None else None,
+        "growth_rate_error_per_s": _num(abs(growth - truth.growth_rate)) if known and growth is not None else None,
+        "rmse": report["reconstruction"]["rmse"],
+        "relative_rmse": report["reconstruction"]["relative_rmse"],
+        "truncation": report["truncation"],
     }
-    if best is not None and truth is not None:
-        payload["frequency_error_hz"] = _num(abs(best.frequency_hz - truth.frequency_hz))
-        payload["growth_rate_error_per_s"] = _num(abs(best.growth_rate - truth.growth_rate))
-    return payload
 
 
 def run_compare(cfg: RunConfig) -> int:
@@ -504,21 +503,17 @@ def run_compare(cfg: RunConfig) -> int:
     truth = profile.dominant_truth()
 
     methods = {}
-    for name, core, rule in (
-        ("dmd", _analyze_dmd_core, cfg.rule or DEFAULT_RULE),
-        ("mrdmd", _analyze_mrdmd_core, cfg.rule or DEFAULT_BIN_RULE),
-    ):
+    for name, core, rule in (("dmd", _analyze_dmd_core, DEFAULT_RULE),
+                             ("mrdmd", _analyze_mrdmd_core, DEFAULT_BIN_RULE)):
         # a method that cannot decompose the data at all (e.g. a gap wiped the
-        # whole window) is reported as failed-to-identify, not a CLI error
+        # whole window) is reported as failed-to-identify, not a CLI error;
+        # with no fit, its truncation block names the rule alone
         try:
-            reports, series, result, *_ = core(cfg, record)
+            reports, series, _, report = core(cfg, record)
         except DecompositionError:
-            reports, series, result = mode_table([], [], 1, [], []), np.zeros(0), None  # no modes
-        methods[name] = {
-            **_method_payload(reports, series, record, channel, cfg.eps_crit, truth),
-            # a single-window fit has one rank, MR-DMD one per bin, a failed fit none
-            "truncation": _truncation_payload(rule, result if name == "dmd" else None),
-        }
+            reports, series = classify(mode_table([], [], 1, [], []), cfg.eps_crit), np.zeros(0)  # no modes
+            report = {"truncation": _truncation_payload(cfg.rule or rule)}
+        methods[name] = _method_payload({**report, **_assessment(cfg, record, reports, series)}, truth)
     ratio = None
     if methods["dmd"]["rmse"] is not None and methods["mrdmd"]["rmse"] not in (None, 0.0):
         ratio = _num(methods["dmd"]["rmse"] / methods["mrdmd"]["rmse"])

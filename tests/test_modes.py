@@ -371,10 +371,10 @@ def per_row_oracle(name: str):
     cfg.validate()
     record, _ = _load_record(cfg)
     if name.endswith("_dmd"):
-        table, _, fit, depth = _analyze_dmd_core(cfg, record)
-        rows = oracles.reports_from_dmd(fit, 1.0 / record.dt, record.length - depth)
+        table, _, fit, report = _analyze_dmd_core(cfg, record)
+        rows = oracles.reports_from_dmd(fit, 1.0 / record.dt, record.length - report["stacking"]["depth"])
     else:
-        table, _, result, mrdmd_plan, _ = _analyze_mrdmd_core(cfg, record)
+        table, _, result, _ = _analyze_mrdmd_core(cfg, record)
         nodes, stack = [], [result.root]
         while stack:
             nodes.append(stack.pop())
@@ -383,7 +383,7 @@ def per_row_oracle(name: str):
             r
             for node in sorted(nodes, key=lambda node: (node.level, node.bin_index))
             if node.dmd is not None
-            for r in oracles.reports_from_dmd(node.dmd, node.f_sp, mrdmd_plan.mu, node.level, node.bin_index,
+            for r in oracles.reports_from_dmd(node.dmd, node.f_sp, result.plan.mu, node.level, node.bin_index,
                                               set(node.slow_set))
         ]
     return table, oracles.classify(rows, cfg.eps_crit)
