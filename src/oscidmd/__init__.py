@@ -48,7 +48,6 @@ from .modes import (
     cluster_sustained,
     dominant_cluster,
     reports_from_dmd,
-    strongest_oscillatory,
 )
 from .siggen import PROFILES, ModeSpec, SignalProfile, generate, generate_profile
 
@@ -89,7 +88,6 @@ __all__ = [
     "cluster_sustained",
     "dominant_cluster",
     "reports_from_dmd",
-    "strongest_oscillatory",
     "PROFILES",
     "ModeSpec",
     "SignalProfile",

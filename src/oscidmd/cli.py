@@ -42,8 +42,6 @@ from .modes import (
     dominant_cluster,
     mode_table,
     reports_from_dmd,
-    retained_oscillatory,
-    strongest_oscillatory,
 )
 from .mrdmd import DEFAULT_BIN_RULE, MrdmdPlan, MrdmdResult, decompose, plan
 from .siggen import PROFILES, generate_profile
@@ -315,7 +313,7 @@ def _dominant_payload(cluster: ModeCluster | None, r: ModeReport | None) -> dict
 
 
 def _stability_payload(reports: ModeTable, cluster: ModeCluster | None, eps_crit: float) -> dict:
-    pool_classes = reports.damping_class[retained_oscillatory(reports)]
+    pool_classes = reports.damping_class[reports.dominant_rank > 0]
     counts = {f"{c}_modes": int(np.count_nonzero(pool_classes == code)) for code, c in enumerate(DAMPING_CLASSES)}
     if cluster is not None:
         verdict = "sustained-oscillation"
@@ -358,10 +356,11 @@ def _truncation_payload(rule: TruncationRule, fit: DmdResult | None = None) -> d
 
 
 def _assessment(cfg: RunConfig, record: SignalRecord, reports: ModeTable, series: np.ndarray) -> dict:
-    """report.json's ``dominant_mode`` (the dominant sustained cluster's best member, else the strongest
-    oscillatory mode), ``stability`` and ``reconstruction`` blocks, which compare.json also reads."""
-    cluster = dominant_cluster(reports, cfg.eps_crit)
-    best = cluster.best if cluster is not None else strongest_oscillatory(reports)
+    """report.json's ``dominant_mode`` (the dominant sustained cluster's best member, else the rank-1 row,
+    the strongest oscillatory mode), ``stability`` and ``reconstruction`` blocks, which compare.json also reads."""
+    cluster = dominant_cluster(reports)
+    top = np.flatnonzero(reports.dominant_rank == 1)
+    best = cluster.best if cluster is not None else reports[int(top[0])] if top.size else None
     return {
         "dominant_mode": _dominant_payload(cluster, best),
         "stability": _stability_payload(reports, cluster, cfg.eps_crit),

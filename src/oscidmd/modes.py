@@ -11,6 +11,10 @@ per field, made in one vectorized pass from the fits' eigenvalues and
 amplitudes. Classification, ranking and clustering run on the columns. A
 ``ModeReport`` is only a row view, built when a row is read: by indexing
 or iterating the table, or by ``ModeCluster.best`` and ``.members``.
+
+:func:`classify` is the one place where the critical band ``eps_crit`` is
+applied: the clusters read its ``damping_class`` and ``dominant_rank``
+columns, and the strongest oscillatory mode is its rank-1 row.
 """
 
 from __future__ import annotations
@@ -185,20 +189,17 @@ def reports_from_dmd(result: DmdResult, f_sp: float, horizon_steps: int, level: 
                       None if slow_set is None else [slow_set])
 
 
-def retained_oscillatory(table: ModeTable) -> np.ndarray:
-    """Mask of the rows that can be ranked: retained by their bin's slow screen and oscillatory."""
-    oscillatory = table.frequency_hz > 0
-    return oscillatory if table.slow is None else oscillatory & table.slow
-
-
 def classify(table: ModeTable, eps_crit: float = DEFAULT_EPS_CRIT) -> ModeTable:
     """Assign damping classes and dominance ranks; returns a new table sharing the other columns.
 
-    Damping: growing if Re(omega) > eps_crit, critical if |Re(omega)| <=
-    eps_crit, decaying otherwise. Ranks order retained oscillatory modes
-    (slow is not False, frequency > 0) by descending integral
-    contribution; ties break on ascending frequency, level, bin, then row
-    order (one stable lexsort).
+    The one place where ``eps_crit`` is applied: clusters and the verdict
+    read the columns set here. Damping: growing if Re(omega) > eps_crit,
+    critical if |Re(omega)| <= eps_crit, decaying otherwise. Ranks order
+    retained oscillatory modes (slow is not False, frequency > 0) by
+    descending integral contribution; ties break on ascending frequency,
+    level, bin, then row order (one stable lexsort). Rank 1 is the
+    strongest oscillatory mode, the dominant mode when no cluster is
+    sustained.
     """
     if not eps_crit >= 0:
         raise ValueError(f"eps_crit must be non-negative, got {eps_crit!r}")
@@ -206,7 +207,8 @@ def classify(table: ModeTable, eps_crit: float = DEFAULT_EPS_CRIT) -> ModeTable:
     code = DAMPING_CLASSES.index
     damping = np.select([growth > eps_crit, np.abs(growth) <= eps_crit],
                         [code(DAMPING_GROWING), code(DAMPING_CRITICAL)], code(DAMPING_DECAYING)).astype(np.int8)
-    rankable = np.flatnonzero(retained_oscillatory(table))
+    oscillatory = table.frequency_hz > 0
+    rankable = np.flatnonzero(oscillatory if table.slow is None else oscillatory & table.slow)
     keys = (table.bin_index, table.level, table.frequency_hz, -table.integral_contribution)
     ranks = np.full(len(table), -1)
     ranks[rankable[np.lexsort([k[rankable] for k in keys])]] = np.arange(1, rankable.size + 1)
@@ -245,17 +247,19 @@ class ModeCluster:
         return float(self.table.frequency_hz[self.best_index])
 
 
-def cluster_sustained(table: ModeTable, eps_crit: float = DEFAULT_EPS_CRIT) -> list[ModeCluster]:
-    """Group sustained oscillatory modes into per-level frequency clusters.
+def cluster_sustained(table: ModeTable) -> list[ModeCluster]:
+    """Group the sustained oscillatory modes of a :func:`classify` table into per-level frequency clusters.
 
-    Candidates are retained (slow is not False), oscillatory and critically
-    damped (|growth rate| <= eps_crit). Sorted by (level, frequency, bin),
-    neighbours within a level closer than max(0.5 Hz, 1%) merge, and a
-    cluster's aggregate contribution is its members' sum, left to right.
-    Clusters come back sorted by descending aggregate contribution, ties
-    by (frequency, level) ascending.
+    Candidates are the ranked (retained, oscillatory) rows that classify
+    called critical. Sorted by (level, frequency, bin), neighbours within a
+    level closer than max(0.5 Hz, 1%) merge, and a cluster's aggregate
+    contribution is its members' sum, left to right. Clusters come back
+    sorted by descending aggregate contribution, ties by (frequency, level)
+    ascending.
     """
-    rows = np.flatnonzero(retained_oscillatory(table) & (np.abs(table.growth_rate) <= eps_crit))
+    if table.damping_class is None:
+        raise ValueError("clusters read damping classes and ranks: pass the table through classify first")
+    rows = np.flatnonzero((table.dominant_rank > 0) & (table.damping_class == DAMPING_CLASSES.index(DAMPING_CRITICAL)))
     rows = rows[np.lexsort((table.bin_index[rows], table.frequency_hz[rows], table.level[rows]))]
     level, freq = table.level[rows], table.frequency_hz[rows]
     splits = np.flatnonzero((level[1:] != level[:-1]) | (freq[1:] - freq[:-1] > np.maximum(0.5, 0.01 * freq[1:])))
@@ -267,19 +271,7 @@ def cluster_sustained(table: ModeTable, eps_crit: float = DEFAULT_EPS_CRIT) -> l
     return clusters
 
 
-def dominant_cluster(table: ModeTable, eps_crit: float = DEFAULT_EPS_CRIT) -> ModeCluster | None:
-    """The sustained-mode cluster with the largest aggregate contribution."""
-    clusters = cluster_sustained(table, eps_crit)
+def dominant_cluster(table: ModeTable) -> ModeCluster | None:
+    """The sustained-mode cluster of a :func:`classify` table with the largest aggregate contribution."""
+    clusters = cluster_sustained(table)
     return clusters[0] if clusters else None
-
-
-def strongest_oscillatory(table: ModeTable) -> ModeReport | None:
-    """Highest-contribution retained oscillatory mode, any damping; ties go to the lower frequency.
-
-    Fallback estimate when no sustained mode exists, e.g. when a gap has
-    corrupted the damping of everything a single-window fit found.
-    """
-    pool = np.flatnonzero(retained_oscillatory(table))
-    if not pool.size:
-        return None
-    return table[int(pool[np.lexsort((table.frequency_hz[pool], -table.integral_contribution[pool]))[0]])]

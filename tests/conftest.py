@@ -128,6 +128,12 @@ def one_mode_reports(lam: complex, f_sp: float, horizon_steps: int = 1) -> list:
     return list(od.reports_from_dmd(fit, f_sp, horizon_steps))
 
 
+def rank_one(table):
+    """The row classify ranked 1, the strongest oscillatory mode; None when no row is ranked."""
+    top = np.flatnonzero(table.dominant_rank == 1)
+    return table[int(top[0])] if top.size else None
+
+
 def continuous_eigenvalue(lam: complex, f_sp: float) -> complex:
     """The continuous eigenvalue omega that a mode report gives a discrete eigenvalue ``lam``."""
     (report,) = one_mode_reports(lam, f_sp)

@@ -22,7 +22,7 @@ from oscidmd.dmd import TruncationRule, reconstruct_window
 from oracles import integral_contribution
 from oscidmd.mrdmd import screen_slow
 from oscidmd.stacking import unembed
-from conftest import GAP_LENGTH, GAP_START, continuous_eigenvalue, refit_bins, series_metrics
+from conftest import GAP_LENGTH, GAP_START, continuous_eigenvalue, rank_one, refit_bins, series_metrics
 
 
 def _verdict(cid: str, ok: bool, detail: str = "") -> None:
@@ -168,7 +168,7 @@ def test_c5_robustness_comparison(timed_lfo_mrdmd):
 
     def dominant_estimate(reports):
         cluster = od.dominant_cluster(reports)
-        return cluster.best if cluster is not None else od.strongest_oscillatory(reports)
+        return cluster.best if cluster is not None else rank_one(reports)
 
     mr_best = dominant_estimate(mr_reports)
     dmd_best = dominant_estimate(dmd_reports)

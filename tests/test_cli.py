@@ -57,6 +57,11 @@ def read_csv_columns(path: Path) -> dict[str, list[str]]:
     return cols
 
 
+def tx_csv(dt: float) -> str:
+    """A 200-row (t, x) CSV file whose time column steps by ``dt``."""
+    return "t,x\n" + "".join(f"{dt * k!r},{float(np.sin(0.3 * k))!r}\n" for k in range(200))
+
+
 def load_schema():
     with resources.files("oscidmd.schemas").joinpath("report.schema.json").open() as fh:
         return json.load(fh)
@@ -117,6 +122,16 @@ class TestAnalyzeDmd:
         line = result.stderr.strip().splitlines()[-1]
         err = json.loads(line)
         assert "/no/such/file.csv" in err["error"]["message"]
+
+    def test_fixed_rank_above_the_signal_rank_is_clamped(self, runner, tmp_path):
+        """--rank 8 on the noise-free LFO profile: the fit keeps the 3 modes its data resolves."""
+        out = tmp_path / "qr"
+        result = runner.invoke(
+            cli, ["analyze", "dmd", "--profile", "lfo_udc", "--noise-std", "0", "--rank", "8", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        truncation = json.loads((out / "report.json").read_text())["truncation"]
+        assert truncation == {"kind": "fixed-rank", "value": 8, "rank": 3, "rank_clamped": True}
 
     def test_rank_zero_rejected_before_computation(self, runner, tmp_path):
         result = runner.invoke(
@@ -1046,6 +1061,43 @@ class TestFlagsToConfig:
         assert err["error"]["message"] == "--gap-start needs a positive --gap-length"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, args, kind, message",
+        [
+            ("", ["--dt", "0.01"], "IngestError", "file holds no data"),
+            (tx_csv(0.01), ["--time-column", "5"], "IngestError", "out of range"),
+            (tx_csv(0.01), ["--time-column", "zz"], "IngestError", "not found in header"),
+            (tx_csv(0.01), ["--time-column", "t", "--no-header"], "IngestError", "requires a header row"),
+            (tx_csv(-0.01), ["--time-column", "t"], "IngestError", "not increasing"),
+            (tx_csv(0.01), [], "IngestError", "either dt or a time column"),
+            (None, ["analyze", "dmd", "--profile", "lfo_udc", "--gap-length", "250"], "ValueError",
+             "--gap-start is required"),
+            (None, ["analyze", "plan", "--n", "4000", "--dt", "0"], "PlanError", "dt must be positive"),
+            (None, ["analyze", "plan", "--n", "4000", "--dt", "4e-4", "--g", "abc"], "PlanError",
+             "g must be rational"),
+        ],
+        ids=["empty", "time-index", "time-name", "name-without-header", "decreasing-time", "no-dt",
+             "gap-length-alone", "plan-dt-zero", "plan-g-text"],
+    )
+    def test_rejected_input_is_one_json_line_before_any_output(self, runner, tmp_path, text, args, kind, message):
+        """A bad file or flag exits 1 with one JSON error line on stderr and writes nothing.
+
+        ``text`` is the ``analyze dmd --input`` file, which ``args`` follow;
+        None runs ``args`` as the whole command.
+        """
+        out = tmp_path / "x"
+        if text is not None:
+            (tmp_path / "in.csv").write_text(text)
+            args = ["analyze", "dmd", "--input", str(tmp_path / "in.csv"), "--stack", "20", *args]
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == kind
+        assert message in err["error"]["message"]
+        assert not out.exists()
+
     def test_byte_order_mark_input_writes_the_plain_files_outputs(self, runner, tmp_path):
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_text("t,x\n" + "".join(f"{0.01 * k!r},{float(np.sin(0.3 * k))!r}\n" for k in range(200)))
@@ -1095,3 +1147,11 @@ class TestFlagsToConfig:
         params = {p.name for p in cli.commands["analyze"].commands[command].params}
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert params - {"rank", "energy", "sv_ratio"} <= fields
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"gap_length": -1}, "--gap-length must be non-negative"), ({"stack_depth": 0}, "--stack must be at least 1")],
+    )
+    def test_config_out_of_range_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(profile="lfo_udc", **field).validate()

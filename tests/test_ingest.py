@@ -182,6 +182,20 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="dt must be finite and positive"):
             od.SignalRecord(names=("x",), data=[[1.0, 2.0]], missing_mask=[[False, False]], dt=dt)
 
+    @pytest.mark.parametrize(
+        "data, mask, message",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], [[False, False]] * 2, "matching names"),
+            ([[1.0]], [[False]], "at least 2 samples"),
+            ([[1.0, 2.0]], [[False, False, False]], "same shape as data"),
+            ([[1.0, np.nan]], [[False, False]], "non-finite samples"),
+        ],
+        ids=["data-rows-not-names", "one-sample", "mask-shape", "non-finite"],
+    )
+    def test_malformed_record_rejected(self, data, mask, message):
+        with pytest.raises(IngestError, match=message):
+            od.SignalRecord(names=("x",), data=data, missing_mask=mask, dt=1.0)
+
 
 def cell_by_cell(rows, names, time_idx):
     """The reference parse: every cell in row-major order, the first problem raised."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oscidmd as od
 import oracles
-from conftest import continuous_eigenvalue, one_mode_reports, refit_bins
+from conftest import continuous_eigenvalue, one_mode_reports, rank_one, refit_bins
 from oracles import integral_contribution, retained_oscillatory, table_of
 from oscidmd.modes import (
     DAMPING_CRITICAL,
@@ -345,12 +345,28 @@ class TestClusters:
     def test_strongest_oscillatory_fallback(self):
         reports = od.classify(table_of([make_report(freq=4.0, growth=-9.0, ic=7.0)]))
         assert od.dominant_cluster(reports) is None
-        fb = od.strongest_oscillatory(reports)
+        fb = rank_one(reports)
         assert fb is not None and fb.frequency_hz == 4.0
 
     def test_empty_reports(self):
-        assert od.dominant_cluster(table_of([])) is None
-        assert od.strongest_oscillatory(table_of([])) is None
+        reports = od.classify(table_of([]))
+        assert od.dominant_cluster(reports) is None
+        assert rank_one(reports) is None
+
+    def test_unclassified_table_rejected(self, lfo_gapped_mrdmd):
+        result, _ = lfo_gapped_mrdmd
+        for cluster_fn in (od.cluster_sustained, od.dominant_cluster):
+            with pytest.raises(ValueError, match="classify"):
+                cluster_fn(result.all_modes)
+
+    def test_clusters_hold_only_what_classify_calls_critical(self, lfo_gapped_mrdmd):
+        """The band is applied once, by classify: at eps_crit 0.02, two of the six level-4 copies of the
+        gapped LFO profile's 8.6 Hz mode (-0.039 and +0.022 1/s) are not critical, and the dominant
+        cluster leaves them out."""
+        result, _ = lfo_gapped_mrdmd
+        cluster = od.dominant_cluster(od.classify(result.all_modes, eps_crit=0.02))
+        assert {m.damping_class for m in cluster.members} == {DAMPING_CRITICAL}
+        assert abs(cluster.best.growth_rate) <= 0.02
 
 
 def assert_bits(got: np.ndarray, want: list) -> None:
@@ -422,6 +438,6 @@ class TestTableMatchesPerRowOracle:
         assert [(c.level, c.members) for c in got] == [(c.level, c.members) for c in want]
         assert_bits(np.array([c.aggregate_ic for c in got]), [c.aggregate_ic for c in want])
         assert [c.best for c in got] == [c.best for c in want]
-        assert od.strongest_oscillatory(table) == max(
+        assert rank_one(table) == max(
             (r for r in rows if oracles.retained_oscillatory(r)), key=lambda r: (r.integral_contribution, -r.frequency_hz)
         )

@@ -76,6 +76,16 @@ class TestPlan:
         with pytest.raises(PlanError):
             od.plan(100, 0.1, mu=4, g="2/3")
 
+    def test_mu_below_two_rejected(self):
+        with pytest.raises(PlanError, match="mu must be at least 2"):
+            od.plan(4000, 4e-4, mu=1, g=4)
+
+    def test_g_must_be_a_finite_rational(self):
+        with pytest.raises(PlanError, match="g must be finite"):
+            od.plan(4000, 4e-4, mu=16, g=float("inf"))
+        with pytest.raises(PlanError, match="g must be rational, got complex"):
+            od.plan(4000, 4e-4, mu=16, g=4 + 0j)
+
     @pytest.mark.parametrize("g, dt", [("1e400", 4e-4), (4, 5e-324), (4, 1e308)])
     def test_plan_beyond_the_float_range_rejected(self, g, dt):
         # rho = pi / g, the window n * dt or the last level's f_sp would not be a float

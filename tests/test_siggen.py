@@ -50,6 +50,16 @@ def test_negative_frequency_rejected():
         od.ModeSpec(frequency_hz=-1.0)
 
 
+def test_nan_amplitude_rejected():
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        od.generate([od.ModeSpec(5.0, amplitude=float("nan"))], dc=0.0, fs=100.0, duration=1.0)
+
+
+def test_zero_sample_rate_rejected():
+    with pytest.raises(ValueError, match="sample rate must be positive"):
+        od.generate([], dc=0.0, fs=0.0, duration=1.0)
+
+
 def test_recovery_oracle_contract():
     """Noiseless generation followed by DMD recovers every (f, sigma) to 1e-6."""
     modes = [

@@ -41,6 +41,11 @@ def test_depth_too_large_names_maximum():
         od.delay_embed(record_from(np.arange(10.0)), "x", 10)
 
 
+def test_depth_zero_rejected():
+    with pytest.raises(ValueError, match="stack depth must be at least 1"):
+        od.delay_embed(record_from(np.arange(10.0)), "x", stack_depth=0)
+
+
 def test_default_depth_is_fifth_of_length():
     assert od.default_stack_depth(5000) == 1000
     assert od.default_stack_depth(7) == 1
