@@ -11,7 +11,6 @@ and rank modes by integral contribution.
 from .ingest import (
     FILL_HOLD,
     FILL_ZERO,
-    IngestConfig,
     IngestError,
     SignalRecord,
     inject_gap,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FILL_HOLD",
     "FILL_ZERO",
-    "IngestConfig",
     "IngestError",
     "SignalRecord",
     "inject_gap",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .dmd import DEFAULT_RULE, DecompositionError, DmdResult, TruncationRule, dmd, reconstruct_series
-from .ingest import FILL_ZERO, IngestConfig, SignalRecord, inject_gap, load_csv, write_csv
+from .ingest import FILL_ZERO, SignalRecord, inject_gap, load_csv, write_csv
 from .modes import (
     DAMPING_CLASSES,
     DEFAULT_EPS_CRIT,
@@ -150,12 +150,10 @@ def _load_record(cfg: RunConfig) -> tuple[SignalRecord, object | None]:
     else:
         record = load_csv(
             cfg.input_path,
-            IngestConfig(
-                dt=cfg.dt,
-                time_column=cfg.time_column,
-                has_header=cfg.has_header,
-                fill_policy=cfg.fill_policy,
-            ),
+            dt=cfg.dt,
+            time_column=cfg.time_column,
+            has_header=cfg.has_header,
+            fill_policy=cfg.fill_policy,
         )
         profile = None
     if cfg.gap_length > 0:

@@ -1,8 +1,10 @@
 """Loading, validation and normalization of raw measurement data.
 
 Measurements arrive as UTF-8 CSV (optional byte-order mark, optional
-header, comma delimiter, `.` decimal point). Missing samples are marked by
-an empty cell or a case-insensitive ``nan`` token; they are kept visible
+header, comma delimiter, `.` decimal point). The sample interval comes
+either from a configured ``dt`` or from a uniformly spaced time column;
+when both are given they must agree. Missing samples are marked by an
+empty cell or a case-insensitive ``nan`` token; they are kept visible
 through a boolean mask and filled at load time so that every stored value
 is finite.
 """
@@ -24,34 +26,7 @@ _DT_REL_TOL = 1e-6
 
 
 class IngestError(ValueError):
-    """Raised when an input file or ingest configuration is rejected."""
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    """How a CSV file is interpreted.
-
-    The sample interval comes either from ``dt`` or from a uniformly spaced
-    time column (``time_column`` is a header name or a 0-based column
-    index). If both are given they must agree to within 1e-6 relative,
-    otherwise the file is rejected rather than silently preferring one.
-    Without a time column the record starts at t = 0.
-    """
-
-    dt: float | None = None
-    time_column: str | int | None = None
-    has_header: bool = True
-    fill_policy: str = FILL_ZERO
-
-    def __post_init__(self) -> None:
-        if self.fill_policy not in _FILL_POLICIES:
-            raise IngestError(
-                f"unknown fill policy {self.fill_policy!r}; expected one of {_FILL_POLICIES}"
-            )
-        if self.dt is None and self.time_column is None:
-            raise IngestError("either dt or a time column must be configured")
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise IngestError(f"dt must be finite and positive, got {self.dt!r}")
+    """Raised when an input file or ingest setting is rejected."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +147,34 @@ def _parse_column(rows: list[list[str]], c: int, values: np.ndarray, mask: np.nd
     return bool(np.isfinite(values).all())
 
 
-def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
+def load_csv(
+    path: str | Path,
+    *,
+    dt: float | None = None,
+    time_column: str | int | None = None,
+    has_header: bool = True,
+    fill_policy: str = FILL_ZERO,
+) -> SignalRecord:
     """Read a CSV file into a :class:`SignalRecord`.
 
-    Rejects files with fewer than 2 data rows, ragged rows, unparseable or
-    non-finite cells, and non-uniform time columns (reporting the first
-    offending row).
+    The sample interval comes either from ``dt`` or from a uniformly spaced
+    time column (``time_column`` is a header name or a 0-based column
+    index). If both are given they must agree to within 1e-6 relative,
+    otherwise the file is rejected rather than silently preferring one.
+    Without a time column the record starts at t = 0. Missing samples are
+    filled by ``fill_policy``.
+
+    The settings are checked before the file is read. Rejects files with
+    fewer than 2 data rows, a header that names a column twice, ragged
+    rows, unparseable or non-finite cells, and non-uniform time columns
+    (reporting the first offending row).
     """
+    if fill_policy not in _FILL_POLICIES:
+        raise IngestError(f"unknown fill policy {fill_policy!r}; expected one of {_FILL_POLICIES}")
+    if dt is None and time_column is None:
+        raise IngestError("either dt or a time column must be configured")
+    if dt is not None and not 0 < dt < np.inf:
+        raise IngestError(f"dt must be finite and positive, got {dt!r}")
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
@@ -190,8 +186,11 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
     if not rows:
         raise IngestError(f"{path}: file holds no data")
 
-    if config.has_header:
+    if has_header:
         names = [c.strip() for c in rows[0]]
+        if len(set(names)) < len(names):
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise IngestError(f"{path}: header names column {repeated!r} more than once")
         data_rows = rows[1:]
     else:
         names = [f"ch{i}" for i in range(len(rows[0]))]
@@ -204,31 +203,28 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
             raise IngestError(f"{path}: row {i} has {len(row)} cells, expected {ncols}")
 
     time_idx: int | None = None
-    if config.time_column is not None:
-        if isinstance(config.time_column, int):
-            time_idx = config.time_column
+    if time_column is not None:
+        if isinstance(time_column, int):
+            time_idx = time_column
             if not 0 <= time_idx < ncols:
                 raise IngestError(f"time column index {time_idx} out of range for {ncols} columns")
         else:
-            if not config.has_header:
+            if not has_header:
                 raise IngestError("time column by name requires a header row")
-            if config.time_column not in names:
-                raise IngestError(f"time column {config.time_column!r} not found in header {names}")
-            time_idx = names.index(config.time_column)
+            if time_column not in names:
+                raise IngestError(f"time column {time_column!r} not found in header {names}")
+            time_idx = names.index(time_column)
 
     values = np.empty((ncols, len(data_rows)))
     mask = np.zeros((ncols, len(data_rows)), dtype=bool)
     if not all(_parse_column(data_rows, c, values[c], mask[c]) for c in range(ncols)) or (
         time_idx is not None and mask[time_idx].any()
     ):
-        # the cell by cell pass reports the first problem in row-major order
+        # the cell by cell pass finds and raises the first problem in row-major order
         for i, row in enumerate(data_rows):
             for c, cell in enumerate(row):
-                v, missing = _parse_cell(cell, i, names[c])
-                if missing and c == time_idx:
+                if _parse_cell(cell, i, names[c])[1] and c == time_idx:
                     raise IngestError(f"row {i}: time column cannot have missing samples")
-                values[c, i] = v
-                mask[c, i] = missing
 
     if time_idx is not None:
         t = values[time_idx]
@@ -243,26 +239,27 @@ def load_csv(path: str | Path, config: IngestConfig) -> SignalRecord:
                 f"non-uniform time column: first offending sample index {bad[0] + 1} "
                 f"(spacing {t[bad[0] + 1] - t[bad[0]]:.9g}, expected {dt_est:.9g})"
             )
-        if config.dt is not None and abs(dt_est - config.dt) > _DT_REL_TOL * config.dt:
+        if dt is not None and abs(dt_est - dt) > _DT_REL_TOL * dt:
             raise IngestError(
-                f"configured dt {config.dt:.9g} disagrees with time column spacing {dt_est:.9g}"
+                f"configured dt {dt:.9g} disagrees with time column spacing {dt_est:.9g}"
             )
-        dt = config.dt if config.dt is not None else float(dt_est)
+        if dt is None:
+            dt = float(dt_est)
         t0 = float(t[0])
         keep = [c for c in range(ncols) if c != time_idx]
     else:
-        dt = float(config.dt)  # config guarantees presence
+        dt = float(dt)  # checked present above
         t0 = 0.0
         keep = list(range(ncols))
 
-    data = _fill(values[keep], mask[keep], config.fill_policy)
+    data = _fill(values[keep], mask[keep], fill_policy)
     return SignalRecord(
         names=tuple(names[c] for c in keep),
         data=data,
         missing_mask=mask[keep],
         dt=dt,
         t0=t0,
-        fill_policy=config.fill_policy,
+        fill_policy=fill_policy,
     )
 
 

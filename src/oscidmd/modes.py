@@ -182,11 +182,9 @@ def mode_table(fits: Sequence, f_sp: Sequence[float], horizon_steps: int, level:
     )
 
 
-def reports_from_dmd(result: DmdResult, f_sp: float, horizon_steps: int, level: int = 0, bin_index: int = 0,
-                     slow_set: Collection[int] | None = None) -> ModeTable:
-    """One fit's :func:`mode_table`; ``slow_set`` (None when not screened) indexes its slow modes."""
-    return mode_table([result], [f_sp], horizon_steps, [level], [bin_index],
-                      None if slow_set is None else [slow_set])
+def reports_from_dmd(result: DmdResult, f_sp: float, horizon_steps: int) -> ModeTable:
+    """One unscreened fit's :func:`mode_table`, tagged level 0, bin 0."""
+    return mode_table([result], [f_sp], horizon_steps, [0], [0])
 
 
 def classify(table: ModeTable, eps_crit: float = DEFAULT_EPS_CRIT) -> ModeTable:

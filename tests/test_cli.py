@@ -36,7 +36,6 @@ from oscidmd.cli import (
 from conftest import NEGATIVE_RECORDS, negative_record
 from oracles import table_of
 from oscidmd import modes, siggen
-from oscidmd.ingest import IngestConfig
 from oscidmd.modes import ModeReport
 from oscidmd.mrdmd import plan
 import oscidmd.mrdmd as mrdmd_module
@@ -805,7 +804,7 @@ class TestGenerate:
                   "--gap-length", "250", "-o", str(dest)],
         )
         assert result.exit_code == 0, result.output
-        rec = od.load_csv(dest, IngestConfig(time_column="t"))
+        rec = od.load_csv(dest, time_column="t")
         assert rec.length == 5000
         assert rec.missing_mask.sum() == 250
         # bit-identical to generating in-process
@@ -1070,6 +1069,10 @@ class TestFlagsToConfig:
             (tx_csv(0.01), ["--time-column", "t", "--no-header"], "IngestError", "requires a header row"),
             (tx_csv(-0.01), ["--time-column", "t"], "IngestError", "not increasing"),
             (tx_csv(0.01), [], "IngestError", "either dt or a time column"),
+            ("t,u_dc,u_dc\n" + "".join(f"{0.01 * k!r},{k},{-k}\n" for k in range(200)),
+             ["--time-column", "t", "--channel", "u_dc"], "IngestError", "header names column 'u_dc' more than once"),
+            ("t,x,t\n" + "".join(f"{0.01 * k!r},{k},{-k}\n" for k in range(200)),
+             ["--time-column", "t"], "IngestError", "header names column 't' more than once"),
             (None, ["analyze", "dmd", "--profile", "lfo_udc", "--gap-length", "250"], "ValueError",
              "--gap-start is required"),
             (None, ["analyze", "plan", "--n", "4000", "--dt", "0"], "PlanError", "dt must be positive"),
@@ -1077,7 +1080,7 @@ class TestFlagsToConfig:
              "g must be rational"),
         ],
         ids=["empty", "time-index", "time-name", "name-without-header", "decreasing-time", "no-dt",
-             "gap-length-alone", "plan-dt-zero", "plan-g-text"],
+             "repeated-channel", "repeated-time", "gap-length-alone", "plan-dt-zero", "plan-g-text"],
     )
     def test_rejected_input_is_one_json_line_before_any_output(self, runner, tmp_path, text, args, kind, message):
         """A bad file or flag exits 1 with one JSON error line on stderr and writes nothing.

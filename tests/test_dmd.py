@@ -103,6 +103,11 @@ class TestSvdTruncated:
         with pytest.raises(ZeroSignalError, match="no signal energy"):
             svd_truncated(np.zeros((4, 6)), TruncationRule.fixed(1))
 
+    @pytest.mark.parametrize("x", [np.ones(5), np.empty((0, 3))], ids=["1-D", "empty"])
+    def test_non_matrix_rejected(self, x):
+        with pytest.raises(DecompositionError, match="2-D and non-empty"):
+            svd_truncated(x)
+
     def test_rank_clamped_with_flag(self):
         x = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 7.0))  # rank 1
         out = svd_truncated(x, TruncationRule.fixed(3))
@@ -161,12 +166,29 @@ class TestReducedOperator:
         with pytest.raises(ValueError):
             reduced_operator(out.u, out.sigma, out.v, np.eye(4))
 
+    def test_sigma_of_wrong_length_rejected(self):
+        out = svd_truncated(np.eye(3), TruncationRule.fixed(2))
+        with pytest.raises(ValueError, match="inconsistent truncation shapes"):
+            reduced_operator(out.u, out.sigma[:1], out.v, np.eye(3))
+
+    def test_non_finite_x2_rejected(self):
+        out = svd_truncated(np.eye(3), TruncationRule.fixed(2))
+        x2 = np.eye(3)
+        x2[0, 0] = np.inf
+        # inf * 0 in the product is nan, which matmul warns about
+        with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="non-finite"):
+            reduced_operator(out.u, out.sigma, out.v, x2)
+
 
 class TestEigModes:
     def test_diagonal_case(self):
         w, lam, phi = eig_modes(np.diag([0.9, 0.5]), np.eye(2))
         assert set(np.round(lam.real, 12)) == {0.9, 0.5}
         np.testing.assert_allclose(np.sort(np.abs(w), axis=0), [[0, 0], [1, 1]], atol=1e-12)
+
+    def test_u_of_wrong_column_count_rejected(self):
+        with pytest.raises(ValueError, match="U columns must match"):
+            eig_modes(np.eye(2), np.eye(3))
 
     def test_rotation_gives_unit_pair(self):
         theta = 0.3
@@ -317,6 +339,10 @@ class TestAmplitudes:
         u = np.eye(4)[:, :2]
         b = amplitudes(u, np.eye(2, dtype=complex), np.array([0.0, 0.0, 0.0, 1.0]))
         np.testing.assert_allclose(b, 0.0, atol=1e-12)
+
+    def test_first_snapshot_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="first snapshot length"):
+            amplitudes(np.eye(4)[:, :2], np.eye(2, dtype=complex), np.zeros(3))
 
     @settings(max_examples=120, deadline=None)
     @given(

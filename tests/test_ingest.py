@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oscidmd as od
-from oscidmd.ingest import FILL_HOLD, FILL_ZERO, IngestConfig, IngestError, _parse_cell
+from oscidmd.ingest import FILL_HOLD, FILL_ZERO, IngestError, _parse_cell
 
 
 def write_lines(path, lines):
@@ -17,7 +17,7 @@ def write_lines(path, lines):
 
 def simple_config(**kw):
     kw.setdefault("dt", 1.0)
-    return IngestConfig(**kw)
+    return kw
 
 
 class TestLoadCsv:
@@ -25,7 +25,7 @@ class TestLoadCsv:
         rec, _ = lfo_clean
         path = tmp_path / "udc.csv"
         od.write_csv(rec, path)
-        loaded = od.load_csv(path, IngestConfig(time_column="t"))
+        loaded = od.load_csv(path, time_column="t")
         assert loaded.length == 5000
         assert loaded.dt == pytest.approx(4e-4, rel=1e-9)
         assert loaded.names == ("u_dc",)
@@ -34,25 +34,25 @@ class TestLoadCsv:
         rec, _ = lfo_clean
         path = tmp_path / "single.csv"
         write_lines(path, ["u_dc", *(repr(float(v)) for v in rec.data[0])])
-        loaded = od.load_csv(path, IngestConfig(dt=4e-4))
+        loaded = od.load_csv(path, dt=4e-4)
         assert loaded.length == 5000
         assert loaded.dt == 4e-4
         assert np.array_equal(loaded.data, rec.data)
 
-    @pytest.mark.parametrize("config", [IngestConfig(time_column="t"), IngestConfig(dt=4e-4)])
+    @pytest.mark.parametrize("config", [{"time_column": "t"}, {"dt": 4e-4}])
     def test_utf8_byte_order_mark_ignored(self, tmp_path, lfo_clean, config):
         rec, _ = lfo_clean
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         od.write_csv(rec, plain)
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        loaded = od.load_csv(bom, config)
-        assert loaded == od.load_csv(plain, config)
+        loaded = od.load_csv(bom, **config)
+        assert loaded == od.load_csv(plain, **config)
         assert loaded.names[-1] == "u_dc"
 
     def test_two_row_minimal(self, tmp_path):
         path = tmp_path / "tiny.csv"
         write_lines(path, ["x", "1.0", "1.0"])
-        rec = od.load_csv(path, simple_config())
+        rec = od.load_csv(path, **simple_config())
         assert rec.length == 2
         assert np.array_equal(rec.data, [[1.0, 1.0]])
 
@@ -60,44 +60,44 @@ class TestLoadCsv:
         path = tmp_path / "gap.csv"
         rows = ["x"] + ["2.5"] * 20 + [""] * 50 + ["2.5"] * 30
         write_lines(path, rows)
-        rec = od.load_csv(path, simple_config())
+        rec = od.load_csv(path, **simple_config())
         assert np.all(rec.data[0, 20:70] == 0.0)
         assert np.all(rec.missing_mask[0, 20:70])
         assert rec.missing_mask.sum() == 50
         # oracle: write back and re-read, markers and fills must survive
         back = tmp_path / "back.csv"
         od.write_csv(rec, back)
-        again = od.load_csv(back, IngestConfig(dt=rec.dt, time_column="t"))
+        again = od.load_csv(back, dt=rec.dt, time_column="t")
         assert again == rec
 
     def test_nan_token_case_insensitive(self, tmp_path):
         path = tmp_path / "nan.csv"
         write_lines(path, ["x", "1.0", "NaN", "nan", "2.0"])
-        rec = od.load_csv(path, simple_config())
+        rec = od.load_csv(path, **simple_config())
         assert list(rec.missing_mask[0]) == [False, True, True, False]
 
     def test_hold_fill_policy(self, tmp_path):
         path = tmp_path / "hold.csv"
         write_lines(path, ["x", "3.0", "", "", "7.0", ""])
-        rec = od.load_csv(path, simple_config(fill_policy=FILL_HOLD))
+        rec = od.load_csv(path, **simple_config(fill_policy=FILL_HOLD))
         assert list(rec.data[0]) == [3.0, 3.0, 3.0, 7.0, 7.0]
 
     def test_hold_fill_leading_gap_falls_back_to_zero(self, tmp_path):
         path = tmp_path / "lead.csv"
         write_lines(path, ["x", "", "", "5.0"])
-        rec = od.load_csv(path, simple_config(fill_policy=FILL_HOLD))
+        rec = od.load_csv(path, **simple_config(fill_policy=FILL_HOLD))
         assert list(rec.data[0]) == [0.0, 0.0, 5.0]
 
     def test_headerless_names(self, tmp_path):
         path = tmp_path / "nh.csv"
         write_lines(path, ["1.0,2.0", "3.0,4.0"])
-        rec = od.load_csv(path, simple_config(has_header=False))
+        rec = od.load_csv(path, **simple_config(has_header=False))
         assert rec.names == ("ch0", "ch1")
 
     def test_time_column_by_index_headerless(self, tmp_path):
         path = tmp_path / "idx.csv"
         write_lines(path, ["0.0,5.0", "0.5,6.0", "1.0,7.0"])
-        rec = od.load_csv(path, IngestConfig(time_column=0, has_header=False))
+        rec = od.load_csv(path, time_column=0, has_header=False)
         assert rec.names == ("ch1",)
         assert rec.dt == pytest.approx(0.5)
         assert rec.t0 == 0.0
@@ -106,14 +106,14 @@ class TestLoadCsv:
     def test_unknown_channel_lookup_rejected(self, tmp_path):
         path = tmp_path / "ch.csv"
         write_lines(path, ["x", "1.0", "2.0"])
-        rec = od.load_csv(path, simple_config())
+        rec = od.load_csv(path, **simple_config())
         with pytest.raises(IngestError, match="unknown channel"):
             rec.channel("y")
 
     def test_unknown_channel_mask_lookup_rejected_like_channel(self, tmp_path):
         path = tmp_path / "ch.csv"
         write_lines(path, ["x", "1.0", "2.0"])
-        rec = od.load_csv(path, simple_config())
+        rec = od.load_csv(path, **simple_config())
         messages = []
         for lookup in (rec.channel, rec.channel_mask):
             with pytest.raises(IngestError, match="unknown channel") as info:
@@ -125,60 +125,78 @@ class TestLoadCsv:
         path = tmp_path / "bad.csv"
         write_lines(path, ["t,x", "0.0,1", "1.0,1", "2.0,1", "3.5,1", "4.0,1"])
         with pytest.raises(IngestError, match="index 3"):
-            od.load_csv(path, IngestConfig(time_column="t"))
+            od.load_csv(path, time_column="t")
 
     def test_fewer_than_two_rows_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         write_lines(path, ["x", "1.0"])
         with pytest.raises(IngestError, match="fewer than 2"):
-            od.load_csv(path, simple_config())
+            od.load_csv(path, **simple_config())
 
-    def test_unknown_fill_policy_rejected(self):
+    def test_unknown_fill_policy_rejected(self, tmp_path):
+        # checked first, ahead of the missing sample interval and the missing file
         with pytest.raises(IngestError, match="fill policy"):
-            IngestConfig(dt=1.0, fill_policy="interpolate")
+            od.load_csv(tmp_path / "never-read.csv", fill_policy="interpolate")
 
     def test_dt_conflicting_with_time_column_rejected(self, tmp_path):
         path = tmp_path / "conflict.csv"
         write_lines(path, ["t,x", "0.0,1", "0.5,1", "1.0,1"])
         with pytest.raises(IngestError, match="disagrees"):
-            od.load_csv(path, IngestConfig(dt=1.0, time_column="t"))
+            od.load_csv(path, dt=1.0, time_column="t")
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         write_lines(path, ["x", "1.0", "inf", "2.0"])
         with pytest.raises(IngestError, match="non-finite"):
-            od.load_csv(path, simple_config())
+            od.load_csv(path, **simple_config())
 
     def test_missing_time_sample_rejected(self, tmp_path):
         path = tmp_path / "mt.csv"
         write_lines(path, ["t,x", "0.0,1", ",1", "2.0,1"])
         with pytest.raises(IngestError, match="time column"):
-            od.load_csv(path, IngestConfig(time_column="t"))
+            od.load_csv(path, time_column="t")
 
     def test_missing_file_mentions_path(self, tmp_path):
         with pytest.raises(IngestError, match="nowhere.csv"):
-            od.load_csv(tmp_path / "nowhere.csv", simple_config())
+            od.load_csv(tmp_path / "nowhere.csv", **simple_config())
+
+    def test_sample_interval_required_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(IngestError, match="either dt or a time column"):
+            od.load_csv(tmp_path / "never-read.csv")
+
+    def test_settings_are_keyword_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_lines(path, ["x", "1.0", "2.0"])
+        with pytest.raises(TypeError):
+            od.load_csv(path, 1.0)
+
+    @pytest.mark.parametrize("header, repeated", [("t,x,x", "x"), ("t,x,t", "t")])
+    def test_header_naming_a_column_twice_rejected(self, tmp_path, header, repeated):
+        path = tmp_path / "twice.csv"
+        write_lines(path, [header, "0.0,1,2", "1.0,3,4"])
+        with pytest.raises(IngestError, match=f"header names column '{repeated}' more than once"):
+            od.load_csv(path, time_column="t")
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         write_lines(path, ["a,b", "1,2", "3"])
         with pytest.raises(IngestError, match="row 1"):
-            od.load_csv(path, simple_config())
+            od.load_csv(path, **simple_config())
 
     def test_time_column_only_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, ["t", "0.0", "0.5", "1.0"])
         with pytest.raises(IngestError, match="at least one channel"):
-            od.load_csv(path, IngestConfig(time_column="t"))
+            od.load_csv(path, time_column="t")
 
     def test_record_without_channels_rejected(self):
         with pytest.raises(IngestError, match="at least one channel"):
             od.SignalRecord(names=(), data=np.empty((0, 5)), missing_mask=np.empty((0, 5), bool), dt=1.0)
 
     @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, 0.0, -1.0])
-    def test_dt_must_be_finite_and_positive(self, dt):
+    def test_dt_must_be_finite_and_positive(self, tmp_path, dt):
         with pytest.raises(IngestError, match="dt must be finite and positive"):
-            IngestConfig(dt=dt)
+            od.load_csv(tmp_path / "never-read.csv", dt=dt)
         with pytest.raises(IngestError, match="dt must be finite and positive"):
             od.SignalRecord(names=("x",), data=[[1.0, 2.0]], missing_mask=[[False, False]], dt=dt)
 
@@ -195,6 +213,16 @@ class TestLoadCsv:
     def test_malformed_record_rejected(self, data, mask, message):
         with pytest.raises(IngestError, match=message):
             od.SignalRecord(names=("x",), data=data, missing_mask=mask, dt=1.0)
+
+    def test_unknown_fill_policy_on_a_record_rejected(self):
+        with pytest.raises(IngestError, match="unknown fill policy"):
+            od.SignalRecord(names=("x",), data=[[1.0, 2.0]], missing_mask=[[False, False]], dt=1.0,
+                            fill_policy="interpolate")
+
+    def test_record_is_not_equal_to_another_type(self):
+        rec = od.SignalRecord(names=("x",), data=[[1.0, 2.0]], missing_mask=[[False, False]], dt=1.0)
+        assert rec.__eq__(3) is NotImplemented
+        assert (rec == 3) is False
 
 
 def cell_by_cell(rows, names, time_idx):
@@ -240,10 +268,10 @@ class TestColumnParse:
             values, mask = cell_by_cell(rows, names, 0)
         except IngestError as exc:
             with pytest.raises(IngestError) as info:
-                od.load_csv(path, IngestConfig(time_column="t"))
+                od.load_csv(path, time_column="t")
             assert str(info.value) == str(exc)
             return
-        rec = od.load_csv(path, IngestConfig(time_column="t"))
+        rec = od.load_csv(path, time_column="t")
         assert np.array_equal(rec.data, values[1:])
         assert np.array_equal(rec.missing_mask, mask[1:])
 
@@ -262,10 +290,10 @@ class TestRoundTrip:
         )
         p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         od.write_csv(rec, p1)
-        config = IngestConfig(dt=0.25, time_column="t")
-        first = od.load_csv(p1, config)
+        config = {"dt": 0.25, "time_column": "t"}
+        first = od.load_csv(p1, **config)
         od.write_csv(first, p2)
-        second = od.load_csv(p2, config)
+        second = od.load_csv(p2, **config)
         assert first == second
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -278,7 +306,7 @@ class TestRoundTrip:
             path = tmp_path / f"f{trial}.csv"
             write_lines(path, lines)
             policy = FILL_HOLD if trial % 2 else FILL_ZERO
-            rec = od.load_csv(path, simple_config(fill_policy=policy))
+            rec = od.load_csv(path, **simple_config(fill_policy=policy))
             assert np.all(np.isfinite(rec.data))
 
 
@@ -341,9 +369,9 @@ class TestInjectGap:
     def test_refill_matches_loading_the_gapped_file(self, tmp_path, policy):
         write_lines(tmp_path / "before.csv", ["x", "1.0", "2.0", "3.0", "", "5.0"])
         write_lines(tmp_path / "after.csv", ["x", "1.0", "2.0", "", "", "5.0"])
-        rec = od.load_csv(tmp_path / "before.csv", simple_config(fill_policy=policy))
+        rec = od.load_csv(tmp_path / "before.csv", **simple_config(fill_policy=policy))
         gapped = od.inject_gap(rec, 2, 1)
         # sample 3 held the value of sample 2, which the gap has now masked
-        assert gapped == od.load_csv(tmp_path / "after.csv", simple_config(fill_policy=policy))
+        assert gapped == od.load_csv(tmp_path / "after.csv", **simple_config(fill_policy=policy))
         if policy == FILL_HOLD:
             assert list(gapped.data[0]) == [1.0, 2.0, 2.0, 2.0, 5.0]

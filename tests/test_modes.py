@@ -21,6 +21,7 @@ from oscidmd.modes import (
     DAMPING_GROWING,
     ModeReport,
     _envelopes,
+    mode_table,
 )
 
 
@@ -258,7 +259,7 @@ class TestReportsFromDmd:
             singular_values=np.ones(r),
             rank_clamped=False,
         )
-        reports = od.reports_from_dmd(fit, f_sp=10.0, horizon_steps=4, slow_set={0, 1, 4})
+        reports = mode_table([fit], [10.0], 4, [0], [0], [{0, 1, 4}])
         got = [(r.eigenvalue, r.pair, r.slow) for r in reports]
         # a repeated real eigenvalue is no pair, and a conjugate that is not
         # next to its partner leaves both members unpaired

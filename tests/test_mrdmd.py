@@ -145,6 +145,10 @@ class TestSubsample:
         with pytest.raises(ValueError, match="shorter than mu"):
             subsample((0, 5), 6)
 
+    def test_mu_zero_rejected(self):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            subsample((0, 10), 0)
+
     @settings(max_examples=120, deadline=None)
     @given(
         start=st.integers(min_value=0, max_value=1000),
@@ -539,6 +543,26 @@ class TestDecompose:
         plan = od.plan(64, 0.5, mu=4, g=4)
         with pytest.raises(ValueError, match="plan expects"):
             od.decompose(np.zeros((3, 60)), plan)
+
+    def test_one_dimensional_data_rejected(self):
+        plan = od.plan(64, 0.5, mu=4, g=4)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            od.decompose(np.zeros(64), plan)
+
+    def test_integer_input_is_kept_as_a_read_only_float_copy(self):
+        rec = od.generate([od.ModeSpec(3.0, 0.0, 1.0)], dc=1.0, fs=64.0, duration=8.0, noise_std=0.05, seed=5)
+        counts = np.round(100 * rec.data[0]).astype(np.int64)
+        # the Hankel matrix of the integer series, a read-only view of it
+        data = np.lib.stride_tricks.sliding_window_view(counts, 8).T[:, :504]
+        plan = od.plan(504, rec.dt, mu=8, g=4)
+        rule = TruncationRule.energy(0.999)
+        res = od.decompose(data, plan, rule)
+        assert res.data.dtype == np.float64
+        assert not res.data.flags.writeable
+        assert not np.shares_memory(res.data, counts)
+        assert np.array_equal(res.data, data)
+        as_float = od.decompose(data.astype(float), plan, rule)
+        assert res.total_reconstruction.tobytes() == as_float.total_reconstruction.tobytes()
 
     def test_tree_geometry(self, lfo_gapped_mrdmd):
         res, _ = lfo_gapped_mrdmd
